@@ -15,7 +15,6 @@ always a dot.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .core import AdditivePCMatrix, upper_pairs
@@ -30,8 +29,8 @@ from .descent import (
     run,
     select_direction,
 )
-from .errors import EvaluationError, ValidationError
-from .indicators import kii
+from .errors import EvaluationError, InvalidExponent, ValidationError
+from .indicators import kii, normalize_exponent
 from .matrixio import read_matrix_file, write_matrix_file, write_trace_file
 from .repro import format_report, run_all
 
@@ -46,16 +45,9 @@ class Parser(argparse.ArgumentParser):
 
 def exponent(text: str) -> float:
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad exponent {text!r}") from None
-    if math.isnan(value):
-        raise argparse.ArgumentTypeError("exponent must not be NaN")
-    if value == 0.0:
-        raise argparse.ArgumentTypeError("exponent 0 is excluded")
-    if math.isinf(value) and value < 0.0:
-        raise argparse.ArgumentTypeError("exponent -inf is excluded")
-    return value
+        return normalize_exponent(float(text))
+    except InvalidExponent as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def positive(text: str) -> float:

@@ -22,6 +22,7 @@ from typing import NamedTuple
 from .errors import (
     AntisymmetryViolation,
     BadDiagonal,
+    EntryOverflow,
     NonPositiveEntry,
     NonPositiveWeight,
     OrderTooSmall,
@@ -55,26 +56,44 @@ def upper_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
-def _check_order(n: int) -> None:
+def check_order(n: int) -> None:
     if n < 3:
         raise OrderTooSmall(n)
 
 
 @dataclass(frozen=True)
-class MultiplicativePCMatrix:
-    """Reciprocal positive matrix stored as its strict upper triangle."""
+class _PCMatrix:
+    """Storage and shape checks shared by both matrix forms."""
 
     n: int
     upper: tuple[float, ...]
 
     def __post_init__(self):
-        _check_order(self.n)
+        check_order(self.n)
         object.__setattr__(self, "upper", tuple(float(v) for v in self.upper))
         if len(self.upper) != upper_size(self.n):
             raise ValueError(
                 f"expected {upper_size(self.n)} upper entries for n={self.n}, "
                 f"got {len(self.upper)}"
             )
+
+    def to_grid(self) -> list[list[float]]:
+        return [
+            [self.entry(i, j) for j in range(1, self.n + 1)]
+            for i in range(1, self.n + 1)
+        ]
+
+    def replace_upper(self, upper) -> _PCMatrix:
+        """A matrix of the same form with another upper triangle."""
+        return type(self)(self.n, tuple(upper))
+
+
+@dataclass(frozen=True)
+class MultiplicativePCMatrix(_PCMatrix):
+    """Reciprocal positive matrix stored as its strict upper triangle."""
+
+    def __post_init__(self):
+        super().__post_init__()
         for (i, j), v in zip(upper_pairs(self.n), self.upper):
             if not (v > 0.0) or math.isinf(v) or math.isnan(v):
                 raise NonPositiveEntry(i, j, v)
@@ -87,31 +106,13 @@ class MultiplicativePCMatrix:
             return self.upper[upper_index(self.n, i, j)]
         return 1.0 / self.upper[upper_index(self.n, j, i)]
 
-    def to_grid(self) -> list[list[float]]:
-        return [
-            [self.entry(i, j) for j in range(1, self.n + 1)]
-            for i in range(1, self.n + 1)
-        ]
-
-    def replace_upper(self, upper) -> "MultiplicativePCMatrix":
-        return MultiplicativePCMatrix(self.n, tuple(upper))
-
 
 @dataclass(frozen=True)
-class AdditivePCMatrix:
+class AdditivePCMatrix(_PCMatrix):
     """Antisymmetric log-image of a multiplicative PC matrix."""
 
-    n: int
-    upper: tuple[float, ...]
-
     def __post_init__(self):
-        _check_order(self.n)
-        object.__setattr__(self, "upper", tuple(float(v) for v in self.upper))
-        if len(self.upper) != upper_size(self.n):
-            raise ValueError(
-                f"expected {upper_size(self.n)} upper entries for n={self.n}, "
-                f"got {len(self.upper)}"
-            )
+        super().__post_init__()
         for v in self.upper:
             if math.isinf(v) or math.isnan(v):
                 raise ValueError(f"additive entries must be finite, got {v!r}")
@@ -123,15 +124,6 @@ class AdditivePCMatrix:
             return self.upper[upper_index(self.n, i, j)]
         return -self.upper[upper_index(self.n, j, i)]
 
-    def to_grid(self) -> list[list[float]]:
-        return [
-            [self.entry(i, j) for j in range(1, self.n + 1)]
-            for i in range(1, self.n + 1)
-        ]
-
-    def replace_upper(self, upper) -> "AdditivePCMatrix":
-        return AdditivePCMatrix(self.n, tuple(upper))
-
 
 def validate_multiplicative(n: int, entries) -> MultiplicativePCMatrix:
     """Validate a full n x n grid and strip it to the canonical triangle.
@@ -139,7 +131,7 @@ def validate_multiplicative(n: int, entries) -> MultiplicativePCMatrix:
     The diagonal must be 1 and a_ij * a_ji must be 1, both within TAU_REC;
     the lower triangle is then discarded, never averaged in.
     """
-    _check_order(n)
+    check_order(n)
     grid = [[float(x) for x in row] for row in entries]
     if len(grid) != n or any(len(row) != n for row in grid):
         raise ValueError(f"expected an {n}x{n} grid")
@@ -161,7 +153,7 @@ def validate_multiplicative(n: int, entries) -> MultiplicativePCMatrix:
 
 def validate_additive(n: int, entries) -> AdditivePCMatrix:
     """Validate a full antisymmetric grid (zero diagonal, b_ji = -b_ij)."""
-    _check_order(n)
+    check_order(n)
     grid = [[float(x) for x in row] for row in entries]
     if len(grid) != n or any(len(row) != n for row in grid):
         raise ValueError(f"expected an {n}x{n} grid")
@@ -177,20 +169,36 @@ def validate_additive(n: int, entries) -> AdditivePCMatrix:
     return AdditivePCMatrix(n, upper)
 
 
+def log_upper(m: MultiplicativePCMatrix | AdditivePCMatrix) -> tuple[float, ...]:
+    """Upper triangle in log coordinates b_ij = ln a_ij, for either matrix form."""
+    if isinstance(m, MultiplicativePCMatrix):
+        return tuple(math.log(v) for v in m.upper)
+    return m.upper
+
+
 def to_additive(m: MultiplicativePCMatrix) -> AdditivePCMatrix:
     """Entrywise natural log of the upper triangle."""
-    return AdditivePCMatrix(m.n, tuple(math.log(v) for v in m.upper))
+    return AdditivePCMatrix(m.n, log_upper(m))
 
 
 def to_multiplicative(b: AdditivePCMatrix) -> MultiplicativePCMatrix:
-    """Entrywise exp; inverse of to_additive up to round-off."""
-    return MultiplicativePCMatrix(b.n, tuple(math.exp(v) for v in b.upper))
+    """Entrywise exp, inverse of to_additive up to round-off.
+
+    An entry above ln(DBL_MAX) has no finite image and raises EntryOverflow.
+    """
+    upper = []
+    for (i, j), v in zip(upper_pairs(b.n), b.upper):
+        try:
+            upper.append(math.exp(v))
+        except OverflowError:
+            raise EntryOverflow(i, j, v) from None
+    return MultiplicativePCMatrix(b.n, tuple(upper))
 
 
 @lru_cache(maxsize=None)
 def enumerate_triads(n: int) -> tuple[TriadIndex, ...]:
     """All C(n,3) strictly increasing triples, lexicographic."""
-    _check_order(n)
+    check_order(n)
     return tuple(TriadIndex(i, j, k) for i, j, k in combinations(range(1, n + 1), 3))
 
 
@@ -206,25 +214,17 @@ def triad_slots(n: int) -> tuple[tuple[TriadIndex, int, int, int], ...]:
     )
 
 
-def triad_defect(b: AdditivePCMatrix, t: TriadIndex) -> float:
-    """d_t = |b_ij + b_jk - b_ik|, zero iff the triad is consistent."""
-    n = b.n
-    return abs(
-        b.upper[upper_index(n, t.i, t.j)]
-        + b.upper[upper_index(n, t.j, t.k)]
-        - b.upper[upper_index(n, t.i, t.k)]
-    )
+def all_defects(n: int, logs) -> tuple[float, ...]:
+    """Defects of every triad of the log coordinates, in lexicographic order.
 
-
-def all_defects(b: AdditivePCMatrix) -> tuple[float, ...]:
-    """Defects of every triad, in lexicographic triad order."""
-    u = b.upper
-    return tuple(abs(u[q] + u[v] - u[w]) for _, q, v, w in triad_slots(b.n))
+    The one triad kernel: indicators and directions all go through it.
+    """
+    return tuple(abs(logs[q] + logs[v] - logs[w]) for _, q, v, w in triad_slots(n))
 
 
 def is_consistent(m: MultiplicativePCMatrix, tol: float = 0.0) -> bool:
     """True iff every triad defect of the log-image is <= tol."""
-    return max(all_defects(to_additive(m))) <= tol
+    return max(all_defects(m.n, log_upper(m))) <= tol
 
 
 def consistent_from_weights(w) -> MultiplicativePCMatrix:
@@ -234,7 +234,7 @@ def consistent_from_weights(w) -> MultiplicativePCMatrix:
         if not (x > 0.0):
             raise NonPositiveWeight(idx, x)
     n = len(weights)
-    _check_order(n)
+    check_order(n)
     upper = tuple(weights[i - 1] / weights[j - 1] for i, j in upper_pairs(n))
     return MultiplicativePCMatrix(n, upper)
 

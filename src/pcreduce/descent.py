@@ -168,13 +168,14 @@ def step_additive(
 
 
 def select_direction(
-    mat, p: float, gradient: str, l: float | None = None
+    mat, p: float, gradient: str, l: float | None = None, base: float | None = None
 ) -> DirectionVector:
-    """Priority direction at mat: forward-difference or instant (analytic)."""
+    """Priority direction at mat: forward-difference or instant (analytic).
+
+    base, if given, is kii(mat, p); the difference direction reuses it.
+    """
     if gradient == DIFFERENCE:
-        if l is None or not (l > 0.0):
-            raise ValueError(f"difference gradient needs an increment l > 0, got {l!r}")
-        return difference_priority_vector(mat, p, l)
+        return difference_priority_vector(mat, p, l, base)
     if gradient != ANALYTIC:
         raise ValueError(f"unknown gradient kind {gradient!r}")
     if mat.n == 3:
@@ -187,11 +188,13 @@ def select_direction(
 
 
 def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> DescentResult:
-    """Descend from m0 under cfg; always returns a DescentResult.
+    """Descend from m0 under cfg; every stop reason returns a DescentResult.
 
     A multiplicative start is converted once when scheme = additive (and an
-    additive start once when scheme = multiplicative); the whole run then
-    executes in the scheme's own coordinates.
+    additive start once when scheme = multiplicative, raising EntryOverflow
+    for an entry exp cannot represent); the whole run then executes in the
+    scheme's own coordinates.  Each iteration evaluates kii once and builds
+    one validated matrix, the iterate the step returns.
     """
     if cfg.scheme == ADDITIVE:
         mat = to_additive(m0) if isinstance(m0, MultiplicativePCMatrix) else m0
@@ -222,22 +225,18 @@ def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> De
         else:
             stall += 1
         if ii < cfg.eps:
-            records.append(TraceRecord(n, mat.upper, ii, None))
             stop = STOP_CONVERGED
-            break
-        if stall >= cfg.stall_window:
-            records.append(TraceRecord(n, mat.upper, ii, None))
+        elif stall >= cfg.stall_window:
             stop = STOP_STALLED
-            break
-        if n >= cfg.max_iter:
-            records.append(TraceRecord(n, mat.upper, ii, None))
+        elif n >= cfg.max_iter:
             stop = STOP_MAX_ITER
-            break
-        try:
-            v = select_direction(mat, cfg.p, cfg.gradient, cfg.l)
-        except EvaluationError:
+        else:
+            try:
+                v = select_direction(mat, cfg.p, cfg.gradient, cfg.l, ii)
+            except EvaluationError:
+                stop = STOP_UNDEFINED
+        if stop is not None:
             records.append(TraceRecord(n, mat.upper, ii, None))
-            stop = STOP_UNDEFINED
             break
         records.append(TraceRecord(n, mat.upper, ii, v.norm()))
         try:

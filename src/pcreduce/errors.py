@@ -32,6 +32,12 @@ class NonPositiveEntry(ValidationError):
         super().__init__(f"entry ({i},{j}) must be > 0, got {value!r}")
 
 
+class EntryOverflow(ValidationError):
+    def __init__(self, i, j, value):
+        self.i, self.j, self.value = i, j, value
+        super().__init__(f"additive entry ({i},{j}) = {value!r} overflows exp")
+
+
 class BadDiagonal(ValidationError):
     def __init__(self, i, value):
         self.i, self.value = i, value

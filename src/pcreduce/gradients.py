@@ -21,17 +21,12 @@ from .core import (
     AdditivePCMatrix,
     MultiplicativePCMatrix,
     all_defects,
-    to_additive,
+    log_upper,
     triad_slots,
     upper_size,
 )
-from .errors import (
-    DegenerateDefect,
-    InvalidExponent,
-    NonSmoothExponent,
-    OnConsistentLocus,
-)
-from .indicators import DELTA_ZERO, INF, kii
+from .errors import DegenerateDefect, NonSmoothExponent, OnConsistentLocus
+from .indicators import DELTA_ZERO, INF, kii_logs, normalize_exponent, p_average
 
 #: minimum triad defect for analytic-gradient evaluation (d^(p-1) diverges
 #: below it when p < 1; sign(u) is meaningless at u = 0 for any p)
@@ -89,15 +84,6 @@ def instant_pv3_add(a: float, b: float, c: float) -> DirectionVector:
     return DirectionVector(3, (-s * e, s * e, -s * e))
 
 
-def _check_smooth_exponent(p) -> float:
-    q = float(p)
-    if math.isnan(q) or q == -INF:
-        raise InvalidExponent(p)
-    if q in (0.0, 1.0) or q == INF:
-        raise NonSmoothExponent(q)
-    return q
-
-
 def instant_pv_np(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> DirectionVector:
     """Descent direction -grad Kii_{n,p} for finite p outside {0, 1}.
 
@@ -112,12 +98,13 @@ def instant_pv_np(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> DirectionV
     collapse onto instant_pv3_mult to round-off.  For an additive matrix the same
     expression applies without the 1/a_rs factor.
     """
-    q = _check_smooth_exponent(p)
-    mult = isinstance(m, MultiplicativePCMatrix)
-    b = to_additive(m) if mult else m
-    n = b.n
+    if p in (0.0, 1.0, INF):
+        raise NonSmoothExponent(float(p))
+    q = normalize_exponent(p)
+    n = m.n
+    logs = log_upper(m)
     slots = triad_slots(n)
-    ds = all_defects(b)
+    ds = all_defects(n, logs)
     worst = min(range(len(ds)), key=lambda t: ds[t])
     if ds[worst] < DELTA_GRAD:
         if max(ds) < DELTA_GRAD:
@@ -125,17 +112,16 @@ def instant_pv_np(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> DirectionV
                 "all triad defects vanish; no descent direction exists"
             )
         raise DegenerateDefect(slots[worst][0], ds[worst])
-    big = (math.fsum(d ** q for d in ds) / len(ds)) ** (1.0 / q)
+    big = p_average(ds, q)
     scale = math.exp(-big) / len(ds)
     grad = [0.0] * upper_size(n)
-    bu = b.upper
     for (_, ij, jk, ik), d in zip(slots, ds):
-        s = math.copysign(1.0, bu[ij] + bu[jk] - bu[ik])
+        s = math.copysign(1.0, logs[ij] + logs[jk] - logs[ik])
         w = scale * (d / big) ** (q - 1.0)
         grad[ij] += s * w
         grad[jk] += s * w
         grad[ik] -= s * w
-    if mult:
+    if isinstance(m, MultiplicativePCMatrix):
         comps = tuple(-g / a for g, a in zip(grad, m.upper))
     else:
         comps = tuple(-g for g in grad)
@@ -143,28 +129,33 @@ def instant_pv_np(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> DirectionV
 
 
 def difference_gradient(
-    m: MultiplicativePCMatrix | AdditivePCMatrix, p, l: float
+    m: MultiplicativePCMatrix | AdditivePCMatrix, p, l: float, base: float | None = None
 ) -> DirectionVector:
     """Forward difference quotients of kii, component per upper entry.
 
     Component (i,j) is [kii(A', p) - kii(A, p)] / l where A' perturbs only
     the (i,j) upper entry by +l (its mirror follows from the representation).
+    base is kii(A, p) if the caller has it.  Perturbations act on the log
+    coordinates, a multiplicative a_ij + l entering as ln(a_ij + l).
     """
-    if not (l > 0.0):
+    if l is None or not (l > 0.0):
         raise ValueError(f"difference increment l must be > 0, got {l!r}")
-    base = kii(m, p)
+    q = normalize_exponent(p)
+    n = m.n
+    logs = list(log_upper(m))
+    if base is None:
+        base = kii_logs(n, logs, q)
+    mult = isinstance(m, MultiplicativePCMatrix)
     comps = []
-    work = list(m.upper)
-    for k in range(len(work)):
-        saved = work[k]
-        work[k] = saved + l
-        comps.append((kii(m.replace_upper(work), p) - base) / l)
-        work[k] = saved
-    return DirectionVector(m.n, tuple(comps))
+    for k, saved in enumerate(logs):
+        logs[k] = math.log(m.upper[k] + l) if mult else saved + l
+        comps.append((kii_logs(n, logs, q) - base) / l)
+        logs[k] = saved
+    return DirectionVector(n, tuple(comps))
 
 
 def difference_priority_vector(
-    m: MultiplicativePCMatrix | AdditivePCMatrix, p, l: float
+    m: MultiplicativePCMatrix | AdditivePCMatrix, p, l: float, base: float | None = None
 ) -> DirectionVector:
     """Discrete analog of the instant priority vector: the negated quotients."""
-    return difference_gradient(m, p, l).negate()
+    return difference_gradient(m, p, l, base).negate()

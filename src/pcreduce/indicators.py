@@ -6,8 +6,8 @@ normalization inside.  p = infinity takes the plain maximum (the classical
 triad-based index); p may be negative (harmonic-type means), in which case
 the indicator has a hole: it is undefined whenever some defect vanishes.
 
-Defects are always computed in log space from the additive form, never by
-multiplying raw entries, so matrices with entries like e^3 cannot overflow
+Defects are always computed from the log coordinates (core.log_upper), never
+by multiplying raw entries, so matrices with entries like e^3 cannot overflow
 their triad products.
 """
 
@@ -19,8 +19,8 @@ from .core import (
     AdditivePCMatrix,
     MultiplicativePCMatrix,
     all_defects,
-    to_additive,
-    triad_slots,
+    enumerate_triads,
+    log_upper,
 )
 from .errors import IndicatorUndefined, InvalidExponent, ZeroWithNegativeExponent
 
@@ -45,21 +45,29 @@ def normalize_exponent(p) -> float:
 
 
 def p_average(xs, p) -> float:
-    """((1/N) sum x_i^p)^(1/p); max of the x_i when p = inf.
+    """((1/N) sum x_i^p)^(1/p) for a normalized p; max of the x_i when p = inf.
 
     For p < 0 any x_i below DELTA_ZERO raises ZeroWithNegativeExponent:
-    x^p blows up and the mean is no longer meaningful.
+    x^p blows up and the mean is no longer meaningful.  Where the plain form
+    overflows (or underflows to 0^(1/p), p < 0) the mean is s * M_p(x / s),
+    s the largest x_i for p > 0 and the smallest for p < 0.
     """
-    q = normalize_exponent(p)
-    xs = list(xs)
     if not xs:
         raise ValueError("p_average of an empty sequence")
-    if q == INF:
+    if p == INF:
         return max(xs)
-    if q < 0.0:
+    if p < 0.0:
         for x in xs:
             if x < DELTA_ZERO:
                 raise ZeroWithNegativeExponent(x)
+    try:
+        return _plain_mean(xs, p)
+    except (OverflowError, ZeroDivisionError):
+        s = max(xs) if p > 0.0 else min(xs)
+        return s * _plain_mean([x / s for x in xs], p)
+
+
+def _plain_mean(xs, q) -> float:
     if q == 0.5:
         # sqrt is correctly rounded where pow(x, 0.5) need not be
         return (math.fsum(math.sqrt(x) for x in xs) / len(xs)) ** 2
@@ -89,18 +97,18 @@ def kii(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> float:
     DELTA_ZERO -- the indicator's hole around the consistent set -- naming
     the offending triad.
     """
-    q = normalize_exponent(p)
-    b = to_additive(m) if isinstance(m, MultiplicativePCMatrix) else m
-    ds = all_defects(b)
-    if q < 0.0:
-        for (t, _, _, _), d in zip(triad_slots(b.n), ds):
-            if d < DELTA_ZERO:
-                raise IndicatorUndefined(q, t, d)
-    if q == INF:
-        avg = max(ds)
-    elif q == 0.5:
-        # sqrt is correctly rounded where pow(x, 0.5) need not be
-        avg = (math.fsum(math.sqrt(d) for d in ds) / len(ds)) ** 2
-    else:
-        avg = (math.fsum(d ** q for d in ds) / len(ds)) ** (1.0 / q)
+    return kii_logs(m.n, log_upper(m), normalize_exponent(p))
+
+
+def kii_logs(n: int, logs, q: float) -> float:
+    """Kii_{n,q} of log coordinates (core.log_upper); q must be normalized.
+
+    Validates nothing: the descent's inner loop calls it on trusted coordinates.
+    """
+    ds = all_defects(n, logs)
+    try:
+        avg = p_average(ds, q)
+    except ZeroWithNegativeExponent:
+        k = next(k for k, d in enumerate(ds) if d < DELTA_ZERO)
+        raise IndicatorUndefined(q, enumerate_triads(n)[k], ds[k]) from None
     return 1.0 - math.exp(-avg)

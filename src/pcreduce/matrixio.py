@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .core import (
     AdditivePCMatrix,
     MultiplicativePCMatrix,
+    check_order,
     upper_pairs,
     upper_size,
     validate_additive,
@@ -67,6 +68,7 @@ def parse_matrix_text(text: str):
                     order = int(value)
                 except ValueError:
                     raise MatrixFileError(f"bad order {value!r}", lineno) from None
+                check_order(order)
             else:
                 raise MatrixFileError(f"unknown header {key!r}", lineno)
             continue
@@ -75,25 +77,6 @@ def parse_matrix_text(text: str):
         mode = "multiplicative"
     if not data_lines:
         raise MatrixFileError("no matrix data")
-
-    if order is not None:
-        values = []
-        for lineno, line in data_lines:
-            for tok in line.split():
-                try:
-                    values.append(float(tok))
-                except ValueError:
-                    raise MatrixFileError(f"bad number {tok!r}", lineno) from None
-        want = upper_size(order) if order >= 2 else -1
-        if len(values) != want:
-            raise MatrixFileError(
-                f"expected {want} upper-triangle entries for n={order}, "
-                f"got {len(values)}",
-                data_lines[-1][0],
-            )
-        if mode == "multiplicative":
-            return MultiplicativePCMatrix(order, tuple(values))
-        return AdditivePCMatrix(order, tuple(values))
 
     rows = []
     for lineno, line in data_lines:
@@ -104,6 +87,20 @@ def parse_matrix_text(text: str):
             except ValueError:
                 raise MatrixFileError(f"bad number {tok!r}", lineno) from None
         rows.append((lineno, row))
+
+    if order is not None:
+        values = tuple(x for _, row in rows for x in row)
+        want = upper_size(order)
+        if len(values) != want:
+            raise MatrixFileError(
+                f"expected {want} upper-triangle entries for n={order}, "
+                f"got {len(values)}",
+                data_lines[-1][0],
+            )
+        if mode == "multiplicative":
+            return MultiplicativePCMatrix(order, values)
+        return AdditivePCMatrix(order, values)
+
     n = len(rows)
     for lineno, row in rows:
         if len(row) != n:

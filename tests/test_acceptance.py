@@ -26,6 +26,7 @@ from pcreduce.core import (
     AdditivePCMatrix,
     MultiplicativePCMatrix,
     all_defects,
+    log_upper,
     to_additive,
     to_multiplicative,
     upper_pairs,
@@ -91,7 +92,7 @@ def random_pc(rng, n, spread=2.0):
 def random_pc_min_defect(rng, n, floor, spread=2.0):
     while True:
         m = random_pc(rng, n, spread)
-        if min(all_defects(to_additive(m))) >= floor:
+        if min(all_defects(m.n, log_upper(m))) >= floor:
             return m
 
 

@@ -18,6 +18,7 @@ B3_TEXT = "mode=additive\nn=3\n-2 3 1\n"
 # triad (1,2,3) exactly consistent; p = -1 lands in the indicator's hole
 HOLE_TEXT = "mode=multiplicative\nn=4\n2 4 1\n2 1\n1\n"
 BAD_GRID_TEXT = "1 2 4\n0.6 1 2\n0.25 0.5 1\n"
+HUGE_TEXT = "mode=additive\nn=3\n800 1 1\n"
 
 
 def pcreduce(*args):
@@ -32,7 +33,8 @@ def files(tmp_path_factory):
     d = tmp_path_factory.mktemp("matrices")
     paths = {}
     for name, text in [("a3", A3_TEXT), ("a4", A4_TEXT), ("b3", B3_TEXT),
-                       ("hole", HOLE_TEXT), ("bad", BAD_GRID_TEXT)]:
+                       ("hole", HOLE_TEXT), ("bad", BAD_GRID_TEXT),
+                       ("huge", HUGE_TEXT)]:
         p = d / f"{name}.txt"
         p.write_text(text)
         paths[name] = str(p)
@@ -53,6 +55,13 @@ class TestEvaluate:
     def test_additive_input(self, files):
         r = pcreduce("evaluate", files["b3"])
         assert r.returncode == 0
+        assert r.stdout.strip() == "0.981684"
+
+    @pytest.mark.parametrize("p", ["1000", "-1000"])
+    def test_extreme_p_gives_the_single_defect(self, files, p):
+        # the plain power mean overflows here; order 3 has one defect, 4
+        r = pcreduce("evaluate", files["b3"], "--p", p)
+        assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "0.981684"
 
     def test_p_zero_rejected_as_usage_error(self, files):
@@ -147,6 +156,13 @@ class TestReduce:
         r = pcreduce("reduce", files["a3"], "--gradient", "analytic",
                      "--p", "inf", "--h", "0.1", "--eps", "0.001")
         assert r.returncode == 0
+
+    def test_additive_entry_overflowing_exp_is_validation_error(self, files):
+        # e^800 is not a float: the multiplicative scheme cannot start here
+        r = pcreduce("reduce", files["huge"], "--h", "0.1", "--l", "0.001")
+        assert r.returncode == 1
+        assert "(1,2)" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_bad_h_is_usage_error(self, files):
         r = pcreduce("reduce", files["a3"], "--h", "-0.1", "--l", "0.001")

@@ -11,9 +11,9 @@ from pcreduce.core import (
     enumerate_triads,
     gmm_priority_vector,
     is_consistent,
+    log_upper,
     to_additive,
     to_multiplicative,
-    triad_defect,
     triad_slots,
     upper_index,
     upper_pairs,
@@ -184,13 +184,13 @@ class TestTriads:
             assert pairs[ik] == (t.i, t.k)
 
     def test_worked_defects(self):
-        b = to_additive(MultiplicativePCMatrix(4, A4))
-        assert all_defects(b) == (4.0, 2.0, 3.0, 1.0)
-        assert triad_defect(b, enumerate_triads(4)[0]) == 4.0
+        m = MultiplicativePCMatrix(4, A4)
+        assert all_defects(4, log_upper(m)) == (4.0, 2.0, 3.0, 1.0)
+        assert all_defects(4, to_additive(m).upper)[0] == 4.0
 
     def test_consistent_triad_has_zero_defect(self):
         b = AdditivePCMatrix(3, (1.0, 3.0, 2.0))
-        assert triad_defect(b, enumerate_triads(3)[0]) == 0.0
+        assert all_defects(3, b.upper) == (0.0,)
 
 
 class TestConsistency:

@@ -51,6 +51,13 @@ class TestPAverage:
         assert p_average((2.0, 2.0), -1.0) == pytest.approx(2.0)
         assert p_average((1.0, 3.0), -1.0) == pytest.approx(1.5)
 
+    def test_scaled_when_plain_form_overflows(self):
+        # 4^1000 overflows and 4^-1000 underflows to a zero mean
+        assert p_average((4.0, 2.0), 1000.0) == pytest.approx(
+            4.0 * ((1.0 + 0.5 ** 1000.0) / 2.0) ** 0.001, rel=1e-15)
+        assert p_average((4.0, 8.0), -1000.0) == pytest.approx(
+            4.0 * ((1.0 + 2.0 ** -1000.0) / 2.0) ** -0.001, rel=1e-15)
+
     def test_max(self):
         assert p_average((1.0, 5.0, 2.0), math.inf) == 5.0
 
@@ -112,11 +119,14 @@ class TestKii:
     def test_collapses_to_kii3_for_order_three(self):
         m = MultiplicativePCMatrix(3, (math.exp(-2.0), math.exp(3.0), math.exp(1.0)))
         want = kii3(*m.upper)
-        for p in (-1.0, 0.5, 1.0, 2.0, math.inf):
+        # |p| >= 1000 overflows d^p (or underflows it to a zero mean) in the
+        # plain power mean; the scaled fallback keeps the exact single defect
+        for p in (-5000.0, -1000.0, -1.0, 0.5, 1.0, 2.0, 1000.0, 5000.0, math.inf):
             assert kii(m, p) == pytest.approx(want, rel=1e-12)
 
     def test_monotone_in_p(self):
-        values = [kii(A4, p) for p in (-1.0, 0.5, 1.0, 2.0, 8.0, math.inf)]
+        ps = (-1000.0, -1.0, 0.5, 1.0, 2.0, 8.0, 1000.0, math.inf)
+        values = [kii(A4, p) for p in ps]
         for lo, hi in zip(values, values[1:]):
             assert lo <= hi + 1e-15
 

@@ -4,7 +4,7 @@ import pytest
 
 from pcreduce.core import AdditivePCMatrix, MultiplicativePCMatrix
 from pcreduce.descent import DescentConfig, run
-from pcreduce.errors import MatrixFileError, ReciprocityViolation
+from pcreduce.errors import MatrixFileError, OrderTooSmall, ReciprocityViolation
 from pcreduce.matrixio import (
     format_matrix,
     format_trace,
@@ -81,6 +81,11 @@ class TestParseMatrix:
     def test_unknown_header(self):
         with pytest.raises(MatrixFileError):
             parse_matrix_text("order=3\n2 4 2\n")
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_order_header_below_three(self, order):
+        with pytest.raises(OrderTooSmall):
+            parse_matrix_text(f"n={order}\n1\n")
 
     def test_bad_order_value(self):
         with pytest.raises(MatrixFileError):

@@ -1,15 +1,23 @@
 import csv
+import hashlib
 import math
 
+from pcreduce.core import AdditivePCMatrix, MultiplicativePCMatrix
 from pcreduce.repro import (
     REFERENCE_RUNS,
     entry_names,
     format_report,
     label_order,
+    run_all,
     run_row,
     start_matrix,
     write_summary_csv,
 )
+
+# sha256 of the summary.csv that run_all writes.  The descent's floats come
+# from this platform's libm (log, exp, pow), so the hash pins it too.  A
+# change meant to alter outputs updates the hash and says why in CHANGES.md.
+SUMMARY_SHA256 = "7c5b197850233415e247e5079cd58b7a864707de5026bc6a4e8acd6cf1a6195b"
 
 
 class TestReferenceTable:
@@ -54,6 +62,26 @@ class TestRunRow:
         oc = run_row(REFERENCE_RUNS[0])
         assert oc.best_entries == tuple(
             oc.result.best_matrix.upper[k] for k in label_order(3))
+
+
+class TestIdentity:
+    def test_summary_csv_is_pinned(self, tmp_path):
+        run_all(outdir=tmp_path)
+        digest = hashlib.sha256((tmp_path / "summary.csv").read_bytes()).hexdigest()
+        assert digest == SUMMARY_SHA256
+
+    def test_one_validated_matrix_per_iteration(self, monkeypatch):
+        built = []
+        for cls in (MultiplicativePCMatrix, AdditivePCMatrix):
+            def counted(self, original=cls.__post_init__):
+                built.append(type(self))
+                original(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        oc = run_row(REFERENCE_RUNS[0])
+        k = oc.result.trace.records[-1].iteration
+        assert k > 100
+        # the start matrix, one iterate per step and the best iterate
+        assert len(built) <= k + 2
 
 
 class TestReporting:
