@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core import AdditivePCMatrix, upper_pairs
+from .core import upper_pairs
 from .descent import (
     ADDITIVE,
     ANALYTIC,
@@ -31,7 +31,12 @@ from .descent import (
 )
 from .errors import EvaluationError, InvalidExponent, ValidationError
 from .indicators import kii, normalize_exponent
-from .matrixio import read_matrix_file, write_matrix_file, write_trace_file
+from .matrixio import (
+    read_matrix_file,
+    upper_entry_names,
+    write_matrix_file,
+    write_trace_file,
+)
 from .repro import format_report, run_all
 
 
@@ -113,7 +118,7 @@ def cmd_evaluate(args) -> int:
 def cmd_gradient(args) -> int:
     m = read_matrix_file(args.matrix)
     v = select_direction(m, args.p, args.kind, args.l)
-    for (i, j), c in zip(upper_pairs(m.n), v.components):
+    for (i, j), c in zip(upper_pairs(m.n), v):
         print(f"w_{i}_{j} {c:.6f}")
     return 0
 
@@ -135,10 +140,9 @@ def cmd_reduce(args) -> int:
     print(f"best_iter {result.best_iter}")
     if result.best_matrix is not None:
         print(f"best_indicator {result.best_indicator:.6f}")
-        prefix = "b" if isinstance(result.best_matrix, AdditivePCMatrix) else "a"
-        for (i, j), x in zip(upper_pairs(result.best_matrix.n),
-                             result.best_matrix.upper):
-            print(f"{prefix}_{i}_{j} {x:.6f}")
+        names = upper_entry_names(m.n, args.scheme)
+        for name, x in zip(names, result.best_matrix.upper):
+            print(f"{name} {x:.6f}")
     if args.trace is not None:
         write_trace_file(args.trace, result, m.n, args.scheme)
     if args.out is not None and result.best_matrix is not None:

@@ -23,13 +23,15 @@ from .errors import (
     AntisymmetryViolation,
     BadDiagonal,
     EntryOverflow,
+    NonFiniteEntry,
     NonPositiveEntry,
     NonPositiveWeight,
     OrderTooSmall,
     ReciprocityViolation,
 )
 
-#: relative tolerance for validating reciprocity / unit diagonal of raw grids
+#: relative tolerance for validating reciprocity / unit diagonal of raw grids;
+#: the checks read not (residual <= TAU_REC), so a NaN residual fails them
 TAU_REC = 1e-9
 
 
@@ -113,9 +115,9 @@ class AdditivePCMatrix(_PCMatrix):
 
     def __post_init__(self):
         super().__post_init__()
-        for v in self.upper:
-            if math.isinf(v) or math.isnan(v):
-                raise ValueError(f"additive entries must be finite, got {v!r}")
+        for (i, j), v in zip(upper_pairs(self.n), self.upper):
+            if not math.isfinite(v):
+                raise NonFiniteEntry(i, j, v)
 
     def entry(self, i: int, j: int) -> float:
         if i == j:
@@ -140,12 +142,12 @@ def validate_multiplicative(n: int, entries) -> MultiplicativePCMatrix:
             if not (grid[i][j] > 0.0):
                 raise NonPositiveEntry(i + 1, j + 1, grid[i][j])
     for i in range(n):
-        if abs(grid[i][i] - 1.0) > TAU_REC:
+        if not (abs(grid[i][i] - 1.0) <= TAU_REC):
             raise BadDiagonal(i + 1, grid[i][i])
     for i in range(n):
         for j in range(i + 1, n):
             residual = abs(grid[i][j] * grid[j][i] - 1.0)
-            if residual > TAU_REC:
+            if not (residual <= TAU_REC):
                 raise ReciprocityViolation(i + 1, j + 1, residual)
     upper = tuple(grid[i - 1][j - 1] for i, j in upper_pairs(n))
     return MultiplicativePCMatrix(n, upper)
@@ -158,12 +160,12 @@ def validate_additive(n: int, entries) -> AdditivePCMatrix:
     if len(grid) != n or any(len(row) != n for row in grid):
         raise ValueError(f"expected an {n}x{n} grid")
     for i in range(n):
-        if abs(grid[i][i]) > TAU_REC:
+        if not (abs(grid[i][i]) <= TAU_REC):
             raise BadDiagonal(i + 1, grid[i][i])
     for i in range(n):
         for j in range(i + 1, n):
             residual = abs(grid[i][j] + grid[j][i])
-            if residual > TAU_REC:
+            if not (residual <= TAU_REC):
                 raise AntisymmetryViolation(i + 1, j + 1, residual)
     upper = tuple(grid[i - 1][j - 1] for i, j in upper_pairs(n))
     return AdditivePCMatrix(n, upper)

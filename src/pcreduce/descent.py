@@ -34,7 +34,6 @@ from .core import (
 )
 from .errors import EvaluationError, PositivityFailure
 from .gradients import (
-    DirectionVector,
     difference_priority_vector,
     instant_pv3_add,
     instant_pv3_mult,
@@ -127,7 +126,7 @@ class DescentResult:
 
 def step_multiplicative(
     m: MultiplicativePCMatrix,
-    v: DirectionVector,
+    v: tuple[float, ...],
     h: float,
     clamp_log: list | None = None,
 ) -> MultiplicativePCMatrix:
@@ -141,7 +140,7 @@ def step_multiplicative(
     if not (h > 0.0):
         raise ValueError(f"step h must be > 0, got {h!r}")
     new = []
-    for (i, j), a, c in zip(upper_pairs(m.n), m.upper, v.components):
+    for (i, j), a, c in zip(upper_pairs(m.n), m.upper, v):
         step = h * c
         value = a + step
         if value <= 0.0:
@@ -159,20 +158,22 @@ def step_multiplicative(
 
 
 def step_additive(
-    b: AdditivePCMatrix, v: DirectionVector, h: float
+    b: AdditivePCMatrix, v: tuple[float, ...], h: float
 ) -> AdditivePCMatrix:
     """One update b_ij + h*v_ij; the multiplicative image stays positive."""
     if not (h > 0.0):
         raise ValueError(f"step h must be > 0, got {h!r}")
-    return b.replace_upper(tuple(x + h * c for x, c in zip(b.upper, v.components)))
+    return b.replace_upper(tuple(x + h * c for x, c in zip(b.upper, v)))
 
 
 def select_direction(
     mat, p: float, gradient: str, l: float | None = None, base: float | None = None
-) -> DirectionVector:
+) -> tuple[float, ...]:
     """Priority direction at mat: forward-difference or instant (analytic).
 
-    base, if given, is kii(mat, p); the difference direction reuses it.
+    The one way into the direction code.  The direction is a tuple in the
+    matrix's upper-triangle storage order.  base, if given, is kii(mat, p);
+    the difference direction reuses it.
     """
     if gradient == DIFFERENCE:
         return difference_priority_vector(mat, p, l, base)
@@ -238,7 +239,9 @@ def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> De
         if stop is not None:
             records.append(TraceRecord(n, mat.upper, ii, None))
             break
-        records.append(TraceRecord(n, mat.upper, ii, v.norm()))
+        records.append(
+            TraceRecord(n, mat.upper, ii, math.sqrt(math.fsum(c * c for c in v)))
+        )
         try:
             if cfg.scheme == MULTIPLICATIVE:
                 raw: list = []

@@ -32,6 +32,12 @@ class NonPositiveEntry(ValidationError):
         super().__init__(f"entry ({i},{j}) must be > 0, got {value!r}")
 
 
+class NonFiniteEntry(ValidationError):
+    def __init__(self, i, j, value):
+        self.i, self.j, self.value = i, j, value
+        super().__init__(f"additive entry ({i},{j}) must be finite, got {value!r}")
+
+
 class EntryOverflow(ValidationError):
     def __init__(self, i, j, value):
         self.i, self.j, self.value = i, j, value

@@ -1,21 +1,21 @@
 """Instant and difference priority vectors.
 
-Every function here returns a DESCENT direction: iW = -grad ii, indexed like
-the matrix upper triangle.  Moving an infinitesimal step along the returned
-vector strictly decreases the indicator.
+Every function here returns a DESCENT direction: iW = -grad ii, a plain
+tuple of floats in the matrices' upper-triangle storage order.  Moving an
+infinitesimal step along the returned vector strictly decreases the
+indicator.
 
 Two routes exist.  The analytic route (instant_pv*) differentiates the
 indicator in closed form and is only available where Kii_{n,p} is C^1 --
 finite p outside {0, 1} -- and away from zero defects.  The difference route
-(difference_*) replaces each partial derivative by the forward one-sided
-quotient [ii(A + l*e_ij) - ii(A)] / l and works for every p, including 1 and
-infinity; it is the route the reproduction experiments use.
+(difference_priority_vector) replaces each partial derivative by the forward
+one-sided quotient [ii(A + l*e_ij) - ii(A)] / l and works for every p,
+including 1 and infinity; it is the route the reproduction experiments use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .core import (
     AdditivePCMatrix,
@@ -33,31 +33,7 @@ from .indicators import DELTA_ZERO, INF, kii_logs, normalize_exponent, p_average
 DELTA_GRAD = 1e-9
 
 
-@dataclass(frozen=True)
-class DirectionVector:
-    """Upper-triangle-indexed direction; same storage order as the matrices."""
-
-    n: int
-    components: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "components", tuple(float(v) for v in self.components)
-        )
-        if len(self.components) != upper_size(self.n):
-            raise ValueError(
-                f"expected {upper_size(self.n)} components for n={self.n}, "
-                f"got {len(self.components)}"
-            )
-
-    def norm(self) -> float:
-        return math.sqrt(math.fsum(c * c for c in self.components))
-
-    def negate(self) -> "DirectionVector":
-        return DirectionVector(self.n, tuple(-c for c in self.components))
-
-
-def instant_pv3_mult(x: float, y: float, z: float) -> DirectionVector:
+def instant_pv3_mult(x: float, y: float, z: float) -> tuple[float, ...]:
     """Descent direction of the triad indicator at (a12, a13, a23) = (x, y, z).
 
     With u = ln y - ln x - ln z != 0 the components are
@@ -68,10 +44,10 @@ def instant_pv3_mult(x: float, y: float, z: float) -> DirectionVector:
         raise OnConsistentLocus("triad is consistent; no descent direction exists")
     s = math.copysign(1.0, u)
     e = math.exp(-abs(u))
-    return DirectionVector(3, (s * e / x, -s * e / y, s * e / z))
+    return (s * e / x, -s * e / y, s * e / z)
 
 
-def instant_pv3_add(a: float, b: float, c: float) -> DirectionVector:
+def instant_pv3_add(a: float, b: float, c: float) -> tuple[float, ...]:
     """Additive-form descent direction at (b12, b13, b23) = (a, b, c).
 
     With u = a + c - b != 0 the components are sign(u) * e^(-|u|) * (-1, +1, -1).
@@ -81,10 +57,10 @@ def instant_pv3_add(a: float, b: float, c: float) -> DirectionVector:
         raise OnConsistentLocus("triad is consistent; no descent direction exists")
     s = math.copysign(1.0, u)
     e = math.exp(-abs(u))
-    return DirectionVector(3, (-s * e, s * e, -s * e))
+    return (-s * e, s * e, -s * e)
 
 
-def instant_pv_np(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> DirectionVector:
+def instant_pv_np(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> tuple[float, ...]:
     """Descent direction -grad Kii_{n,p} for finite p outside {0, 1}.
 
     Written in the ratio form
@@ -122,18 +98,16 @@ def instant_pv_np(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> DirectionV
         grad[jk] += s * w
         grad[ik] -= s * w
     if isinstance(m, MultiplicativePCMatrix):
-        comps = tuple(-g / a for g, a in zip(grad, m.upper))
-    else:
-        comps = tuple(-g for g in grad)
-    return DirectionVector(n, comps)
+        return tuple(-g / a for g, a in zip(grad, m.upper))
+    return tuple(-g for g in grad)
 
 
-def difference_gradient(
+def difference_priority_vector(
     m: MultiplicativePCMatrix | AdditivePCMatrix, p, l: float, base: float | None = None
-) -> DirectionVector:
-    """Forward difference quotients of kii, component per upper entry.
+) -> tuple[float, ...]:
+    """Discrete analog of the instant priority vector: negated forward quotients.
 
-    Component (i,j) is [kii(A', p) - kii(A, p)] / l where A' perturbs only
+    Component (i,j) is -[kii(A', p) - kii(A, p)] / l where A' perturbs only
     the (i,j) upper entry by +l (its mirror follows from the representation).
     base is kii(A, p) if the caller has it.  Perturbations act on the log
     coordinates, a multiplicative a_ij + l entering as ln(a_ij + l).
@@ -149,13 +123,6 @@ def difference_gradient(
     comps = []
     for k, saved in enumerate(logs):
         logs[k] = math.log(m.upper[k] + l) if mult else saved + l
-        comps.append((kii_logs(n, logs, q) - base) / l)
+        comps.append(-(kii_logs(n, logs, q) - base) / l)
         logs[k] = saved
-    return DirectionVector(n, tuple(comps))
-
-
-def difference_priority_vector(
-    m: MultiplicativePCMatrix | AdditivePCMatrix, p, l: float, base: float | None = None
-) -> DirectionVector:
-    """Discrete analog of the instant priority vector: the negated quotients."""
-    return difference_gradient(m, p, l, base).negate()
+    return tuple(comps)

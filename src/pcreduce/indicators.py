@@ -29,9 +29,14 @@ DELTA_ZERO = 1e-12
 
 INF = math.inf
 
+#: smallest accepted |p|: the power mean raises the mean of x^p to 1/p, which
+#: multiplies its rounding error by 1/|p| (about 1.7e-16/|p| relative), and
+#: below about 1e-308 1/p is infinite; at 1e-6 the error stays below 1e-9
+P_MIN = 1e-6
+
 
 def normalize_exponent(p) -> float:
-    """Coerce p to float, rejecting 0, NaN and -inf; inf means max."""
+    """Coerce p to float, rejecting 0, |p| < P_MIN, NaN and -inf; inf means max."""
     if isinstance(p, str):
         raise InvalidExponent(p, "exponent must be numeric (or math.inf)")
     q = float(p)
@@ -41,6 +46,8 @@ def normalize_exponent(p) -> float:
         raise InvalidExponent(p)
     if q == -INF:
         raise InvalidExponent(p, "only +infinity is supported")
+    if abs(q) < P_MIN:
+        raise InvalidExponent(p, f"|p| below {P_MIN:g} loses the mean's accuracy")
     return q
 
 
@@ -49,8 +56,9 @@ def p_average(xs, p) -> float:
 
     For p < 0 any x_i below DELTA_ZERO raises ZeroWithNegativeExponent:
     x^p blows up and the mean is no longer meaningful.  Where the plain form
-    overflows (or underflows to 0^(1/p), p < 0) the mean is s * M_p(x / s),
-    s the largest x_i for p > 0 and the smallest for p < 0.
+    overflows, or underflows to 0 while some x_i is positive (0^(1/p) for
+    p < 0, a zero mean for p > 0), the mean is s * M_p(x / s), s the largest
+    x_i for p > 0 and the smallest for p < 0.
     """
     if not xs:
         raise ValueError("p_average of an empty sequence")
@@ -61,10 +69,13 @@ def p_average(xs, p) -> float:
             if x < DELTA_ZERO:
                 raise ZeroWithNegativeExponent(x)
     try:
-        return _plain_mean(xs, p)
+        avg = _plain_mean(xs, p)
     except (OverflowError, ZeroDivisionError):
+        avg = 0.0
+    if avg == 0.0 and max(xs) > 0.0:
         s = max(xs) if p > 0.0 else min(xs)
-        return s * _plain_mean([x / s for x in xs], p)
+        avg = s * _plain_mean([x / s for x in xs], p)
+    return avg
 
 
 def _plain_mean(xs, q) -> float:

@@ -136,9 +136,10 @@ def write_matrix_file(path, m) -> None:
         f.write(format_matrix(m))
 
 
-def _entry_names(n: int, mode: str) -> list[str]:
+def upper_entry_names(n: int, mode: str) -> tuple[str, ...]:
+    """Upper-entry names a_i_j (b_i_j in additive mode), in storage order."""
     prefix = "b" if mode == "additive" else "a"
-    return [f"{prefix}_{i}_{j}" for i, j in upper_pairs(n)]
+    return tuple(f"{prefix}_{i}_{j}" for i, j in upper_pairs(n))
 
 
 def format_trace(result: DescentResult, n: int, mode: str) -> str:
@@ -150,7 +151,7 @@ def format_trace(result: DescentResult, n: int, mode: str) -> str:
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    out = ["iteration,indicator," + ",".join(_entry_names(n, mode))]
+    out = ["iteration,indicator," + ",".join(upper_entry_names(n, mode))]
     for rec in result.trace.records:
         out.append(
             f"{rec.iteration},{repr(rec.indicator)},"

@@ -33,7 +33,7 @@ from pathlib import Path
 
 from .core import AdditivePCMatrix, MultiplicativePCMatrix
 from .descent import ADDITIVE, DIFFERENCE, MULTIPLICATIVE, DescentConfig, DescentResult, run
-from .matrixio import write_trace_file
+from .matrixio import upper_entry_names, write_trace_file
 
 HARNESS_EPS = 1e-3
 HARNESS_MAX_ITER = 60000
@@ -114,11 +114,9 @@ def label_order(n: int) -> tuple[int, ...]:
 
 
 def entry_names(n: int, scheme: str) -> tuple[str, ...]:
-    prefix = "b" if scheme == ADDITIVE else "a"
-    pairs3 = ((1, 2), (1, 3), (2, 3))
-    pairs4 = ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
-    pairs = pairs3 if n == 3 else pairs4
-    return tuple(f"{prefix}_{i}_{j}" for i, j in pairs)
+    """Entry names in table label order."""
+    names = upper_entry_names(n, scheme)
+    return tuple(names[k] for k in label_order(n))
 
 
 @dataclass(frozen=True)

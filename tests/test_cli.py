@@ -1,12 +1,18 @@
-"""Black-box CLI tests: run the installed entry point in a subprocess."""
+"""Black-box CLI tests: run the package's entry point in a subprocess."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from pcreduce import __file__ as PACKAGE_INIT
 from pcreduce.matrixio import parse_trace_text, read_matrix_file
+
+#: source root of the package under test; the subprocess imports it first
+SRC = str(Path(PACKAGE_INIT).resolve().parent.parent)
 
 A3_TEXT = "mode=multiplicative\nn=3\n{} {} {}\n".format(
     repr(math.exp(-2.0)), repr(math.exp(3.0)), repr(math.exp(1.0))
@@ -22,9 +28,11 @@ HUGE_TEXT = "mode=additive\nn=3\n800 1 1\n"
 
 
 def pcreduce(*args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "pcreduce", *args],
         capture_output=True, text=True, timeout=600,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -67,6 +75,14 @@ class TestEvaluate:
     def test_p_zero_rejected_as_usage_error(self, files):
         r = pcreduce("evaluate", files["a4"], "--p", "0")
         assert r.returncode == 1
+
+    @pytest.mark.parametrize("p", ["1e-17", "1e-300", "1e-320", "-1e-7"])
+    def test_tiny_p_rejected_as_usage_error(self, files, p):
+        # 1/p amplifies rounding until M_p reads 1 whatever the defects
+        r = pcreduce("evaluate", files["b3"], "--p", p)
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert "usage" in r.stderr
 
     def test_p_garbage_rejected(self, files):
         r = pcreduce("evaluate", files["a4"], "--p", "two")

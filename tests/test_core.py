@@ -24,6 +24,7 @@ from pcreduce.core import (
 from pcreduce.errors import (
     AntisymmetryViolation,
     BadDiagonal,
+    NonFiniteEntry,
     NonPositiveEntry,
     NonPositiveWeight,
     OrderTooSmall,
@@ -103,8 +104,10 @@ class TestAdditiveMatrix:
         assert b.entry(3, 3) == 0.0
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            AdditivePCMatrix(3, (0.0, math.inf, 0.0))
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(NonFiniteEntry) as err:
+                AdditivePCMatrix(3, (0.0, bad, 0.0))
+            assert (err.value.i, err.value.j) == (1, 3)
 
 
 class TestGridValidation:

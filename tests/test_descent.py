@@ -21,7 +21,6 @@ from pcreduce.descent import (
     STOP_STALLED,
     STOP_UNDEFINED,
     DescentConfig,
-    DirectionVector,
     run,
     select_direction,
     step_additive,
@@ -86,7 +85,7 @@ class TestSteps:
 
     def test_additive_worked_example(self):
         e4 = math.exp(-4.0)
-        v = DirectionVector(3, (e4, -e4, e4))
+        v = (e4, -e4, e4)
         out = step_additive(B3, v, 0.1)
         assert out.upper[0] == pytest.approx(-1.998168, abs=1e-6)
         assert out.upper[1] == pytest.approx(2.998168, abs=1e-6)
@@ -94,7 +93,7 @@ class TestSteps:
 
     def test_clamp_halves_until_positive(self):
         m = MultiplicativePCMatrix(3, (0.01, 1.0, 1.0))
-        v = DirectionVector(3, (-100.0, 0.0, 0.0))
+        v = (-100.0, 0.0, 0.0)
         log = []
         out = step_multiplicative(m, v, 0.1, log)
         # raw step -10 halved ten times is -10/1024, leaving 0.01 - 0.009765625
@@ -104,20 +103,20 @@ class TestSteps:
 
     def test_clamp_gives_up_after_sixty_halvings(self):
         m = MultiplicativePCMatrix(3, (0.01, 1.0, 1.0))
-        v = DirectionVector(3, (-1e30, 0.0, 0.0))
+        v = (-1e30, 0.0, 0.0)
         with pytest.raises(PositivityFailure) as err:
             step_multiplicative(m, v, 0.1)
         assert (err.value.i, err.value.j) == (1, 2)
 
     def test_unclamped_entries_untouched(self):
-        v = DirectionVector(3, (0.0, 0.5, -0.25))
+        v = (0.0, 0.5, -0.25)
         out = step_multiplicative(A3, v, 0.1)
         assert out.upper[0] == A3.upper[0]
         assert out.upper[1] == A3.upper[1] + 0.05
         assert out.upper[2] == A3.upper[2] - 0.025
 
     def test_additive_never_clamps(self):
-        v = DirectionVector(3, (-1e6, 0.0, 0.0))
+        v = (-1e6, 0.0, 0.0)
         out = step_additive(B3, v, 1.0)
         assert out.upper[0] == -2.0 - 1e6
 
@@ -178,6 +177,14 @@ class TestRunTrace:
         # all but the stopping record carry the direction norm
         assert all(r.direction_norm is not None for r in recs[:-1])
         assert recs[-1].direction_norm is None
+
+    def test_direction_norm_is_length_of_selected_direction(self):
+        res = run(A4, cfg(p=2.0, max_iter=5))
+        rec = res.trace.records[3]
+        m = MultiplicativePCMatrix(4, rec.upper)
+        v = select_direction(m, 2.0, DIFFERENCE, 1e-3)
+        assert rec.direction_norm == math.sqrt(math.fsum(c * c for c in v))
+        assert rec.direction_norm > 0.0
 
     def test_best_is_first_argmin(self):
         res = run(A3, cfg(h=0.1, eps=1e-9))
@@ -270,10 +277,10 @@ class TestSelectDirection:
             select_direction(A4, 1.0, "newton")
 
     def test_analytic_order_three_allows_any_p(self):
-        want = instant_pv3_mult(*A3.upper).components
+        want = instant_pv3_mult(*A3.upper)
         for p in (-1.0, 0.5, 1.0, 2.0, math.inf):
             got = select_direction(A3, p, ANALYTIC)
-            assert got.components == want
+            assert got == want
 
     def test_analytic_order_four_rejects_nonsmooth_p(self):
         for p in (1.0, math.inf):

@@ -10,15 +10,15 @@ from pcreduce.core import (
     all_defects,
     log_upper,
     to_additive,
+    upper_size,
 )
 from pcreduce.errors import (
     DegenerateDefect,
+    IndicatorUndefined,
     NonSmoothExponent,
     OnConsistentLocus,
 )
 from pcreduce.gradients import (
-    DirectionVector,
-    difference_gradient,
     difference_priority_vector,
     instant_pv3_add,
     instant_pv3_mult,
@@ -35,6 +35,35 @@ def mult_from_logs(n, bs):
     return MultiplicativePCMatrix(n, tuple(math.exp(x) for x in bs))
 
 
+@st.composite
+def log_matrices(draw):
+    """Either matrix form of order 3 to 6 with log entries in [-2, 2]."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    bs = draw(st.lists(logs, min_size=upper_size(n), max_size=upper_size(n)))
+    if draw(st.booleans()):
+        return AdditivePCMatrix(n, tuple(bs))
+    return mult_from_logs(n, bs)
+
+
+def naive_priority_vector(m, p, l):
+    """-(kii(A + l*e_k, p) - kii(A, p)) / l, each A + l*e_k built by its constructor.
+
+    The naive oracle of difference_priority_vector: a multiplicative a_k + l
+    enters kii as ln(a_k + l), and nothing is reused between components.
+    """
+    base = kii(m, p)
+    out = []
+    for k in range(len(m.upper)):
+        up = list(m.upper)
+        up[k] += l
+        out.append(-(kii(type(m)(m.n, tuple(up)), p) - base) / l)
+    return tuple(out)
+
+
+def signed(v):
+    return [(x, math.copysign(1.0, x)) for x in v]
+
+
 def central_difference(m, p, k, l=1e-6):
     up = list(m.upper)
     up[k] += l
@@ -44,35 +73,24 @@ def central_difference(m, p, k, l=1e-6):
     return (hi - lo) / (2 * l)
 
 
-class TestDirectionVector:
-    def test_norm_and_negate(self):
-        v = DirectionVector(3, (3.0, 0.0, 4.0))
-        assert v.norm() == pytest.approx(5.0)
-        assert v.negate().components == (-3.0, -0.0, -4.0)
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            DirectionVector(4, (1.0, 2.0))
-
-
 class TestInstantPv3:
     def test_worked_multiplicative(self):
         # u = 3 - (-2) - 1 = 4 > 0
         v = instant_pv3_mult(math.exp(-2.0), math.exp(3.0), math.exp(1.0))
-        assert v.components[0] == pytest.approx(math.exp(-2.0), rel=1e-12)
-        assert v.components[1] == pytest.approx(-math.exp(-7.0), rel=1e-12)
-        assert v.components[2] == pytest.approx(math.exp(-5.0), rel=1e-12)
+        assert v[0] == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert v[1] == pytest.approx(-math.exp(-7.0), rel=1e-12)
+        assert v[2] == pytest.approx(math.exp(-5.0), rel=1e-12)
 
     def test_sign_flips_with_u(self):
         # u < 0 here: y much smaller than x*z
         v = instant_pv3_mult(4.0, 1.0, 4.0)
-        assert v.components[0] < 0 < v.components[1]
-        assert v.components[2] < 0
+        assert v[0] < 0 < v[1]
+        assert v[2] < 0
 
     def test_worked_additive(self):
         v = instant_pv3_add(-2.0, 3.0, 1.0)
         e4 = math.exp(-4.0)
-        assert v.components == pytest.approx((e4, -e4, e4), rel=1e-12)
+        assert v == pytest.approx((e4, -e4, e4), rel=1e-12)
 
     def test_consistent_locus_raises(self):
         with pytest.raises(OnConsistentLocus):
@@ -87,7 +105,7 @@ class TestInstantPv3:
         assume(abs(bx + bz - by) > 1e-3)
         v = instant_pv3_add(bx, by, bz)
         stepped = b.replace_upper(
-            tuple(x + 1e-6 * c for x, c in zip(b.upper, v.components))
+            tuple(x + 1e-6 * c for x, c in zip(b.upper, v))
         )
         assert kii(stepped, 1.0) < kii(b, 1.0)
 
@@ -118,7 +136,7 @@ class TestInstantPvNp:
         assume(min(all_defects(m.n, log_upper(m))) > 1e-3)
         got = instant_pv_np(m, p)
         want = instant_pv3_mult(*m.upper)
-        for g, w in zip(got.components, want.components):
+        for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-12, abs=1e-15)
 
     @given(st.lists(logs, min_size=6, max_size=6), smooth_p)
@@ -129,7 +147,7 @@ class TestInstantPvNp:
         v = instant_pv_np(m, p)
         for k in range(6):
             cd = -central_difference(m, p, k)
-            assert abs(v.components[k] - cd) <= 1e-6 * max(1.0, abs(v.components[k]))
+            assert abs(v[k] - cd) <= 1e-6 * max(1.0, abs(v[k]))
 
     @given(st.lists(logs, min_size=6, max_size=6))
     @settings(max_examples=100)
@@ -139,7 +157,7 @@ class TestInstantPvNp:
         assume(min(all_defects(4, b.upper)) > 1e-3)
         vm = instant_pv_np(m, 2.0)
         vb = instant_pv_np(b, 2.0)
-        for cm, cb, a in zip(vm.components, vb.components, m.upper):
+        for cm, cb, a in zip(vm, vb, m.upper):
             assert cm == pytest.approx(cb / a, rel=1e-12, abs=1e-15)
 
     def test_five_by_five_smoke(self):
@@ -147,35 +165,55 @@ class TestInstantPvNp:
         bs = [rng.uniform(-2.0, 2.0) for _ in range(10)]
         m = mult_from_logs(5, bs)
         v = instant_pv_np(m, 2.0)
-        assert len(v.components) == 10
+        assert len(v) == 10
         # descent check with a small step
         stepped = m.replace_upper(
-            tuple(a + 1e-7 * c for a, c in zip(m.upper, v.components))
+            tuple(a + 1e-7 * c for a, c in zip(m.upper, v))
         )
         assert kii(stepped, 2.0) < kii(m, 2.0)
 
 
 class TestDifferenceGradient:
+    @given(log_matrices(),
+           st.sampled_from([2.0, 0.5, 1.0, 3.7, math.inf, -1.0]),
+           st.sampled_from([1e-5, 1e-3, 0.1]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_quotients_bit_for_bit(self, m, p, l):
+        try:
+            want = naive_priority_vector(m, p, l)
+        except IndicatorUndefined:
+            with pytest.raises(IndicatorUndefined):
+                difference_priority_vector(m, p, l)
+            return
+        assert signed(difference_priority_vector(m, p, l)) == signed(want)
+
     def test_matches_definition_exactly(self):
         m = mult_from_logs(4, (-2.0, 3.0, 0.0, 1.0, 0.0, 0.0))
         l = 1e-3
-        g = difference_gradient(m, 1.0, l)
+        v = difference_priority_vector(m, 1.0, l)
         base = kii(m, 1.0)
         up = list(m.upper)
         up[2] += l
-        want = (kii(m.replace_upper(up), 1.0) - base) / l
-        assert g.components[2] == want
+        want = -(kii(m.replace_upper(up), 1.0) - base) / l
+        assert v[2] == want
 
     def test_priority_vector_is_negation(self):
         m = mult_from_logs(4, (-2.0, 3.0, 0.0, 1.0, 0.0, 0.0))
-        g = difference_gradient(m, 2.0, 1e-3)
-        v = difference_priority_vector(m, 2.0, 1e-3)
-        assert v.components == tuple(-x for x in g.components)
+        l = 1e-3
+        base = kii(m, 2.0)
+        quotients = []
+        for k in range(len(m.upper)):
+            up = list(m.upper)
+            up[k] += l
+            quotients.append((kii(m.replace_upper(up), 2.0) - base) / l)
+        v = difference_priority_vector(m, 2.0, l)
+        assert signed(v) == signed(-q for q in quotients)
 
     def test_rejects_bad_increment(self):
         m = mult_from_logs(3, (-2.0, 3.0, 1.0))
-        with pytest.raises(ValueError):
-            difference_gradient(m, 1.0, 0.0)
+        for l in (0.0, -1e-3, None):
+            with pytest.raises(ValueError):
+                difference_priority_vector(m, 1.0, l)
 
     def test_works_for_nonsmooth_p(self):
         # p = 1 and p = inf have no analytic gradient but difference
@@ -183,14 +221,14 @@ class TestDifferenceGradient:
         m = mult_from_logs(4, (-2.0, 3.0, 0.0, 1.0, 0.0, 0.0))
         for p in (1.0, math.inf):
             v = difference_priority_vector(m, p, 1e-3)
-            assert all(math.isfinite(c) for c in v.components)
+            assert all(math.isfinite(c) for c in v)
 
     def test_works_on_additive(self):
         b = AdditivePCMatrix(3, (-2.0, 3.0, 1.0))
         v = difference_priority_vector(b, 1.0, 1e-3)
         # forward quotient of 1 - exp(-|b12 + b23 - b13|) at u = -4
         want0 = -(math.exp(-abs(-4.0 + 1e-3)) - math.exp(-4.0)) / 1e-3
-        assert v.components[0] == pytest.approx(-want0, rel=1e-9)
+        assert v[0] == pytest.approx(-want0, rel=1e-9)
 
     @given(st.lists(logs, min_size=3, max_size=3))
     @settings(max_examples=100)
@@ -200,6 +238,6 @@ class TestDifferenceGradient:
         want = instant_pv3_mult(*m.upper)
         coarse = difference_priority_vector(m, 1.0, 1e-3)
         fine = difference_priority_vector(m, 1.0, 1e-6)
-        err_coarse = max(abs(a - b) for a, b in zip(coarse.components, want.components))
-        err_fine = max(abs(a - b) for a, b in zip(fine.components, want.components))
+        err_coarse = max(abs(a - b) for a, b in zip(coarse, want))
+        err_fine = max(abs(a - b) for a, b in zip(fine, want))
         assert err_fine <= err_coarse + 1e-12

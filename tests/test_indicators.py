@@ -14,7 +14,14 @@ from pcreduce.errors import (
     InvalidExponent,
     ZeroWithNegativeExponent,
 )
-from pcreduce.indicators import kii, kii3, kii3_min_form, normalize_exponent, p_average
+from pcreduce.indicators import (
+    P_MIN,
+    kii,
+    kii3,
+    kii3_min_form,
+    normalize_exponent,
+    p_average,
+)
 
 A4 = MultiplicativePCMatrix(
     4, (math.exp(-2.0), math.exp(3.0), 1.0, math.exp(1.0), 1.0, 1.0)
@@ -30,10 +37,19 @@ class TestNormalizeExponent:
         assert normalize_exponent(-1.0) == -1.0
         assert normalize_exponent(math.inf) == math.inf
 
-    @pytest.mark.parametrize("bad", [0, 0.0, -0.0, float("nan"), -math.inf, "2"])
+    @pytest.mark.parametrize("bad", [0, 0.0, -0.0, float("nan"), -math.inf, "2",
+                                     9.9e-7, -9.9e-7, 1e-17, 1e-300, 1e-320])
     def test_rejects(self, bad):
         with pytest.raises(InvalidExponent):
             normalize_exponent(bad)
+
+    @given(st.floats(min_value=1e-6, max_value=1e3),
+           st.integers(min_value=1, max_value=50),
+           st.sampled_from([P_MIN, -P_MIN]))
+    @settings(max_examples=200)
+    def test_smallest_exponent_keeps_mean_accurate(self, d, k, p):
+        assert normalize_exponent(p) == p
+        assert abs(p_average([d] * k, p) - d) <= 1e-9 * d
 
 
 class TestPAverage:
@@ -57,6 +73,13 @@ class TestPAverage:
             4.0 * ((1.0 + 0.5 ** 1000.0) / 2.0) ** 0.001, rel=1e-15)
         assert p_average((4.0, 8.0), -1000.0) == pytest.approx(
             4.0 * ((1.0 + 2.0 ** -1000.0) / 2.0) ** -0.001, rel=1e-15)
+        # 0.5^5000 underflows to 0 without raising
+        assert kii(AdditivePCMatrix(3, (0.5, 0.0, 0.0)), 5000) == pytest.approx(
+            1.0 - math.exp(-0.5), rel=1e-15)
+        # defects 0.5, 0.5, 0.3, 0.3: M_2000 = 0.5 * (1/2)^(1/2000)
+        b = AdditivePCMatrix(4, (0.5, 0.0, 0.0, 0.0, 0.0, 0.3))
+        assert kii(b, 2000) == pytest.approx(
+            1.0 - math.exp(-0.5 * 0.5 ** (1.0 / 2000.0)), rel=1e-15)
 
     def test_max(self):
         assert p_average((1.0, 5.0, 2.0), math.inf) == 5.0

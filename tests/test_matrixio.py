@@ -1,10 +1,19 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcreduce.core import AdditivePCMatrix, MultiplicativePCMatrix
 from pcreduce.descent import DescentConfig, run
-from pcreduce.errors import MatrixFileError, OrderTooSmall, ReciprocityViolation
+from pcreduce.errors import (
+    AntisymmetryViolation,
+    BadDiagonal,
+    MatrixFileError,
+    NonFiniteEntry,
+    OrderTooSmall,
+    ReciprocityViolation,
+    ValidationError,
+)
 from pcreduce.matrixio import (
     format_matrix,
     format_trace,
@@ -17,6 +26,25 @@ from pcreduce.matrixio import (
 )
 
 A3 = MultiplicativePCMatrix(3, (math.exp(-2.0), math.exp(3.0), math.exp(1.0)))
+
+NUMBERS = st.sampled_from(["0", "-0", "1", "2", "0.5", "-1", "800", "1e308",
+                           "-1e308", "1e-320", "inf", "-inf", "nan", "x"])
+
+
+@st.composite
+def matrix_texts(draw):
+    """A mode header, then an n= header and upper entries or a full grid."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    size = n * (n - 1) // 2
+    lines = [draw(st.sampled_from(["", "mode=additive", "mode=multiplicative",
+                                   "mode=log"]))]
+    if draw(st.booleans()):
+        lines.append(f"n={n}")
+        rows = [draw(st.lists(NUMBERS, min_size=size - 1, max_size=size + 1))]
+    else:
+        rows = draw(st.lists(st.lists(NUMBERS, min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    return "\n".join(lines + [" ".join(row) for row in rows])
 
 
 class TestParseMatrix:
@@ -94,6 +122,31 @@ class TestParseMatrix:
     def test_empty_file(self):
         with pytest.raises(MatrixFileError):
             parse_matrix_text("# nothing here\n")
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+    def test_nonfinite_additive_entry_names_it(self, value):
+        with pytest.raises(NonFiniteEntry) as err:
+            parse_matrix_text(f"mode=additive\nn=3\n{value} 0 0\n")
+        assert (err.value.i, err.value.j) == (1, 2)
+
+    def test_nonfinite_additive_pair_fails_antisymmetry(self):
+        # inf + -inf is a NaN residual, which must not pass the check
+        with pytest.raises(AntisymmetryViolation) as err:
+            parse_matrix_text("mode=additive\n0 inf 0\n-inf 0 0\n0 0 0\n")
+        assert (err.value.i, err.value.j) == (1, 2)
+
+    def test_nan_additive_diagonal_rejected(self):
+        with pytest.raises(BadDiagonal):
+            parse_matrix_text("mode=additive\nnan 0 0\n0 0 0\n0 0 0\n")
+
+    @given(st.one_of(st.text(), matrix_texts()))
+    @settings(max_examples=500)
+    def test_any_text_gives_matrix_or_validation_error(self, text):
+        try:
+            m = parse_matrix_text(text)
+        except ValidationError:
+            return
+        assert isinstance(m, (MultiplicativePCMatrix, AdditivePCMatrix))
 
 
 class TestMatrixRoundTrip:
