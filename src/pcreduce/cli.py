@@ -30,7 +30,7 @@ from .descent import (
     select_direction,
 )
 from .errors import EvaluationError, InvalidExponent, ValidationError
-from .indicators import kii, normalize_exponent
+from .indicators import kii, normalize_exponent, point_at
 from .matrixio import (
     read_matrix_file,
     upper_entry_names,
@@ -117,8 +117,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_gradient(args) -> int:
     m = read_matrix_file(args.matrix)
-    v = select_direction(m, args.p, args.kind, args.l)
-    for (i, j), c in zip(upper_pairs(m.n), v):
+    direction = select_direction(m.n, args.p, args.kind, args.l)
+    for (i, j), c in zip(upper_pairs(m.n), direction(point_at(m, args.p))):
         print(f"w_{i}_{j} {c:.6f}")
     return 0
 

@@ -63,9 +63,18 @@ def check_order(n: int) -> None:
         raise OrderTooSmall(n)
 
 
+def check_entries(n: int, upper, mult: bool) -> None:
+    """The entry check of either form: a_ij positive and finite, b_ij finite."""
+    for (i, j), v in zip(upper_pairs(n), upper):
+        if mult and not (0.0 < v < math.inf):
+            raise NonPositiveEntry(i, j, v)
+        if not math.isfinite(v):
+            raise NonFiniteEntry(i, j, v)
+
+
 @dataclass(frozen=True)
 class _PCMatrix:
-    """Storage and shape checks shared by both matrix forms."""
+    """Storage, shape and entry checks shared by both matrix forms."""
 
     n: int
     upper: tuple[float, ...]
@@ -78,6 +87,7 @@ class _PCMatrix:
                 f"expected {upper_size(self.n)} upper entries for n={self.n}, "
                 f"got {len(self.upper)}"
             )
+        check_entries(self.n, self.upper, isinstance(self, MultiplicativePCMatrix))
 
     def to_grid(self) -> list[list[float]]:
         return [
@@ -94,12 +104,6 @@ class _PCMatrix:
 class MultiplicativePCMatrix(_PCMatrix):
     """Reciprocal positive matrix stored as its strict upper triangle."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        for (i, j), v in zip(upper_pairs(self.n), self.upper):
-            if not (v > 0.0) or math.isinf(v) or math.isnan(v):
-                raise NonPositiveEntry(i, j, v)
-
     def entry(self, i: int, j: int) -> float:
         """Full-matrix entry, reconstructed from the triangle."""
         if i == j:
@@ -112,12 +116,6 @@ class MultiplicativePCMatrix(_PCMatrix):
 @dataclass(frozen=True)
 class AdditivePCMatrix(_PCMatrix):
     """Antisymmetric log-image of a multiplicative PC matrix."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        for (i, j), v in zip(upper_pairs(self.n), self.upper):
-            if not math.isfinite(v):
-                raise NonFiniteEntry(i, j, v)
 
     def entry(self, i: int, j: int) -> float:
         if i == j:
@@ -171,16 +169,14 @@ def validate_additive(n: int, entries) -> AdditivePCMatrix:
     return AdditivePCMatrix(n, upper)
 
 
-def log_upper(m: MultiplicativePCMatrix | AdditivePCMatrix) -> tuple[float, ...]:
-    """Upper triangle in log coordinates b_ij = ln a_ij, for either matrix form."""
-    if isinstance(m, MultiplicativePCMatrix):
-        return tuple(math.log(v) for v in m.upper)
-    return m.upper
+def log_upper(upper: tuple[float, ...], mult: bool) -> tuple[float, ...]:
+    """Upper triangle in log coordinates b_ij: ln a_ij when mult, else upper itself."""
+    return tuple(map(math.log, upper)) if mult else upper
 
 
 def to_additive(m: MultiplicativePCMatrix) -> AdditivePCMatrix:
     """Entrywise natural log of the upper triangle."""
-    return AdditivePCMatrix(m.n, log_upper(m))
+    return AdditivePCMatrix(m.n, log_upper(m.upper, True))
 
 
 def to_multiplicative(b: AdditivePCMatrix) -> MultiplicativePCMatrix:
@@ -226,7 +222,7 @@ def all_defects(n: int, logs) -> tuple[float, ...]:
 
 def is_consistent(m: MultiplicativePCMatrix, tol: float = 0.0) -> bool:
     """True iff every triad defect of the log-image is <= tol."""
-    return max(all_defects(m.n, log_upper(m))) <= tol
+    return max(all_defects(m.n, log_upper(m.upper, True))) <= tol
 
 
 def consistent_from_weights(w) -> MultiplicativePCMatrix:

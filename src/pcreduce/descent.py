@@ -28,18 +28,19 @@ from typing import NamedTuple
 from .core import (
     AdditivePCMatrix,
     MultiplicativePCMatrix,
+    check_entries,
     to_additive,
     to_multiplicative,
     upper_pairs,
 )
-from .errors import EvaluationError, PositivityFailure
+from .errors import EvaluationError, NonSmoothExponent, PositivityFailure
 from .gradients import (
     difference_priority_vector,
     instant_pv3_add,
     instant_pv3_mult,
     instant_pv_np,
 )
-from .indicators import kii, normalize_exponent
+from .indicators import INF, evaluate, normalize_exponent
 
 #: minimum running-min improvement that counts against the stall window
 STALL_IMPROVEMENT = 1e-12
@@ -74,15 +75,10 @@ class DescentConfig:
         object.__setattr__(self, "p", normalize_exponent(self.p))
         if self.scheme not in (MULTIPLICATIVE, ADDITIVE):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.gradient not in (ANALYTIC, DIFFERENCE):
-            raise ValueError(f"unknown gradient kind {self.gradient!r}")
+        # the kind and l; the smoothness of p needs the order, which run has
+        select_direction(3, self.p, self.gradient, self.l)
         if not (self.h > 0.0):
             raise ValueError(f"step h must be > 0, got {self.h!r}")
-        if self.gradient == DIFFERENCE:
-            if self.l is None or not (self.l > 0.0):
-                raise ValueError(
-                    f"difference gradient needs an increment l > 0, got {self.l!r}"
-                )
         if not (self.eps > 0.0):
             raise ValueError(f"eps must be > 0, got {self.eps!r}")
         if self.max_iter < 1:
@@ -125,22 +121,21 @@ class DescentResult:
 
 
 def step_multiplicative(
-    m: MultiplicativePCMatrix,
+    n: int,
+    upper: tuple[float, ...],
     v: tuple[float, ...],
     h: float,
     clamp_log: list | None = None,
-) -> MultiplicativePCMatrix:
-    """One update a_ij + h*v_ij with per-entry positivity halving.
+) -> tuple[float, ...]:
+    """One update a_ij + h*v_ij of a raw triangle, with per-entry positivity halving.
 
     If a raw update would leave the positive cone, only that entry's step is
     halved until it does not (at most MAX_HALVINGS times); each such clamp is
     appended to clamp_log as (i, j, halvings).  PositivityFailure is raised
-    if the halvings are exhausted.
+    if the halvings are exhausted, and check_entries checks the result.
     """
-    if not (h > 0.0):
-        raise ValueError(f"step h must be > 0, got {h!r}")
     new = []
-    for (i, j), a, c in zip(upper_pairs(m.n), m.upper, v):
+    for (i, j), a, c in zip(upper_pairs(n), upper, v):
         step = h * c
         value = a + step
         if value <= 0.0:
@@ -154,38 +149,39 @@ def step_multiplicative(
             if clamp_log is not None:
                 clamp_log.append((i, j, halvings))
         new.append(value)
-    return m.replace_upper(new)
+    check_entries(n, new, True)
+    return tuple(new)
 
 
 def step_additive(
-    b: AdditivePCMatrix, v: tuple[float, ...], h: float
-) -> AdditivePCMatrix:
-    """One update b_ij + h*v_ij; the multiplicative image stays positive."""
-    if not (h > 0.0):
-        raise ValueError(f"step h must be > 0, got {h!r}")
-    return b.replace_upper(tuple(x + h * c for x, c in zip(b.upper, v)))
-
-
-def select_direction(
-    mat, p: float, gradient: str, l: float | None = None, base: float | None = None
+    n: int, upper: tuple[float, ...], v: tuple[float, ...], h: float
 ) -> tuple[float, ...]:
-    """Priority direction at mat: forward-difference or instant (analytic).
+    """One update b_ij + h*v_ij of a raw triangle, checked by check_entries."""
+    new = tuple(x + h * c for x, c in zip(upper, v))
+    check_entries(n, new, False)
+    return new
 
-    The one way into the direction code.  The direction is a tuple in the
-    matrix's upper-triangle storage order.  base, if given, is kii(mat, p);
-    the difference direction reuses it.
+
+def select_direction(n: int, p: float, gradient: str, l: float | None = None):
+    """The direction function of gradient at order n: the one way into the direction code.
+
+    It checks once what a run needs (l > 0 for the difference direction, a p
+    where K_p is C^1 for the analytic one above order 3) and maps a Point
+    evaluated at p to its direction, a tuple in upper-triangle storage order.
     """
     if gradient == DIFFERENCE:
-        return difference_priority_vector(mat, p, l, base)
+        if l is None or not (l > 0.0):
+            raise ValueError(f"difference gradient needs an increment l > 0, got {l!r}")
+        return lambda pt: difference_priority_vector(pt, l)
     if gradient != ANALYTIC:
         raise ValueError(f"unknown gradient kind {gradient!r}")
-    if mat.n == 3:
+    if n == 3:
         # every 3x3 indicator collapses onto the single-triad form, which is
         # smooth for all p (including 1 and inf) away from the consistent locus
-        if isinstance(mat, MultiplicativePCMatrix):
-            return instant_pv3_mult(*mat.upper)
-        return instant_pv3_add(*mat.upper)
-    return instant_pv_np(mat, p)
+        return lambda pt: (instant_pv3_mult if pt.mult else instant_pv3_add)(*pt.upper)
+    if p in (0.0, 1.0, INF):
+        raise NonSmoothExponent(float(p))
+    return instant_pv_np
 
 
 def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> DescentResult:
@@ -193,14 +189,16 @@ def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> De
 
     A multiplicative start is converted once when scheme = additive (and an
     additive start once when scheme = multiplicative, raising EntryOverflow
-    for an entry exp cannot represent); the whole run then executes in the
-    scheme's own coordinates.  Each iteration evaluates kii once and builds
-    one validated matrix, the iterate the step returns.
+    for an entry exp cannot represent); select_direction runs before iterate 0.
+    Each iteration evaluates the raw iterate once, for the stop rule and the
+    direction; the one matrix built is best_matrix.
     """
     if cfg.scheme == ADDITIVE:
         mat = to_additive(m0) if isinstance(m0, MultiplicativePCMatrix) else m0
     else:
         mat = to_multiplicative(m0) if isinstance(m0, AdditivePCMatrix) else m0
+    direction = select_direction(mat.n, cfg.p, cfg.gradient, cfg.l)
+    n, upper, mult = mat.n, mat.upper, cfg.scheme == MULTIPLICATIVE
 
     records: list[TraceRecord] = []
     clamps: list[ClampEvent] = []
@@ -209,17 +207,18 @@ def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> De
     best_upper: tuple[float, ...] | None = None
     ref = math.inf
     stall = 0
-    n = 0
+    it = 0
     stop = None
 
     while True:
         try:
-            ii = kii(mat, cfg.p)
+            pt = evaluate(n, upper, mult, cfg.p)
         except EvaluationError:
             stop = STOP_UNDEFINED
             break
+        ii = pt.value
         if ii < best_ii:
-            best_ii, best_iter, best_upper = ii, n, mat.upper
+            best_ii, best_iter, best_upper = ii, it, upper
         if ref - ii >= STALL_IMPROVEMENT:
             ref = ii
             stall = 0
@@ -229,34 +228,30 @@ def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> De
             stop = STOP_CONVERGED
         elif stall >= cfg.stall_window:
             stop = STOP_STALLED
-        elif n >= cfg.max_iter:
+        elif it >= cfg.max_iter:
             stop = STOP_MAX_ITER
         else:
             try:
-                v = select_direction(mat, cfg.p, cfg.gradient, cfg.l, ii)
+                v = direction(pt)
             except EvaluationError:
                 stop = STOP_UNDEFINED
+        norm = None if stop else math.sqrt(math.fsum(c * c for c in v))
+        records.append(TraceRecord(it, upper, ii, norm))
         if stop is not None:
-            records.append(TraceRecord(n, mat.upper, ii, None))
             break
-        records.append(
-            TraceRecord(n, mat.upper, ii, math.sqrt(math.fsum(c * c for c in v)))
-        )
         try:
-            if cfg.scheme == MULTIPLICATIVE:
+            if mult:
                 raw: list = []
-                mat = step_multiplicative(mat, v, cfg.h, raw)
-                clamps.extend(ClampEvent(n, i, j, hv) for i, j, hv in raw)
+                upper = step_multiplicative(n, upper, v, cfg.h, raw)
+                clamps.extend(ClampEvent(it, i, j, hv) for i, j, hv in raw)
             else:
-                mat = step_additive(mat, v, cfg.h)
+                upper = step_additive(n, upper, v, cfg.h)
         except PositivityFailure:
             stop = STOP_POSITIVITY
             break
-        n += 1
+        it += 1
 
-    best_matrix = None
-    if best_upper is not None:
-        best_matrix = mat.replace_upper(best_upper)
+    best_matrix = None if best_upper is None else mat.replace_upper(best_upper)
     return DescentResult(
         best_iter=best_iter,
         best_matrix=best_matrix,

@@ -17,16 +17,9 @@ from __future__ import annotations
 
 import math
 
-from .core import (
-    AdditivePCMatrix,
-    MultiplicativePCMatrix,
-    all_defects,
-    log_upper,
-    triad_slots,
-    upper_size,
-)
-from .errors import DegenerateDefect, NonSmoothExponent, OnConsistentLocus
-from .indicators import DELTA_ZERO, INF, kii_logs, normalize_exponent, p_average
+from .core import triad_slots, upper_size
+from .errors import DegenerateDefect, OnConsistentLocus
+from .indicators import DELTA_ZERO, Point, kii_logs
 
 #: minimum triad defect for analytic-gradient evaluation (d^(p-1) diverges
 #: below it when p < 1; sign(u) is meaningless at u = 0 for any p)
@@ -60,8 +53,8 @@ def instant_pv3_add(a: float, b: float, c: float) -> tuple[float, ...]:
     return (-s * e, s * e, -s * e)
 
 
-def instant_pv_np(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> tuple[float, ...]:
-    """Descent direction -grad Kii_{n,p} for finite p outside {0, 1}.
+def instant_pv_np(pt: Point) -> tuple[float, ...]:
+    """Descent direction -grad Kii_{n,p} at pt, for finite p outside {0, 1}.
 
     Written in the ratio form
 
@@ -71,16 +64,11 @@ def instant_pv_np(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> tuple[floa
     the defects, sigma is +sign(u_t) for the (i,j) and (j,k) slots and
     -sign(u_t) for the (i,k) slot.  The (d/D)^(p-1) ratio keeps the weights
     finite where raw d^(p-1) would overflow, and makes the n = 3 case
-    collapse onto instant_pv3_mult to round-off.  For an additive matrix the same
-    expression applies without the 1/a_rs factor.
+    collapse onto instant_pv3_mult to round-off.  An additive pt drops the
+    1/a_rs factor.  select_direction checks that p is smooth.
     """
-    if p in (0.0, 1.0, INF):
-        raise NonSmoothExponent(float(p))
-    q = normalize_exponent(p)
-    n = m.n
-    logs = log_upper(m)
+    n, logs, ds, big = pt.n, pt.logs, pt.defects, pt.mean
     slots = triad_slots(n)
-    ds = all_defects(n, logs)
     worst = min(range(len(ds)), key=lambda t: ds[t])
     if ds[worst] < DELTA_GRAD:
         if max(ds) < DELTA_GRAD:
@@ -88,41 +76,32 @@ def instant_pv_np(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> tuple[floa
                 "all triad defects vanish; no descent direction exists"
             )
         raise DegenerateDefect(slots[worst][0], ds[worst])
-    big = p_average(ds, q)
     scale = math.exp(-big) / len(ds)
     grad = [0.0] * upper_size(n)
     for (_, ij, jk, ik), d in zip(slots, ds):
         s = math.copysign(1.0, logs[ij] + logs[jk] - logs[ik])
-        w = scale * (d / big) ** (q - 1.0)
+        w = scale * (d / big) ** (pt.q - 1.0)
         grad[ij] += s * w
         grad[jk] += s * w
         grad[ik] -= s * w
-    if isinstance(m, MultiplicativePCMatrix):
-        return tuple(-g / a for g, a in zip(grad, m.upper))
+    if pt.mult:
+        return tuple(-g / a for g, a in zip(grad, pt.upper))
     return tuple(-g for g in grad)
 
 
-def difference_priority_vector(
-    m: MultiplicativePCMatrix | AdditivePCMatrix, p, l: float, base: float | None = None
-) -> tuple[float, ...]:
+def difference_priority_vector(pt: Point, l: float) -> tuple[float, ...]:
     """Discrete analog of the instant priority vector: negated forward quotients.
 
     Component (i,j) is -[kii(A', p) - kii(A, p)] / l where A' perturbs only
-    the (i,j) upper entry by +l (its mirror follows from the representation).
-    base is kii(A, p) if the caller has it.  Perturbations act on the log
-    coordinates, a multiplicative a_ij + l entering as ln(a_ij + l).
+    the (i,j) upper entry by +l (its mirror follows from the representation)
+    and kii(A, p) is pt.value.  Perturbations act on the log coordinates, a
+    multiplicative a_ij + l entering as ln(a_ij + l); select_direction checks l.
     """
-    if l is None or not (l > 0.0):
-        raise ValueError(f"difference increment l must be > 0, got {l!r}")
-    q = normalize_exponent(p)
-    n = m.n
-    logs = list(log_upper(m))
-    if base is None:
-        base = kii_logs(n, logs, q)
-    mult = isinstance(m, MultiplicativePCMatrix)
+    n, q, base = pt.n, pt.q, pt.value
+    logs = list(pt.logs)
     comps = []
     for k, saved in enumerate(logs):
-        logs[k] = math.log(m.upper[k] + l) if mult else saved + l
-        comps.append(-(kii_logs(n, logs, q) - base) / l)
+        logs[k] = math.log(pt.upper[k] + l) if pt.mult else saved + l
+        comps.append(-(kii_logs(n, logs, q)[0] - base) / l)
         logs[k] = saved
     return tuple(comps)

@@ -14,6 +14,8 @@ their triad products.
 from __future__ import annotations
 
 import math
+import sys
+from typing import NamedTuple
 
 from .core import (
     AdditivePCMatrix,
@@ -56,9 +58,9 @@ def p_average(xs, p) -> float:
 
     For p < 0 any x_i below DELTA_ZERO raises ZeroWithNegativeExponent:
     x^p blows up and the mean is no longer meaningful.  Where the plain form
-    overflows, or underflows to 0 while some x_i is positive (0^(1/p) for
-    p < 0, a zero mean for p > 0), the mean is s * M_p(x / s), s the largest
-    x_i for p > 0 and the smallest for p < 0.
+    overflows, or its mean of x^p falls below the normal floats while some
+    x_i is positive, the mean is s * M_p(x / s), s the largest x_i for p > 0
+    and the smallest for p < 0.
     """
     if not xs:
         raise ValueError("p_average of an empty sequence")
@@ -70,7 +72,7 @@ def p_average(xs, p) -> float:
                 raise ZeroWithNegativeExponent(x)
     try:
         avg = _plain_mean(xs, p)
-    except (OverflowError, ZeroDivisionError):
+    except OverflowError:
         avg = 0.0
     if avg == 0.0 and max(xs) > 0.0:
         s = max(xs) if p > 0.0 else min(xs)
@@ -82,7 +84,9 @@ def _plain_mean(xs, q) -> float:
     if q == 0.5:
         # sqrt is correctly rounded where pow(x, 0.5) need not be
         return (math.fsum(math.sqrt(x) for x in xs) / len(xs)) ** 2
-    return (math.fsum(x ** q for x in xs) / len(xs)) ** (1.0 / q)
+    mean = math.fsum(x ** q for x in xs) / len(xs)
+    # a zero or subnormal mean has lost bits that the 1/q root would magnify
+    return 0.0 if mean < sys.float_info.min else mean ** (1.0 / q)
 
 
 def kii3(x: float, y: float, z: float) -> float:
@@ -108,13 +112,13 @@ def kii(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> float:
     DELTA_ZERO -- the indicator's hole around the consistent set -- naming
     the offending triad.
     """
-    return kii_logs(m.n, log_upper(m), normalize_exponent(p))
+    return point_at(m, p).value
 
 
-def kii_logs(n: int, logs, q: float) -> float:
-    """Kii_{n,q} of log coordinates (core.log_upper); q must be normalized.
+def kii_logs(n: int, logs, q: float) -> tuple[float, tuple[float, ...], float]:
+    """Kii_{n,q} of log coordinates, with the triad defects and their q-mean.
 
-    Validates nothing: the descent's inner loop calls it on trusted coordinates.
+    q must be normalized; validates nothing, as the descent's inner loop needs.
     """
     ds = all_defects(n, logs)
     try:
@@ -122,4 +126,29 @@ def kii_logs(n: int, logs, q: float) -> float:
     except ZeroWithNegativeExponent:
         k = next(k for k, d in enumerate(ds) if d < DELTA_ZERO)
         raise IndicatorUndefined(q, enumerate_triads(n)[k], ds[k]) from None
-    return 1.0 - math.exp(-avg)
+    return 1.0 - math.exp(-avg), ds, avg
+
+
+class Point(NamedTuple):
+    """An unvalidated triangle (a_ij if mult, else b_ij), its logs and kii_logs at q."""
+
+    n: int
+    upper: tuple[float, ...]
+    logs: tuple[float, ...]
+    mult: bool
+    q: float
+    value: float
+    defects: tuple[float, ...]
+    mean: float
+
+
+def evaluate(n: int, upper: tuple[float, ...], mult: bool, q: float) -> Point:
+    """The Point of a raw triangle; q must be normalized.  Validates nothing."""
+    logs = log_upper(upper, mult)
+    return Point(n, upper, logs, mult, q, *kii_logs(n, logs, q))
+
+
+def point_at(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> Point:
+    """The Point of a PC matrix in either form at exponent p (checked here)."""
+    mult = isinstance(m, MultiplicativePCMatrix)
+    return evaluate(m.n, m.upper, mult, normalize_exponent(p))

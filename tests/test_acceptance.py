@@ -45,7 +45,7 @@ from pcreduce.gradients import (
     instant_pv3_mult,
     instant_pv_np,
 )
-from pcreduce.indicators import kii, kii3, kii3_min_form
+from pcreduce.indicators import kii, kii3, kii3_min_form, point_at
 from pcreduce.repro import REFERENCE_RUNS, run_row
 
 A4 = MultiplicativePCMatrix(
@@ -92,7 +92,7 @@ def random_pc(rng, n, spread=2.0):
 def random_pc_min_defect(rng, n, floor, spread=2.0):
     while True:
         m = random_pc(rng, n, spread)
-        if min(all_defects(m.n, log_upper(m))) >= floor:
+        if min(all_defects(m.n, log_upper(m.upper, True))) >= floor:
             return m
 
 
@@ -183,7 +183,7 @@ def test_criterion_09_property_suites():
         n = 4 if trial % 2 == 0 else 5
         m = random_pc_min_defect(rng, n, 0.1)
         p = ps[trial % 4]
-        v = instant_pv_np(m, p)
+        v = instant_pv_np(point_at(m, p))
         for k in range(len(m.upper)):
             cd = -central_difference(m, p, k)
             got = v[k]
@@ -197,11 +197,11 @@ def test_criterion_09_property_suites():
         m = random_pc_min_defect(rng, 3, 1e-3)
         want = instant_pv3_mult(*m.upper)
         for p in (-1.0, 0.5, 2.0):
-            got = instant_pv_np(m, p)
+            got = instant_pv_np(point_at(m, p))
             for g, w in zip(got, want):
                 assert abs(g - w) <= 1e-10 * max(1.0, abs(w))
         for p in (1.0, math.inf):
-            got = select_direction(m, p, ANALYTIC)
+            got = select_direction(3, p, ANALYTIC)(point_at(m, p))
             assert got == want
 
     # (c) permutation and transpose invariance, 100 matrices
@@ -240,19 +240,22 @@ def test_criterion_09_property_suites():
     h = 1e-7
     for _ in range(25):
         m = random_pc_min_defect(rng, 4, 0.05)
-        for v, p in [(instant_pv_np(m, 2.0), 2.0),
-                     (instant_pv_np(m, 0.5), 0.5),
-                     (instant_pv_np(m, -1.0), -1.0),
-                     (difference_priority_vector(m, 1.0, 1e-3), 1.0),
-                     (difference_priority_vector(m, math.inf, 1e-3), math.inf)]:
-            stepped = step_multiplicative(m, v, h)
+        for v, p in [(instant_pv_np(point_at(m, 2.0)), 2.0),
+                     (instant_pv_np(point_at(m, 0.5)), 0.5),
+                     (instant_pv_np(point_at(m, -1.0)), -1.0),
+                     (difference_priority_vector(point_at(m, 1.0), 1e-3), 1.0),
+                     (difference_priority_vector(point_at(m, math.inf), 1e-3),
+                      math.inf)]:
+            stepped = m.replace_upper(step_multiplicative(4, m.upper, v, h))
             assert kii(stepped, p) < kii(m, p)
         m3 = random_pc_min_defect(rng, 3, 0.05)
         v3 = instant_pv3_mult(*m3.upper)
-        assert kii(step_multiplicative(m3, v3, h), 1.0) < kii(m3, 1.0)
+        stepped3 = m3.replace_upper(step_multiplicative(3, m3.upper, v3, h))
+        assert kii(stepped3, 1.0) < kii(m3, 1.0)
         b3 = to_additive(m3)
         va = instant_pv3_add(*b3.upper)
-        assert kii(step_additive(b3, va, h), 1.0) < kii(b3, 1.0)
+        stepped_b3 = b3.replace_upper(step_additive(3, b3.upper, va, h))
+        assert kii(stepped_b3, 1.0) < kii(b3, 1.0)
 
     # (g) reciprocity of every descent iterate (positive triangle throughout)
     cfg = DescentConfig(p=2.0, h=0.01, gradient="difference", l=1e-3,

@@ -168,6 +168,15 @@ class TestReduce:
         assert r.returncode == 2
         assert "stop_reason indicator_undefined" in r.stdout
 
+    @pytest.mark.parametrize("p", ["1", "inf"])
+    def test_analytic_nonsmooth_p_rejected_at_order_four(self, files, p):
+        # known before iterate 0: no run starts and nothing is printed
+        r = pcreduce("reduce", files["a4"], "--gradient", "analytic",
+                     "--p", p, "--h", "0.1")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "use the difference gradient" in r.stderr
+
     def test_analytic_order_three_any_p(self, files):
         r = pcreduce("reduce", files["a3"], "--gradient", "analytic",
                      "--p", "inf", "--h", "0.1", "--eps", "0.001")

@@ -188,7 +188,7 @@ class TestTriads:
 
     def test_worked_defects(self):
         m = MultiplicativePCMatrix(4, A4)
-        assert all_defects(4, log_upper(m)) == (4.0, 2.0, 3.0, 1.0)
+        assert all_defects(4, log_upper(m.upper, True)) == (4.0, 2.0, 3.0, 1.0)
         assert all_defects(4, to_additive(m).upper)[0] == 4.0
 
     def test_consistent_triad_has_zero_defect(self):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from pcreduce import core, descent, gradients, indicators
 from pcreduce.core import (
     AdditivePCMatrix,
     MultiplicativePCMatrix,
@@ -28,11 +29,13 @@ from pcreduce.descent import (
 )
 from pcreduce.errors import (
     InvalidExponent,
+    NonFiniteEntry,
+    NonPositiveEntry,
     NonSmoothExponent,
     PositivityFailure,
 )
 from pcreduce.gradients import instant_pv3_mult
-from pcreduce.indicators import kii
+from pcreduce.indicators import kii, point_at
 
 A3 = MultiplicativePCMatrix(3, (math.exp(-2.0), math.exp(3.0), math.exp(1.0)))
 B3 = AdditivePCMatrix(3, (-2.0, 3.0, 1.0))
@@ -78,47 +81,59 @@ class TestConfig:
 class TestSteps:
     def test_multiplicative_worked_example(self):
         v = instant_pv3_mult(*A3.upper)
-        out = step_multiplicative(A3, v, 0.1)
-        assert out.upper[0] == pytest.approx(0.148869, abs=1e-6)
-        assert out.upper[1] == pytest.approx(20.085446, abs=1e-6)
-        assert out.upper[2] == pytest.approx(2.718956, abs=1e-6)
+        out = step_multiplicative(3, A3.upper, v, 0.1)
+        assert out[0] == pytest.approx(0.148869, abs=1e-6)
+        assert out[1] == pytest.approx(20.085446, abs=1e-6)
+        assert out[2] == pytest.approx(2.718956, abs=1e-6)
 
     def test_additive_worked_example(self):
         e4 = math.exp(-4.0)
         v = (e4, -e4, e4)
-        out = step_additive(B3, v, 0.1)
-        assert out.upper[0] == pytest.approx(-1.998168, abs=1e-6)
-        assert out.upper[1] == pytest.approx(2.998168, abs=1e-6)
-        assert out.upper[2] == pytest.approx(1.001832, abs=1e-6)
+        out = step_additive(3, B3.upper, v, 0.1)
+        assert out[0] == pytest.approx(-1.998168, abs=1e-6)
+        assert out[1] == pytest.approx(2.998168, abs=1e-6)
+        assert out[2] == pytest.approx(1.001832, abs=1e-6)
 
     def test_clamp_halves_until_positive(self):
         m = MultiplicativePCMatrix(3, (0.01, 1.0, 1.0))
         v = (-100.0, 0.0, 0.0)
         log = []
-        out = step_multiplicative(m, v, 0.1, log)
+        out = step_multiplicative(3, m.upper, v, 0.1, log)
         # raw step -10 halved ten times is -10/1024, leaving 0.01 - 0.009765625
-        assert out.upper[0] == pytest.approx(0.000234375, rel=1e-9)
-        assert out.upper[0] > 0.0
+        assert out[0] == pytest.approx(0.000234375, rel=1e-9)
+        assert out[0] > 0.0
         assert log == [(1, 2, 10)]
 
     def test_clamp_gives_up_after_sixty_halvings(self):
         m = MultiplicativePCMatrix(3, (0.01, 1.0, 1.0))
         v = (-1e30, 0.0, 0.0)
         with pytest.raises(PositivityFailure) as err:
-            step_multiplicative(m, v, 0.1)
+            step_multiplicative(3, m.upper, v, 0.1)
         assert (err.value.i, err.value.j) == (1, 2)
+
+    def test_nonfinite_result_raises_the_constructors_error(self):
+        # the guard is the only check of an iterate: it names the entry as
+        # MultiplicativePCMatrix / AdditivePCMatrix would
+        with pytest.raises(NonPositiveEntry) as err:
+            step_multiplicative(3, A3.upper, (0.0, math.nan, 0.0), 0.1)
+        assert (err.value.i, err.value.j) == (1, 3)
+        with pytest.raises(NonPositiveEntry):
+            step_multiplicative(3, A3.upper, (0.0, 0.0, 1.0), math.inf)
+        with pytest.raises(NonFiniteEntry) as err:
+            step_additive(3, B3.upper, (1.0, 0.5, -1.0), math.inf)
+        assert (err.value.i, err.value.j, err.value.value) == (1, 2, math.inf)
 
     def test_unclamped_entries_untouched(self):
         v = (0.0, 0.5, -0.25)
-        out = step_multiplicative(A3, v, 0.1)
-        assert out.upper[0] == A3.upper[0]
-        assert out.upper[1] == A3.upper[1] + 0.05
-        assert out.upper[2] == A3.upper[2] - 0.025
+        out = step_multiplicative(3, A3.upper, v, 0.1)
+        assert out[0] == A3.upper[0]
+        assert out[1] == A3.upper[1] + 0.05
+        assert out[2] == A3.upper[2] - 0.025
 
     def test_additive_never_clamps(self):
         v = (-1e6, 0.0, 0.0)
-        out = step_additive(B3, v, 1.0)
-        assert out.upper[0] == -2.0 - 1e6
+        out = step_additive(3, B3.upper, v, 1.0)
+        assert out[0] == -2.0 - 1e6
 
 
 class TestRunStops:
@@ -155,12 +170,21 @@ class TestRunStops:
         assert res.trace.records == ()
 
     def test_undefined_from_gradient_keeps_best(self):
-        # analytic gradient for p = 1 does not exist at order 4; the
-        # indicator itself is fine, so iterate 0 is recorded before the stop
-        res = run(A4, cfg(gradient=ANALYTIC, p=1.0, l=None))
+        # triad (1,2,3) is exactly consistent: K_2 is defined there but its
+        # analytic direction is not, so iterate 0 is recorded before the stop
+        m = MultiplicativePCMatrix(4, (2.0, 4.0, 1.0, 2.0, 1.0, 1.0))
+        res = run(m, cfg(gradient=ANALYTIC, p=2.0, l=None))
         assert res.stop_reason == STOP_UNDEFINED
         assert res.best_iter == 0
         assert len(res.trace.records) == 1
+
+    @pytest.mark.parametrize("p", [1.0, math.inf])
+    def test_analytic_nonsmooth_p_rejected_before_iterate_zero(self, p):
+        with pytest.raises(NonSmoothExponent):
+            run(A4, cfg(gradient=ANALYTIC, p=p, l=None))
+        # the order-3 analytic route takes every p
+        res = run(A3, cfg(gradient=ANALYTIC, p=p, l=None, h=0.1))
+        assert res.stop_reason == STOP_CONVERGED
 
 
 class TestRunTrace:
@@ -182,7 +206,7 @@ class TestRunTrace:
         res = run(A4, cfg(p=2.0, max_iter=5))
         rec = res.trace.records[3]
         m = MultiplicativePCMatrix(4, rec.upper)
-        v = select_direction(m, 2.0, DIFFERENCE, 1e-3)
+        v = select_direction(4, 2.0, DIFFERENCE, 1e-3)(point_at(m, 2.0))
         assert rec.direction_norm == math.sqrt(math.fsum(c * c for c in v))
         assert rec.direction_norm > 0.0
 
@@ -225,11 +249,41 @@ class TestRunTrace:
             assert all(x > 0.0 for x in r.upper)
 
 
+class TestRunCost:
+    def test_one_evaluation_per_iteration(self, monkeypatch):
+        # a k-step analytic run at order 4 sweeps the defects once per
+        # iterate, never re-checks p and builds one matrix, the best
+        k = 20
+        config = cfg(gradient=ANALYTIC, p=2.0, l=None, max_iter=k,
+                     eps=1e-9, stall_window=k + 1)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (core, indicators, gradients, descent):
+            for name in ("all_defects", "normalize_exponent"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        for cls in (MultiplicativePCMatrix, AdditivePCMatrix):
+            monkeypatch.setattr(cls, "__post_init__",
+                                counted("matrix", cls.__post_init__))
+        res = run(A4, config)
+        assert res.stop_reason == STOP_MAX_ITER
+        assert len(res.trace.records) == k + 1
+        assert calls.count("all_defects") == k + 1
+        assert calls.count("normalize_exponent") == 0
+        assert calls.count("matrix") == 1
+
+
 class TestSchemeEquivalence:
     def test_both_schemes_reach_low_defects_but_different_matrices(self):
         rm = run(A3, cfg(h=0.01))
         ra = run(A3, cfg(scheme=ADDITIVE, h=0.01))
-        dm = max(all_defects(3, log_upper(rm.best_matrix)))
+        dm = max(all_defects(3, log_upper(rm.best_matrix.upper, True)))
         da = max(all_defects(3, ra.best_matrix.upper))
         assert dm < 0.05
         assert da < 0.05
@@ -254,7 +308,7 @@ class TestDescentProgress:
         while checked < 20:
             bs = [rng.uniform(-1.2, 1.2) for _ in range(6)]
             m = MultiplicativePCMatrix(4, tuple(math.exp(x) for x in bs))
-            if min(all_defects(m.n, log_upper(m))) < 1e-2:
+            if min(all_defects(m.n, log_upper(m.upper, True))) < 1e-2:
                 continue
             for p in (0.5, 2.0):
                 res = run(m, cfg(gradient=ANALYTIC, p=p, h=0.01, l=None,
@@ -270,19 +324,19 @@ class TestDescentProgress:
 class TestSelectDirection:
     def test_difference_requires_increment(self):
         with pytest.raises(ValueError):
-            select_direction(A4, 1.0, DIFFERENCE)
+            select_direction(4, 1.0, DIFFERENCE)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
-            select_direction(A4, 1.0, "newton")
+            select_direction(4, 1.0, "newton")
 
     def test_analytic_order_three_allows_any_p(self):
         want = instant_pv3_mult(*A3.upper)
         for p in (-1.0, 0.5, 1.0, 2.0, math.inf):
-            got = select_direction(A3, p, ANALYTIC)
+            got = select_direction(3, p, ANALYTIC)(point_at(A3, p))
             assert got == want
 
     def test_analytic_order_four_rejects_nonsmooth_p(self):
         for p in (1.0, math.inf):
             with pytest.raises(NonSmoothExponent):
-                select_direction(A4, p, ANALYTIC)
+                select_direction(4, p, ANALYTIC)

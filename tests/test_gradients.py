@@ -12,6 +12,7 @@ from pcreduce.core import (
     to_additive,
     upper_size,
 )
+from pcreduce.descent import ANALYTIC, DIFFERENCE, select_direction
 from pcreduce.errors import (
     DegenerateDefect,
     IndicatorUndefined,
@@ -24,7 +25,7 @@ from pcreduce.gradients import (
     instant_pv3_mult,
     instant_pv_np,
 )
-from pcreduce.indicators import kii
+from pcreduce.indicators import kii, point_at
 
 logs = st.floats(min_value=-2.0, max_value=2.0,
                  allow_nan=False, allow_infinity=False)
@@ -115,26 +116,26 @@ class TestInstantPvNp:
     def test_nonsmooth_exponents_rejected(self, p):
         m = mult_from_logs(4, (-2.0, 3.0, 0.0, 1.0, 0.0, 0.0))
         with pytest.raises(NonSmoothExponent):
-            instant_pv_np(m, p)
+            select_direction(m.n, p, ANALYTIC)
 
     def test_consistent_locus(self):
         m = MultiplicativePCMatrix(4, (2.0, 4.0, 8.0, 2.0, 4.0, 2.0))
         with pytest.raises(OnConsistentLocus):
-            instant_pv_np(m, 2.0)
+            instant_pv_np(point_at(m, 2.0))
 
     def test_degenerate_defect_names_triad(self):
         # triad (1,2,3) exactly consistent, others not
         m = MultiplicativePCMatrix(4, (2.0, 4.0, 1.0, 2.0, 1.0, 1.0))
         with pytest.raises(DegenerateDefect) as err:
-            instant_pv_np(m, 2.0)
+            instant_pv_np(point_at(m, 2.0))
         assert tuple(err.value.triad) == (1, 2, 3)
 
     @given(st.lists(logs, min_size=3, max_size=3), smooth_p)
     @settings(max_examples=200)
     def test_order_three_collapses_to_pv3(self, bs, p):
         m = mult_from_logs(3, bs)
-        assume(min(all_defects(m.n, log_upper(m))) > 1e-3)
-        got = instant_pv_np(m, p)
+        assume(min(all_defects(m.n, log_upper(m.upper, True))) > 1e-3)
+        got = instant_pv_np(point_at(m, p))
         want = instant_pv3_mult(*m.upper)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, rel=1e-12, abs=1e-15)
@@ -143,8 +144,8 @@ class TestInstantPvNp:
     @settings(max_examples=300, deadline=None)
     def test_matches_central_difference(self, bs, p):
         m = mult_from_logs(4, bs)
-        assume(min(all_defects(m.n, log_upper(m))) > 0.1)
-        v = instant_pv_np(m, p)
+        assume(min(all_defects(m.n, log_upper(m.upper, True))) > 0.1)
+        v = instant_pv_np(point_at(m, p))
         for k in range(6):
             cd = -central_difference(m, p, k)
             assert abs(v[k] - cd) <= 1e-6 * max(1.0, abs(v[k]))
@@ -155,8 +156,8 @@ class TestInstantPvNp:
         m = mult_from_logs(4, bs)
         b = to_additive(m)
         assume(min(all_defects(4, b.upper)) > 1e-3)
-        vm = instant_pv_np(m, 2.0)
-        vb = instant_pv_np(b, 2.0)
+        vm = instant_pv_np(point_at(m, 2.0))
+        vb = instant_pv_np(point_at(b, 2.0))
         for cm, cb, a in zip(vm, vb, m.upper):
             assert cm == pytest.approx(cb / a, rel=1e-12, abs=1e-15)
 
@@ -164,7 +165,7 @@ class TestInstantPvNp:
         rng = random.Random(5)
         bs = [rng.uniform(-2.0, 2.0) for _ in range(10)]
         m = mult_from_logs(5, bs)
-        v = instant_pv_np(m, 2.0)
+        v = instant_pv_np(point_at(m, 2.0))
         assert len(v) == 10
         # descent check with a small step
         stepped = m.replace_upper(
@@ -183,14 +184,14 @@ class TestDifferenceGradient:
             want = naive_priority_vector(m, p, l)
         except IndicatorUndefined:
             with pytest.raises(IndicatorUndefined):
-                difference_priority_vector(m, p, l)
+                difference_priority_vector(point_at(m, p), l)
             return
-        assert signed(difference_priority_vector(m, p, l)) == signed(want)
+        assert signed(difference_priority_vector(point_at(m, p), l)) == signed(want)
 
     def test_matches_definition_exactly(self):
         m = mult_from_logs(4, (-2.0, 3.0, 0.0, 1.0, 0.0, 0.0))
         l = 1e-3
-        v = difference_priority_vector(m, 1.0, l)
+        v = difference_priority_vector(point_at(m, 1.0), l)
         base = kii(m, 1.0)
         up = list(m.upper)
         up[2] += l
@@ -206,26 +207,26 @@ class TestDifferenceGradient:
             up = list(m.upper)
             up[k] += l
             quotients.append((kii(m.replace_upper(up), 2.0) - base) / l)
-        v = difference_priority_vector(m, 2.0, l)
+        v = difference_priority_vector(point_at(m, 2.0), l)
         assert signed(v) == signed(-q for q in quotients)
 
     def test_rejects_bad_increment(self):
         m = mult_from_logs(3, (-2.0, 3.0, 1.0))
         for l in (0.0, -1e-3, None):
             with pytest.raises(ValueError):
-                difference_priority_vector(m, 1.0, l)
+                select_direction(m.n, 1.0, DIFFERENCE, l)
 
     def test_works_for_nonsmooth_p(self):
         # p = 1 and p = inf have no analytic gradient but difference
         # quotients always exist
         m = mult_from_logs(4, (-2.0, 3.0, 0.0, 1.0, 0.0, 0.0))
         for p in (1.0, math.inf):
-            v = difference_priority_vector(m, p, 1e-3)
+            v = difference_priority_vector(point_at(m, p), 1e-3)
             assert all(math.isfinite(c) for c in v)
 
     def test_works_on_additive(self):
         b = AdditivePCMatrix(3, (-2.0, 3.0, 1.0))
-        v = difference_priority_vector(b, 1.0, 1e-3)
+        v = difference_priority_vector(point_at(b, 1.0), 1e-3)
         # forward quotient of 1 - exp(-|b12 + b23 - b13|) at u = -4
         want0 = -(math.exp(-abs(-4.0 + 1e-3)) - math.exp(-4.0)) / 1e-3
         assert v[0] == pytest.approx(-want0, rel=1e-9)
@@ -234,10 +235,10 @@ class TestDifferenceGradient:
     @settings(max_examples=100)
     def test_approaches_instant_pv_as_l_shrinks(self, bs):
         m = mult_from_logs(3, bs)
-        assume(min(all_defects(m.n, log_upper(m))) > 0.1)
+        assume(min(all_defects(m.n, log_upper(m.upper, True))) > 0.1)
         want = instant_pv3_mult(*m.upper)
-        coarse = difference_priority_vector(m, 1.0, 1e-3)
-        fine = difference_priority_vector(m, 1.0, 1e-6)
+        coarse = difference_priority_vector(point_at(m, 1.0), 1e-3)
+        fine = difference_priority_vector(point_at(m, 1.0), 1e-6)
         err_coarse = max(abs(a - b) for a, b in zip(coarse, want))
         err_fine = max(abs(a - b) for a, b in zip(fine, want))
         assert err_fine <= err_coarse + 1e-12

@@ -80,6 +80,10 @@ class TestPAverage:
         b = AdditivePCMatrix(4, (0.5, 0.0, 0.0, 0.0, 0.0, 0.3))
         assert kii(b, 2000) == pytest.approx(
             1.0 - math.exp(-0.5 * 0.5 ** (1.0 / 2000.0)), rel=1e-15)
+        # 0.3053^628 is subnormal: its 1/628 root would magnify the lost bits
+        assert p_average([0.3053], 628) == pytest.approx(0.3053, rel=1e-15)
+        assert kii(AdditivePCMatrix(3, (0.3053, 0.0, 0.0)), 628) == pytest.approx(
+            1.0 - math.exp(-0.3053), rel=1e-15)
 
     def test_max(self):
         assert p_average((1.0, 5.0, 2.0), math.inf) == 5.0

@@ -80,8 +80,8 @@ class TestIdentity:
         oc = run_row(REFERENCE_RUNS[0])
         k = oc.result.trace.records[-1].iteration
         assert k > 100
-        # the start matrix, one iterate per step and the best iterate
-        assert len(built) <= k + 2
+        # the start matrix and the best iterate; the iterates are raw tuples
+        assert len(built) <= 2
 
 
 class TestReporting:
