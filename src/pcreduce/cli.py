@@ -95,7 +95,7 @@ def build_parser() -> Parser:
     rd.add_argument("--l", type=positive, default=None,
                     help="difference increment (required with --gradient difference)")
     rd.add_argument("--eps", type=positive, default=1e-4,
-                    help="convergence threshold on the indicator (default 1e-4)")
+                    help="convergence threshold in (0, 1) (default 1e-4)")
     rd.add_argument("--max-iter", type=int, default=100000)
     rd.add_argument("--stall-window", type=int, default=50)
     rd.add_argument("--trace", metavar="FILE", default=None,

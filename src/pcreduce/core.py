@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple
 
 from .errors import (
     AntisymmetryViolation,
@@ -25,7 +24,6 @@ from .errors import (
     EntryOverflow,
     NonFiniteEntry,
     NonPositiveEntry,
-    NonPositiveWeight,
     OrderTooSmall,
     ReciprocityViolation,
 )
@@ -33,12 +31,6 @@ from .errors import (
 #: relative tolerance for validating reciprocity / unit diagonal of raw grids;
 #: the checks read not (residual <= TAU_REC), so a NaN residual fails them
 TAU_REC = 1e-9
-
-
-class TriadIndex(NamedTuple):
-    i: int
-    j: int
-    k: int
 
 
 def upper_size(n: int) -> int:
@@ -88,12 +80,6 @@ class _PCMatrix:
                 f"got {len(self.upper)}"
             )
         check_entries(self.n, self.upper, isinstance(self, MultiplicativePCMatrix))
-
-    def to_grid(self) -> list[list[float]]:
-        return [
-            [self.entry(i, j) for j in range(1, self.n + 1)]
-            for i in range(1, self.n + 1)
-        ]
 
     def replace_upper(self, upper) -> _PCMatrix:
         """A matrix of the same form with another upper triangle."""
@@ -194,21 +180,17 @@ def to_multiplicative(b: AdditivePCMatrix) -> MultiplicativePCMatrix:
 
 
 @lru_cache(maxsize=None)
-def enumerate_triads(n: int) -> tuple[TriadIndex, ...]:
-    """All C(n,3) strictly increasing triples, lexicographic."""
-    check_order(n)
-    return tuple(TriadIndex(i, j, k) for i, j, k in combinations(range(1, n + 1), 3))
+def triad_slots(n: int) -> tuple[tuple[tuple[int, int, int], int, int, int], ...]:
+    """Each triad (i,j,k) with the positions of its (i,j), (j,k), (i,k) entries.
 
-
-@lru_cache(maxsize=None)
-def triad_slots(n: int) -> tuple[tuple[TriadIndex, int, int, int], ...]:
-    """Each triad with the storage positions of its (i,j), (j,k), (i,k) entries.
-
-    This is the hot lookup table behind indicator and gradient evaluation.
+    The one triad table, lexicographic in (i,j,k): the hot lookup behind
+    indicator and gradient evaluation, and the source of the triad that
+    IndicatorUndefined and DegenerateDefect name.
     """
+    check_order(n)
     return tuple(
-        (t, upper_index(n, t.i, t.j), upper_index(n, t.j, t.k), upper_index(n, t.i, t.k))
-        for t in enumerate_triads(n)
+        ((i, j, k), upper_index(n, i, j), upper_index(n, j, k), upper_index(n, i, k))
+        for i, j, k in combinations(range(1, n + 1), 3)
     )
 
 
@@ -218,38 +200,3 @@ def all_defects(n: int, logs) -> tuple[float, ...]:
     The one triad kernel: indicators and directions all go through it.
     """
     return tuple(abs(logs[q] + logs[v] - logs[w]) for _, q, v, w in triad_slots(n))
-
-
-def is_consistent(m: MultiplicativePCMatrix, tol: float = 0.0) -> bool:
-    """True iff every triad defect of the log-image is <= tol."""
-    return max(all_defects(m.n, log_upper(m.upper, True))) <= tol
-
-
-def consistent_from_weights(w) -> MultiplicativePCMatrix:
-    """Build the exactly consistent matrix a_ij = w_i / w_j."""
-    weights = [float(x) for x in w]
-    for idx, x in enumerate(weights):
-        if not (x > 0.0):
-            raise NonPositiveWeight(idx, x)
-    n = len(weights)
-    check_order(n)
-    upper = tuple(weights[i - 1] / weights[j - 1] for i, j in upper_pairs(n))
-    return MultiplicativePCMatrix(n, upper)
-
-
-def gmm_priority_vector(m: MultiplicativePCMatrix) -> tuple[float, ...]:
-    """Geometric-mean weights, normalized to sum 1.
-
-    w_i = (prod_j a_ij)^(1/n); for a consistent matrix this reproduces the
-    generating weights up to scale.
-    """
-    n = m.n
-    # geometric means via log-sums to avoid overflow across large entries
-    logs = [
-        math.fsum(math.log(m.entry(i, j)) for j in range(1, n + 1)) / n
-        for i in range(1, n + 1)
-    ]
-    shift = max(logs)
-    raw = [math.exp(x - shift) for x in logs]
-    total = math.fsum(raw)
-    return tuple(x / total for x in raw)

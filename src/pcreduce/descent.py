@@ -79,8 +79,9 @@ class DescentConfig:
         select_direction(3, self.p, self.gradient, self.l)
         if not (self.h > 0.0):
             raise ValueError(f"step h must be > 0, got {self.h!r}")
-        if not (self.eps > 0.0):
-            raise ValueError(f"eps must be > 0, got {self.eps!r}")
+        # K_p < 1, so an eps of 1 or more would stop every run at iterate 0
+        if not (0.0 < self.eps < 1.0):
+            raise ValueError(f"eps must be in (0, 1), got {self.eps!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
         if self.stall_window < 1:

@@ -68,12 +68,6 @@ class AntisymmetryViolation(ValidationError):
         )
 
 
-class NonPositiveWeight(ValidationError):
-    def __init__(self, index, value):
-        self.index, self.value = index, value
-        super().__init__(f"weight {index} must be > 0, got {value!r}")
-
-
 class InvalidExponent(ValidationError):
     def __init__(self, p, reason="p = 0 degenerates the indicator to a constant"):
         self.p = p

@@ -21,8 +21,8 @@ from .core import (
     AdditivePCMatrix,
     MultiplicativePCMatrix,
     all_defects,
-    enumerate_triads,
     log_upper,
+    triad_slots,
 )
 from .errors import IndicatorUndefined, InvalidExponent, ZeroWithNegativeExponent
 
@@ -89,22 +89,6 @@ def _plain_mean(xs, q) -> float:
     return 0.0 if mean < sys.float_info.min else mean ** (1.0 / q)
 
 
-def kii3(x: float, y: float, z: float) -> float:
-    """Triad indicator 1 - exp(-|ln x + ln z - ln y|) for (a12, a13, a23) = (x, y, z).
-
-    Canonical exponential form; equals the min form 1 - min(y/(xz), xz/y)
-    exactly (see kii3_min_form) but is immune to overflow in x*z.
-    """
-    u = math.log(x) + math.log(z) - math.log(y)
-    return 1.0 - math.exp(-abs(u))
-
-
-def kii3_min_form(x: float, y: float, z: float) -> float:
-    """Equivalent closed form 1 - min(y/(xz), xz/y); kept as a cross-check."""
-    r = y / (x * z)
-    return 1.0 - min(r, 1.0 / r)
-
-
 def kii(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> float:
     """Kii_{n,p} of a PC matrix in either form.
 
@@ -125,7 +109,7 @@ def kii_logs(n: int, logs, q: float) -> tuple[float, tuple[float, ...], float]:
         avg = p_average(ds, q)
     except ZeroWithNegativeExponent:
         k = next(k for k, d in enumerate(ds) if d < DELTA_ZERO)
-        raise IndicatorUndefined(q, enumerate_triads(n)[k], ds[k]) from None
+        raise IndicatorUndefined(q, triad_slots(n)[k][0], ds[k]) from None
     return 1.0 - math.exp(-avg), ds, avg
 
 

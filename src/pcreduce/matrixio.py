@@ -19,6 +19,7 @@ file back reproduces the run bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .core import (
     AdditivePCMatrix,
@@ -181,60 +182,57 @@ class TraceData:
     best_upper: tuple[float, ...] | None
 
 
+#: summary keys of a trace file with one value each, and their types
+SUMMARY_FIELDS = {"stop_reason": str, "best_iter": int, "best_indicator": float}
+
+
 def parse_trace_text(text: str) -> TraceData:
-    """Read a trace file back; exact inverse of format_trace."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("iteration,indicator,"):
-        raise MatrixFileError("not a trace file", 1)
-    names = lines[0].split(",")[2:]
-    if not names:
-        raise MatrixFileError("trace header has no entry columns", 1)
-    mode = "additive" if names[0].startswith("b_") else "multiplicative"
+    """Read a trace file back; exact inverse of format_trace.
+
+    Any other text raises MatrixFileError naming the offending line.
+    """
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("iteration,indicator,"):
+        raise MatrixFileError("not a trace file", lines[0][0] if lines else 1)
+    header_no, header = lines[0]
+    names = header.split(",")[2:]
     count = len(names)
-    n = 2
-    while upper_size(n) < count:
-        n += 1
-    if upper_size(n) != count:
-        raise MatrixFileError(f"{count} entry columns fit no matrix order", 1)
+    n = (1 + isqrt(1 + 8 * count)) // 2  # the inverse of upper_size
+    if n < 3 or upper_size(n) != count:
+        raise MatrixFileError(
+            f"{count} entry columns fit no matrix order >= 3", header_no
+        )
+    mode = "additive" if names[0].startswith("b_") else "multiplicative"
 
     records = []
-    stop_reason = None
-    best_iter = None
-    best_indicator = None
-    best_upper = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        key = fields[0]
-        if key == "stop_reason":
-            stop_reason = fields[1]
-        elif key == "best_iter":
-            best_iter = int(fields[1])
-        elif key == "best_indicator":
-            best_indicator = float(fields[1])
-        elif key == "best":
-            best_upper = tuple(float(x) for x in fields[1:])
-        else:
-            try:
-                it = int(fields[0])
-                ind = float(fields[1])
-                upper = tuple(float(x) for x in fields[2:])
-            except ValueError:
-                raise MatrixFileError(f"bad trace row {line!r}", lineno) from None
-            if len(upper) != count:
-                raise MatrixFileError(
-                    f"trace row has {len(upper)} entries, expected {count}", lineno
-                )
-            records.append((it, ind, upper))
-    if stop_reason is None or best_iter is None:
-        raise MatrixFileError("trace file is missing its summary block", len(lines))
+    summary = {}
+    for lineno, line in lines[1:]:
+        key, *fields = line.split(",")
+        width = 1 if key in SUMMARY_FIELDS else count if key == "best" else count + 1
+        if len(fields) != width:
+            raise MatrixFileError(
+                f"{key!r} row has {len(fields)} values, expected {width}", lineno
+            )
+        try:
+            if key in SUMMARY_FIELDS:
+                summary[key] = SUMMARY_FIELDS[key](fields[0])
+            elif key == "best":
+                summary[key] = tuple(map(float, fields))
+            else:
+                upper = tuple(map(float, fields[1:]))
+                records.append((int(key), float(fields[0]), upper))
+        except ValueError:
+            raise MatrixFileError(f"bad trace row {line!r}", lineno) from None
+    if "stop_reason" not in summary or "best_iter" not in summary:
+        raise MatrixFileError("trace file is missing its summary block", lines[-1][0])
     return TraceData(
         n=n,
         mode=mode,
         records=tuple(records),
-        stop_reason=stop_reason,
-        best_iter=best_iter,
-        best_indicator=best_indicator,
-        best_upper=best_upper,
+        stop_reason=summary["stop_reason"],
+        best_iter=summary["best_iter"],
+        best_indicator=summary.get("best_indicator"),
+        best_upper=summary.get("best"),
     )
 
 

@@ -45,8 +45,10 @@ from pcreduce.gradients import (
     instant_pv3_mult,
     instant_pv_np,
 )
-from pcreduce.indicators import kii, kii3, kii3_min_form, point_at
+from pcreduce.indicators import kii, point_at
 from pcreduce.repro import REFERENCE_RUNS, run_row
+
+from oracles import kii3, kii3_min_form
 
 A4 = MultiplicativePCMatrix(
     4, (math.exp(-2.0), math.exp(3.0), 1.0, math.exp(1.0), 1.0, 1.0)

@@ -193,6 +193,15 @@ class TestReduce:
         r = pcreduce("reduce", files["a3"], "--h", "-0.1", "--l", "0.001")
         assert r.returncode == 1
 
+    @pytest.mark.parametrize("eps", ["700", "inf"])
+    def test_eps_not_below_one_is_rejected(self, files, eps):
+        # K_p < 1: such an eps would report converged at iterate 0
+        r = pcreduce("reduce", files["a3"], "--h", "0.1", "--l", "0.001",
+                     f"--eps={eps}")
+        assert r.returncode == 1
+        assert r.stdout == ""
+        assert "eps" in r.stderr
+
 
 class TestRepro:
     def test_full_table(self, tmp_path):

@@ -64,7 +64,10 @@ class TestConfig:
                                      {"h": -1.0},
                                      {"eps": 0.0},
                                      {"max_iter": 0},
-                                     {"stall_window": 0}])
+                                     {"stall_window": 0},
+                                     {"eps": 1.0},
+                                     {"eps": 700.0},
+                                     {"eps": math.inf}])
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(ValueError):
             cfg(**bad)

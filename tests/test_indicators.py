@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from pcreduce.core import (
     AdditivePCMatrix,
     MultiplicativePCMatrix,
-    consistent_from_weights,
     to_additive,
 )
 from pcreduce.errors import (
@@ -17,11 +16,11 @@ from pcreduce.errors import (
 from pcreduce.indicators import (
     P_MIN,
     kii,
-    kii3,
-    kii3_min_form,
     normalize_exponent,
     p_average,
 )
+
+from oracles import consistent_from_weights, kii3, kii3_min_form
 
 A4 = MultiplicativePCMatrix(
     4, (math.exp(-2.0), math.exp(3.0), 1.0, math.exp(1.0), 1.0, 1.0)
@@ -173,6 +172,14 @@ class TestKii:
             kii(m, -1.0)
         assert tuple(err.value.triad) == (1, 2, 3)
         assert err.value.defect <= 1e-12
+
+    def test_negative_p_hole_names_the_consistent_triad_not_the_first(self):
+        # defects 2, 1, 3, 0: only the last triad, (2,3,4), is consistent
+        b = AdditivePCMatrix(4, (1.0, 3.0, 0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(IndicatorUndefined) as err:
+            kii(b, -1.0)
+        assert err.value.triad == (2, 3, 4)
+        assert err.value.defect == 0.0
 
     def test_negative_p_fine_away_from_hole(self):
         got = kii(A4, -1.0)

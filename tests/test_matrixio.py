@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcreduce.core import AdditivePCMatrix, MultiplicativePCMatrix
+from pcreduce.core import AdditivePCMatrix, MultiplicativePCMatrix, upper_size
 from pcreduce.descent import DescentConfig, run
 from pcreduce.errors import (
     AntisymmetryViolation,
@@ -45,6 +45,23 @@ def matrix_texts(draw):
         rows = draw(st.lists(st.lists(NUMBERS, min_size=n, max_size=n),
                              min_size=n, max_size=n))
     return "\n".join(lines + [" ".join(row) for row in rows])
+
+
+TRACE_HEAD = "iteration,indicator,a_1_2,a_1_3,a_2_3\n0,0.9,1,2,3\n"
+TRACE_KEYS = st.sampled_from(["0", "1", "x", "", "stop_reason", "best_iter",
+                              "best_indicator", "best"])
+
+
+@st.composite
+def trace_texts(draw):
+    """A trace header of 1 to 7 entry columns, then rows of any key and width."""
+    count = draw(st.integers(min_value=1, max_value=7))
+    prefix = draw(st.sampled_from(["a", "b"]))
+    lines = ["iteration,indicator," + ",".join(f"{prefix}_{k}" for k in range(count))]
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        fields = draw(st.lists(NUMBERS, min_size=0, max_size=count + 2))
+        lines.append(",".join([draw(TRACE_KEYS)] + fields))
+    return "\n".join(lines)
 
 
 class TestParseMatrix:
@@ -223,3 +240,29 @@ class TestTraceFiles:
     def test_rejects_missing_summary(self):
         with pytest.raises(MatrixFileError):
             parse_trace_text("iteration,indicator,a_1_2,a_1_3,a_2_3\n0,0.9,1,2,3\n")
+
+    @pytest.mark.parametrize("text,line", [
+        # one entry column is the order-2 triangle
+        ("iteration,indicator,a_1_2\n0,0.5,1\nstop_reason,converged\nbest_iter,0\n", 1),
+        (TRACE_HEAD + "stop_reason,stalled\nbest_iter,x\n", 4),
+        (TRACE_HEAD + "stop_reason,stalled\nbest_iter,0\nbest_indicator,x\n", 5),
+        (TRACE_HEAD + "stop_reason\nbest_iter,0\n", 3),
+        (TRACE_HEAD + "stop_reason,stalled\nbest_iter,0\nbest,1,2\n", 5),
+        (TRACE_HEAD + "7\nstop_reason,stalled\nbest_iter,0\n", 3),
+    ], ids=["order_two", "bad_best_iter", "bad_best_indicator", "empty_stop_reason",
+            "short_best_row", "bare_iteration"])
+    def test_malformed_trace_names_line(self, text, line):
+        with pytest.raises(MatrixFileError) as err:
+            parse_trace_text(text)
+        assert err.value.line == line
+
+    @given(st.one_of(st.text(), trace_texts()))
+    @settings(max_examples=500)
+    def test_any_text_gives_trace_or_file_error(self, text):
+        try:
+            data = parse_trace_text(text)
+        except MatrixFileError:
+            return
+        assert data.n >= 3
+        assert data.best_upper is None or len(data.best_upper) == upper_size(data.n)
+        assert all(len(upper) == upper_size(data.n) for _, _, upper in data.records)
