@@ -58,6 +58,7 @@ STOP_STALLED = "stalled"
 STOP_MAX_ITER = "max_iter"
 STOP_POSITIVITY = "positivity_failure"
 STOP_UNDEFINED = "indicator_undefined"
+STOP_REASONS = (STOP_CONVERGED, STOP_STALLED, STOP_MAX_ITER, STOP_POSITIVITY, STOP_UNDEFINED)
 
 
 @dataclass(frozen=True)

@@ -81,10 +81,22 @@ def p_average(xs, p) -> float:
 
 
 def _plain_mean(xs, q) -> float:
+    return _root_mean(math.fsum(_power_terms(xs, q)), len(xs), q)
+
+
+def _power_terms(xs, q) -> list[float]:
+    """The terms x^q that the plain mean sums."""
     if q == 0.5:
         # sqrt is correctly rounded where pow(x, 0.5) need not be
-        return (math.fsum(math.sqrt(x) for x in xs) / len(xs)) ** 2
-    mean = math.fsum(x ** q for x in xs) / len(xs)
+        return [math.sqrt(x) for x in xs]
+    return [x ** q for x in xs]
+
+
+def _root_mean(total: float, count: int, q: float) -> float:
+    """(total / count)^(1/q), the plain mean of count terms summing to total."""
+    mean = total / count
+    if q == 0.5:
+        return mean ** 2
     # a zero or subnormal mean has lost bits that the 1/q root would magnify
     return 0.0 if mean < sys.float_info.min else mean ** (1.0 / q)
 

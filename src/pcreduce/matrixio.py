@@ -30,7 +30,7 @@ from .core import (
     validate_additive,
     validate_multiplicative,
 )
-from .descent import DescentResult
+from .descent import STOP_REASONS, DescentResult
 from .errors import MatrixFileError
 
 MODES = ("multiplicative", "additive")
@@ -189,7 +189,9 @@ SUMMARY_FIELDS = {"stop_reason": str, "best_iter": int, "best_indicator": float}
 def parse_trace_text(text: str) -> TraceData:
     """Read a trace file back; exact inverse of format_trace.
 
-    Any other text raises MatrixFileError naming the offending line.
+    The header must name the entries as format_trace does and the stop
+    reason must be one descent.run reports; any other text raises
+    MatrixFileError naming the offending line.
     """
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or not lines[0][1].startswith("iteration,indicator,"):
@@ -203,6 +205,10 @@ def parse_trace_text(text: str) -> TraceData:
             f"{count} entry columns fit no matrix order >= 3", header_no
         )
     mode = "additive" if names[0].startswith("b_") else "multiplicative"
+    if tuple(names) != upper_entry_names(n, mode):
+        raise MatrixFileError(
+            "entry columns must be " + ",".join(upper_entry_names(n, mode)), header_no
+        )
 
     records = []
     summary = {}
@@ -223,6 +229,8 @@ def parse_trace_text(text: str) -> TraceData:
                 records.append((int(key), float(fields[0]), upper))
         except ValueError:
             raise MatrixFileError(f"bad trace row {line!r}", lineno) from None
+        if key == "stop_reason" and summary[key] not in STOP_REASONS:
+            raise MatrixFileError(f"unknown stop reason {summary[key]!r}", lineno)
     if "stop_reason" not in summary or "best_iter" not in summary:
         raise MatrixFileError("trace file is missing its summary block", lines[-1][0])
     return TraceData(

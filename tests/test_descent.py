@@ -282,6 +282,31 @@ class TestRunCost:
         assert calls.count("matrix") == 1
 
 
+    def test_difference_direction_sweeps_no_triads_above_crossover(self, monkeypatch):
+        # at order 8 each of the 28 components updates the base point's
+        # defects instead of evaluating kii afresh
+        n = 8
+        assert n >= gradients.INCREMENTAL_MIN_ORDER
+        rng = random.Random(8)
+        m = AdditivePCMatrix(n, tuple(rng.uniform(-2.0, 2.0) for _ in range(28)))
+        pt = point_at(m, 2.0)
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for mod in (core, indicators, gradients):
+            for name in ("all_defects", "kii_logs"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+        v = gradients.difference_priority_vector(pt, 1e-3)
+        assert len(v) == 28
+        assert calls == []
+
+
 class TestSchemeEquivalence:
     def test_both_schemes_reach_low_defects_but_different_matrices(self):
         rm = run(A3, cfg(h=0.01))

@@ -10,6 +10,8 @@ from pcreduce.core import (
     all_defects,
     log_upper,
     to_additive,
+    upper_index,
+    upper_pairs,
     upper_size,
 )
 from pcreduce.descent import ANALYTIC, DIFFERENCE, select_direction
@@ -20,6 +22,7 @@ from pcreduce.errors import (
     OnConsistentLocus,
 )
 from pcreduce.gradients import (
+    INCREMENTAL_MIN_ORDER,
     difference_priority_vector,
     instant_pv3_add,
     instant_pv3_mult,
@@ -44,6 +47,42 @@ def log_matrices(draw):
     if draw(st.booleans()):
         return AdditivePCMatrix(n, tuple(bs))
     return mult_from_logs(n, bs)
+
+
+@st.composite
+def wide_log_matrices(draw):
+    """Either matrix form of order 3 to 10, with log entries in [-2, 2].
+
+    Half the draws take integer logs, so that consistent triads occur: a
+    defect an l-move sets to zero, or one already inside the p < 0 hole.
+    """
+    n = draw(st.integers(min_value=3, max_value=10))
+    entries = st.integers(min_value=-2, max_value=2).map(float) if draw(st.booleans()) else logs
+    bs = draw(st.lists(entries, min_size=upper_size(n), max_size=upper_size(n)))
+    if draw(st.booleans()):
+        return AdditivePCMatrix(n, tuple(bs))
+    return mult_from_logs(n, bs)
+
+
+def lifted(n, head, seed):
+    """An additive order-n matrix with (b12, b13, b23) = head, the rest from [-2, 2]."""
+    rng = random.Random(seed)
+    rest = [rng.uniform(-2.0, 2.0) for _ in range(upper_size(n))]
+    up = dict(zip(upper_pairs(n), rest))
+    up[1, 2], up[1, 3], up[2, 3] = head
+    return AdditivePCMatrix(n, tuple(up[ij] for ij in upper_pairs(n)))
+
+
+def assert_matches_naive(m, p, l):
+    """difference_priority_vector agrees with the naive oracle bit for bit, raises included."""
+    try:
+        want = naive_priority_vector(m, p, l)
+    except IndicatorUndefined as err:
+        with pytest.raises(IndicatorUndefined) as got:
+            difference_priority_vector(point_at(m, p), l)
+        assert str(got.value) == str(err)
+        return
+    assert signed(difference_priority_vector(point_at(m, p), l)) == signed(want)
 
 
 def naive_priority_vector(m, p, l):
@@ -187,6 +226,44 @@ class TestDifferenceGradient:
                 difference_priority_vector(point_at(m, p), l)
             return
         assert signed(difference_priority_vector(point_at(m, p), l)) == signed(want)
+
+    @given(wide_log_matrices(),
+           st.sampled_from([2.0, 0.5, 1.0, 3.7, math.inf, -1.0]),
+           st.sampled_from([1e-5, 1e-3, 0.1]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_naive_quotients_up_to_order_ten(self, m, p, l):
+        assert_matches_naive(m, p, l)
+
+    def test_move_into_the_hole_raises_as_naive(self):
+        # b12 + 0.5 makes triad (1,2,3)'s defect |0.5 + 0 - 0.5| exactly 0
+        m = lifted(8, (0.0, 0.5, 0.0), seed=1)
+        assert m.n >= INCREMENTAL_MIN_ORDER
+        assert min(all_defects(m.n, m.upper)) > 1e-3
+        with pytest.raises(IndicatorUndefined) as err:
+            difference_priority_vector(point_at(m, -1.0), 0.5)
+        assert tuple(err.value.triad) == (1, 2, 3)
+        assert_matches_naive(m, -1.0, 0.5)
+
+    @pytest.mark.parametrize("level,l", [(3.0, 1e-3), (2.7, 0.1)],
+                             ids=["base_overflows", "move_overflows"])
+    def test_overflowing_power_terms_take_the_scaled_mean(self, level, l):
+        # every defect within 0.03 of level: 3^700 overflows, 2.73^700 does
+        # not, but a 0.1 move takes touched defects past e^(709.78/700) = 2.757
+        rng = random.Random(2)
+        n = 8
+        m = AdditivePCMatrix(n, tuple(level + rng.uniform(-0.01, 0.01)
+                                      for _ in range(upper_size(n))))
+        assert_matches_naive(m, 700.0, l)
+
+    @pytest.mark.parametrize("l", [1e-3, 0.5])
+    def test_max_when_the_largest_triad_is_touched(self, l):
+        # triad (1,2,3) has defect |2 + 2 + 2| = 6, the largest
+        m = lifted(8, (2.0, -2.0, 2.0), seed=3)
+        ds = all_defects(m.n, m.upper)
+        assert max(ds) == ds[0] == 6.0
+        assert_matches_naive(m, math.inf, l)
+        v = difference_priority_vector(point_at(m, math.inf), l)
+        assert v[upper_index(m.n, 1, 3)] > 0.0
 
     def test_matches_definition_exactly(self):
         m = mult_from_logs(4, (-2.0, 3.0, 0.0, 1.0, 0.0, 0.0))

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcreduce.core import AdditivePCMatrix, MultiplicativePCMatrix, upper_size
+from pcreduce.core import AdditivePCMatrix, MultiplicativePCMatrix, upper_pairs, upper_size
 from pcreduce.descent import DescentConfig, run
 from pcreduce.errors import (
     AntisymmetryViolation,
@@ -52,14 +52,21 @@ TRACE_KEYS = st.sampled_from(["0", "1", "x", "", "stop_reason", "best_iter",
                               "best_indicator", "best"])
 
 
+TRACE_FIELDS = st.one_of(NUMBERS, st.sampled_from(["stalled", "converged"]))
+
+
 @st.composite
 def trace_texts(draw):
-    """A trace header of 1 to 7 entry columns, then rows of any key and width."""
-    count = draw(st.integers(min_value=1, max_value=7))
+    """A header naming an order's entries or 1 to 7 other columns, then rows of any key and width."""
     prefix = draw(st.sampled_from(["a", "b"]))
-    lines = ["iteration,indicator," + ",".join(f"{prefix}_{k}" for k in range(count))]
+    n = draw(st.integers(min_value=2, max_value=4))
+    names = [f"{prefix}_{i}_{j}" for i, j in upper_pairs(n)]
+    if draw(st.booleans()):
+        names = [f"{prefix}_{k}" for k in range(draw(st.integers(min_value=1, max_value=7)))]
+    count = len(names)
+    lines = ["iteration,indicator," + ",".join(names)]
     for _ in range(draw(st.integers(min_value=0, max_value=5))):
-        fields = draw(st.lists(NUMBERS, min_size=0, max_size=count + 2))
+        fields = draw(st.lists(TRACE_FIELDS, min_size=0, max_size=count + 2))
         lines.append(",".join([draw(TRACE_KEYS)] + fields))
     return "\n".join(lines)
 
@@ -249,8 +256,11 @@ class TestTraceFiles:
         (TRACE_HEAD + "stop_reason\nbest_iter,0\n", 3),
         (TRACE_HEAD + "stop_reason,stalled\nbest_iter,0\nbest,1,2\n", 5),
         (TRACE_HEAD + "7\nstop_reason,stalled\nbest_iter,0\n", 3),
+        ("iteration,indicator,q,b_1_3,zz\n0,0.9,1,2,3\nstop_reason,stalled\n"
+         "best_iter,0\n", 1),
+        (TRACE_HEAD + "stop_reason,x\nbest_iter,0\n", 3),
     ], ids=["order_two", "bad_best_iter", "bad_best_indicator", "empty_stop_reason",
-            "short_best_row", "bare_iteration"])
+            "short_best_row", "bare_iteration", "wrong_entry_names", "unknown_stop_reason"])
     def test_malformed_trace_names_line(self, text, line):
         with pytest.raises(MatrixFileError) as err:
             parse_trace_text(text)
