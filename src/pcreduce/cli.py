@@ -88,16 +88,16 @@ def build_parser() -> Parser:
     rd.add_argument("--p", type=exponent, default=1.0,
                     help="averaging exponent (decimal or inf; default 1)")
     rd.add_argument("--scheme", choices=(MULTIPLICATIVE, ADDITIVE),
-                    default=MULTIPLICATIVE)
+                    default=DescentConfig.scheme)
     rd.add_argument("--gradient", choices=(ANALYTIC, DIFFERENCE),
-                    default=DIFFERENCE)
+                    default=DescentConfig.gradient)
     rd.add_argument("--h", type=positive, required=True, help="step length")
-    rd.add_argument("--l", type=positive, default=None,
+    rd.add_argument("--l", type=positive, default=DescentConfig.l,
                     help="difference increment (required with --gradient difference)")
-    rd.add_argument("--eps", type=positive, default=1e-4,
-                    help="convergence threshold in (0, 1) (default 1e-4)")
-    rd.add_argument("--max-iter", type=int, default=100000)
-    rd.add_argument("--stall-window", type=int, default=50)
+    rd.add_argument("--eps", type=positive, default=DescentConfig.eps,
+                    help="convergence threshold in (0, 1) (default %(default)g)")
+    rd.add_argument("--max-iter", type=int, default=DescentConfig.max_iter)
+    rd.add_argument("--stall-window", type=int, default=DescentConfig.stall_window)
     rd.add_argument("--trace", metavar="FILE", default=None,
                     help="write the full iteration trace here")
     rd.add_argument("--out", metavar="FILE", default=None,

@@ -4,7 +4,9 @@ A multiplicative PC matrix is a positive reciprocal matrix (a_ji = 1/a_ij,
 unit diagonal).  Since the full matrix is determined by its strict upper
 triangle, only that triangle is stored: entry (i,j), 1 <= i < j <= n, sits at
 position (i-1)*n - i*(i-1)/2 + (j-i-1) in row-major order.  Reciprocity can
-then never be broken by arithmetic on the entries.
+then never be broken by arithmetic on the entries, and this module holds no
+full-grid code: a full grid is a file format, checked and stripped to its
+triangle by matrixio.
 
 The additive form is the entrywise natural log, an antisymmetric matrix.
 Natural log is the convention throughout.  A triad (i,j,k) with i < j < k has
@@ -14,24 +16,12 @@ defect |b_ij + b_jk - b_ik|, zero exactly when the triad is consistent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import (
-    AntisymmetryViolation,
-    BadDiagonal,
-    EntryOverflow,
-    NonFiniteEntry,
-    NonPositiveEntry,
-    OrderTooSmall,
-    ReciprocityViolation,
-)
-
-#: relative tolerance for validating reciprocity / unit diagonal of raw grids;
-#: the checks read not (residual <= TAU_REC), so a NaN residual fails them
-TAU_REC = 1e-9
-
+from .errors import EntryOverflow, NonFiniteEntry, NonPositiveEntry, OrderTooSmall
 
 def upper_size(n: int) -> int:
     return n * (n - 1) // 2
@@ -90,69 +80,10 @@ class _PCMatrix:
 class MultiplicativePCMatrix(_PCMatrix):
     """Reciprocal positive matrix stored as its strict upper triangle."""
 
-    def entry(self, i: int, j: int) -> float:
-        """Full-matrix entry, reconstructed from the triangle."""
-        if i == j:
-            return 1.0
-        if i < j:
-            return self.upper[upper_index(self.n, i, j)]
-        return 1.0 / self.upper[upper_index(self.n, j, i)]
-
 
 @dataclass(frozen=True)
 class AdditivePCMatrix(_PCMatrix):
     """Antisymmetric log-image of a multiplicative PC matrix."""
-
-    def entry(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        if i < j:
-            return self.upper[upper_index(self.n, i, j)]
-        return -self.upper[upper_index(self.n, j, i)]
-
-
-def validate_multiplicative(n: int, entries) -> MultiplicativePCMatrix:
-    """Validate a full n x n grid and strip it to the canonical triangle.
-
-    The diagonal must be 1 and a_ij * a_ji must be 1, both within TAU_REC;
-    the lower triangle is then discarded, never averaged in.
-    """
-    check_order(n)
-    grid = [[float(x) for x in row] for row in entries]
-    if len(grid) != n or any(len(row) != n for row in grid):
-        raise ValueError(f"expected an {n}x{n} grid")
-    for i in range(n):
-        for j in range(n):
-            if not (grid[i][j] > 0.0):
-                raise NonPositiveEntry(i + 1, j + 1, grid[i][j])
-    for i in range(n):
-        if not (abs(grid[i][i] - 1.0) <= TAU_REC):
-            raise BadDiagonal(i + 1, grid[i][i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            residual = abs(grid[i][j] * grid[j][i] - 1.0)
-            if not (residual <= TAU_REC):
-                raise ReciprocityViolation(i + 1, j + 1, residual)
-    upper = tuple(grid[i - 1][j - 1] for i, j in upper_pairs(n))
-    return MultiplicativePCMatrix(n, upper)
-
-
-def validate_additive(n: int, entries) -> AdditivePCMatrix:
-    """Validate a full antisymmetric grid (zero diagonal, b_ji = -b_ij)."""
-    check_order(n)
-    grid = [[float(x) for x in row] for row in entries]
-    if len(grid) != n or any(len(row) != n for row in grid):
-        raise ValueError(f"expected an {n}x{n} grid")
-    for i in range(n):
-        if not (abs(grid[i][i]) <= TAU_REC):
-            raise BadDiagonal(i + 1, grid[i][i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            residual = abs(grid[i][j] + grid[j][i])
-            if not (residual <= TAU_REC):
-                raise AntisymmetryViolation(i + 1, j + 1, residual)
-    upper = tuple(grid[i - 1][j - 1] for i, j in upper_pairs(n))
-    return AdditivePCMatrix(n, upper)
 
 
 def log_upper(upper: tuple[float, ...], mult: bool) -> tuple[float, ...]:
@@ -168,14 +99,18 @@ def to_additive(m: MultiplicativePCMatrix) -> AdditivePCMatrix:
 def to_multiplicative(b: AdditivePCMatrix) -> MultiplicativePCMatrix:
     """Entrywise exp, inverse of to_additive up to round-off.
 
-    An entry above ln(DBL_MAX) has no finite image and raises EntryOverflow.
+    An entry above ln(DBL_MAX) or below ln(DBL_MIN), about +-708.4, has no
+    positive normal image and raises EntryOverflow.
     """
     upper = []
     for (i, j), v in zip(upper_pairs(b.n), b.upper):
         try:
-            upper.append(math.exp(v))
+            a = math.exp(v)
         except OverflowError:
-            raise EntryOverflow(i, j, v) from None
+            a = math.inf
+        if not (sys.float_info.min <= a < math.inf):
+            raise EntryOverflow(i, j, v)
+        upper.append(a)
     return MultiplicativePCMatrix(b.n, tuple(upper))
 
 

@@ -191,7 +191,8 @@ def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> De
 
     A multiplicative start is converted once when scheme = additive (and an
     additive start once when scheme = multiplicative, raising EntryOverflow
-    for an entry exp cannot represent); select_direction runs before iterate 0.
+    for an entry whose exp is no positive normal float); select_direction
+    runs before iterate 0.
     Each iteration evaluates the raw iterate once, for the stop rule and the
     direction; the one matrix built is best_matrix.
     """

@@ -41,13 +41,18 @@ class NonFiniteEntry(ValidationError):
 class EntryOverflow(ValidationError):
     def __init__(self, i, j, value):
         self.i, self.j, self.value = i, j, value
-        super().__init__(f"additive entry ({i},{j}) = {value!r} overflows exp")
+        super().__init__(
+            f"additive entry ({i},{j}) = {value!r} has no multiplicative image: "
+            f"exp overflows or underflows"
+        )
 
 
 class BadDiagonal(ValidationError):
-    def __init__(self, i, value):
-        self.i, self.value = i, value
-        super().__init__(f"diagonal entry ({i},{i}) must be 1, got {value!r}")
+    """A full grid's diagonal entry is not the form's identity, 1 or 0."""
+
+    def __init__(self, i, value, expected):
+        self.i, self.value, self.expected = i, value, expected
+        super().__init__(f"diagonal entry ({i},{i}) must be {expected}, got {value!r}")
 
 
 class ReciprocityViolation(ValidationError):

@@ -8,8 +8,9 @@ optional headers before the data:
 
 With n= given the data is the strict upper triangle in row-major order
 (any line layout); without it the data must be a full n x n grid, one row
-per line, which is checked for unit diagonal and reciprocity (or zero
-diagonal and antisymmetry) to 1e-9 before the upper triangle is kept.
+per line.  Full grids exist only here: _grid_matrix checks one for unit
+diagonal and reciprocity (or zero diagonal and antisymmetry) to TAU_REC and
+keeps its upper triangle, the only part a PC matrix stores.
 
 Trace files are CSV-ish: a header row, one row per recorded iterate, and
 a short summary block.  Floats are written with repr so that reading a
@@ -27,13 +28,21 @@ from .core import (
     check_order,
     upper_pairs,
     upper_size,
-    validate_additive,
-    validate_multiplicative,
 )
 from .descent import STOP_REASONS, DescentResult
-from .errors import MatrixFileError
+from .errors import (
+    AntisymmetryViolation,
+    BadDiagonal,
+    MatrixFileError,
+    NonPositiveEntry,
+    ReciprocityViolation,
+)
 
 MODES = ("multiplicative", "additive")
+
+#: tolerance of a full grid's diagonal and of a_ij * a_ji = 1 (b_ij + b_ji = 0);
+#: the checks read not (residual <= TAU_REC), so a NaN residual fails them
+TAU_REC = 1e-9
 
 
 def _strip(line: str) -> str:
@@ -108,10 +117,35 @@ def parse_matrix_text(text: str):
             raise MatrixFileError(
                 f"grid is {n} rows but this row has {len(row)} entries", lineno
             )
-    grid = [row for _, row in rows]
-    if mode == "multiplicative":
-        return validate_multiplicative(n, grid)
-    return validate_additive(n, grid)
+    return _grid_matrix(n, [row for _, row in rows], mode == "multiplicative")
+
+
+def _grid_matrix(n: int, grid: list[list[float]], mult: bool):
+    """The matrix of a square float grid, kept as its upper triangle.
+
+    A multiplicative grid needs every entry positive, then a unit diagonal,
+    then a_ij * a_ji = 1; an additive grid a zero diagonal, then
+    b_ij + b_ji = 0; both within TAU_REC.  The lower triangle is then
+    discarded, never averaged in.
+    """
+    check_order(n)
+    if mult:
+        for i, row in enumerate(grid, start=1):
+            for j, v in enumerate(row, start=1):
+                if not (v > 0.0):
+                    raise NonPositiveEntry(i, j, v)
+    identity = 1 if mult else 0
+    for i in range(n):
+        if not (abs(grid[i][i] - identity) <= TAU_REC):
+            raise BadDiagonal(i + 1, grid[i][i], identity)
+    for i, j in upper_pairs(n):
+        a, b = grid[i - 1][j - 1], grid[j - 1][i - 1]
+        residual = abs(a * b - 1.0) if mult else abs(a + b)
+        if not (residual <= TAU_REC):
+            violation = ReciprocityViolation if mult else AntisymmetryViolation
+            raise violation(i, j, residual)
+    upper = tuple(grid[i - 1][j - 1] for i, j in upper_pairs(n))
+    return (MultiplicativePCMatrix if mult else AdditivePCMatrix)(n, upper)
 
 
 def read_matrix_file(path):

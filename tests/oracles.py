@@ -7,7 +7,21 @@ only to cross-check it.
 
 import math
 
-from pcreduce.core import MultiplicativePCMatrix, all_defects, log_upper, upper_pairs
+from pcreduce.core import (
+    AdditivePCMatrix,
+    MultiplicativePCMatrix,
+    all_defects,
+    check_order,
+    log_upper,
+    upper_index,
+    upper_pairs,
+)
+from pcreduce.errors import (
+    AntisymmetryViolation,
+    BadDiagonal,
+    NonPositiveEntry,
+    ReciprocityViolation,
+)
 
 
 def kii3(x: float, y: float, z: float) -> float:
@@ -26,9 +40,69 @@ def kii3_min_form(x: float, y: float, z: float) -> float:
     return 1.0 - min(r, 1.0 / r)
 
 
+def entry(m, i: int, j: int) -> float:
+    """Full-matrix entry (i,j) of either form, rebuilt from the stored triangle."""
+    mult = isinstance(m, MultiplicativePCMatrix)
+    if i == j:
+        return 1.0 if mult else 0.0
+    if i < j:
+        return m.upper[upper_index(m.n, i, j)]
+    x = m.upper[upper_index(m.n, j, i)]
+    return 1.0 / x if mult else -x
+
+
 def to_grid(m) -> list[list[float]]:
     """The full n x n matrix of either form, rebuilt entry by entry."""
-    return [[m.entry(i, j) for j in range(1, m.n + 1)] for i in range(1, m.n + 1)]
+    return [[entry(m, i, j) for j in range(1, m.n + 1)] for i in range(1, m.n + 1)]
+
+
+def grid_text(grid, mult: bool) -> str:
+    """Matrix-file text of a full grid, one row per line; the library writes only triangles."""
+    rows = "\n".join(" ".join(repr(x) for x in row) for row in grid)
+    return f"mode={'multiplicative' if mult else 'additive'}\n{rows}\n"
+
+
+# One full-grid validator per form, written apart from the library: the
+# reference that the file parser's one merged grid check is tested against.
+
+def validate_multiplicative(n: int, entries) -> MultiplicativePCMatrix:
+    """Validate a full n x n grid and strip it to the canonical triangle."""
+    check_order(n)
+    grid = [[float(x) for x in row] for row in entries]
+    if len(grid) != n or any(len(row) != n for row in grid):
+        raise ValueError(f"expected an {n}x{n} grid")
+    for i in range(n):
+        for j in range(n):
+            if not (grid[i][j] > 0.0):
+                raise NonPositiveEntry(i + 1, j + 1, grid[i][j])
+    for i in range(n):
+        if not (abs(grid[i][i] - 1.0) <= 1e-9):
+            raise BadDiagonal(i + 1, grid[i][i], 1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            residual = abs(grid[i][j] * grid[j][i] - 1.0)
+            if not (residual <= 1e-9):
+                raise ReciprocityViolation(i + 1, j + 1, residual)
+    upper = tuple(grid[i - 1][j - 1] for i, j in upper_pairs(n))
+    return MultiplicativePCMatrix(n, upper)
+
+
+def validate_additive(n: int, entries) -> AdditivePCMatrix:
+    """Validate a full antisymmetric grid (zero diagonal, b_ji = -b_ij)."""
+    check_order(n)
+    grid = [[float(x) for x in row] for row in entries]
+    if len(grid) != n or any(len(row) != n for row in grid):
+        raise ValueError(f"expected an {n}x{n} grid")
+    for i in range(n):
+        if not (abs(grid[i][i]) <= 1e-9):
+            raise BadDiagonal(i + 1, grid[i][i], 0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            residual = abs(grid[i][j] + grid[j][i])
+            if not (residual <= 1e-9):
+                raise AntisymmetryViolation(i + 1, j + 1, residual)
+    upper = tuple(grid[i - 1][j - 1] for i, j in upper_pairs(n))
+    return AdditivePCMatrix(n, upper)
 
 
 def is_consistent(m: MultiplicativePCMatrix, tol: float = 0.0) -> bool:
@@ -52,7 +126,7 @@ def gmm_priority_vector(m: MultiplicativePCMatrix) -> tuple[float, ...]:
     n = m.n
     # geometric means via log-sums to avoid overflow across large entries
     logs = [
-        math.fsum(math.log(m.entry(i, j)) for j in range(1, n + 1)) / n
+        math.fsum(math.log(entry(m, i, j)) for j in range(1, n + 1)) / n
         for i in range(1, n + 1)
     ]
     shift = max(logs)

@@ -25,6 +25,8 @@ B3_TEXT = "mode=additive\nn=3\n-2 3 1\n"
 HOLE_TEXT = "mode=multiplicative\nn=4\n2 4 1\n2 1\n1\n"
 BAD_GRID_TEXT = "1 2 4\n0.6 1 2\n0.25 0.5 1\n"
 HUGE_TEXT = "mode=additive\nn=3\n800 1 1\n"
+TINY_TEXT = "mode=additive\nn=3\n-800 1 1\n"
+SUBNORMAL_TEXT = "mode=additive\nn=3\n-709 1 1\n"
 
 
 def pcreduce(*args):
@@ -42,7 +44,8 @@ def files(tmp_path_factory):
     paths = {}
     for name, text in [("a3", A3_TEXT), ("a4", A4_TEXT), ("b3", B3_TEXT),
                        ("hole", HOLE_TEXT), ("bad", BAD_GRID_TEXT),
-                       ("huge", HUGE_TEXT)]:
+                       ("huge", HUGE_TEXT), ("tiny", TINY_TEXT),
+                       ("subnormal", SUBNORMAL_TEXT)]:
         p = d / f"{name}.txt"
         p.write_text(text)
         paths[name] = str(p)
@@ -183,11 +186,13 @@ class TestReduce:
         assert r.returncode == 0
 
     def test_additive_entry_overflowing_exp_is_validation_error(self, files):
-        # e^800 is not a float: the multiplicative scheme cannot start here
-        r = pcreduce("reduce", files["huge"], "--h", "0.1", "--l", "0.001")
-        assert r.returncode == 1
-        assert "(1,2)" in r.stderr
-        assert "Traceback" not in r.stderr
+        # e^800 is not a float, e^-800 is 0.0 and e^-709 subnormal: the
+        # multiplicative scheme cannot start at any of them
+        for name, value in [("huge", "800"), ("tiny", "-800"), ("subnormal", "-709")]:
+            r = pcreduce("reduce", files[name], "--h", "0.1", "--l", "0.001")
+            assert r.returncode == 1
+            assert f"additive entry (1,2) = {value}.0 " in r.stderr
+            assert "Traceback" not in r.stderr
 
     def test_bad_h_is_usage_error(self, files):
         r = pcreduce("reduce", files["a3"], "--h", "-0.1", "--l", "0.001")

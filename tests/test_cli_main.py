@@ -1,14 +1,16 @@
 """In-process CLI tests: call cli.main and capture what it prints."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcreduce.cli import main
+from pcreduce.cli import build_parser, main
 from pcreduce.core import upper_size
+from pcreduce.descent import DescentConfig
 from pcreduce.repro import START3_ADD, START3_MULT, START4_MULT
 
 #: the bundled reference starts, as (mode, order, upper triangle)
@@ -109,3 +111,11 @@ def test_any_edge_invocation_exits_cleanly(workdir, invocation):
     path.write_text(text)
     code, _ = call([argv[0], str(path), *argv[1:]])
     assert code in (0, 1, 2)
+
+
+def test_reduce_defaults_are_the_descent_config_defaults():
+    args = build_parser().parse_args(["reduce", "m.txt", "--h", "0.1"])
+    defaults = {f.name: f.default for f in dataclasses.fields(DescentConfig)
+                if f.default is not dataclasses.MISSING}
+    assert set(defaults) == {"scheme", "gradient", "l", "eps", "max_iter", "stall_window"}
+    assert {name: getattr(args, name) for name in defaults} == defaults

@@ -14,19 +14,26 @@ from pcreduce.core import (
     upper_index,
     upper_pairs,
     upper_size,
-    validate_additive,
-    validate_multiplicative,
 )
 from pcreduce.errors import (
     AntisymmetryViolation,
     BadDiagonal,
+    EntryOverflow,
     NonFiniteEntry,
     NonPositiveEntry,
     OrderTooSmall,
     ReciprocityViolation,
 )
+from pcreduce.matrixio import parse_matrix_text
 
-from oracles import consistent_from_weights, gmm_priority_vector, is_consistent, to_grid
+from oracles import (
+    consistent_from_weights,
+    entry,
+    gmm_priority_vector,
+    grid_text,
+    is_consistent,
+    to_grid,
+)
 
 # the worked 3x3 and 4x4 starts used throughout
 A3 = (math.exp(-2.0), math.exp(3.0), math.exp(1.0))
@@ -65,9 +72,9 @@ class TestUpperIndexing:
 class TestMultiplicativeMatrix:
     def test_entries_and_reciprocals(self):
         m = MultiplicativePCMatrix(3, (2.0, 4.0, 2.0))
-        assert m.entry(1, 2) == 2.0
-        assert m.entry(2, 1) == 0.5
-        assert m.entry(2, 2) == 1.0
+        assert entry(m, 1, 2) == 2.0
+        assert entry(m, 2, 1) == 0.5
+        assert entry(m, 2, 2) == 1.0
         grid = to_grid(m)
         assert grid[0] == [1.0, 2.0, 4.0]
         assert grid[2] == [0.25, 0.5, 1.0]
@@ -96,9 +103,9 @@ class TestMultiplicativeMatrix:
 class TestAdditiveMatrix:
     def test_antisymmetric_entries(self):
         b = AdditivePCMatrix(3, (-2.0, 3.0, 1.0))
-        assert b.entry(2, 1) == 2.0
-        assert b.entry(1, 2) == -2.0
-        assert b.entry(3, 3) == 0.0
+        assert entry(b, 2, 1) == 2.0
+        assert entry(b, 1, 2) == -2.0
+        assert entry(b, 3, 3) == 0.0
 
     def test_rejects_nonfinite(self):
         for bad in (math.inf, -math.inf, math.nan):
@@ -108,9 +115,11 @@ class TestAdditiveMatrix:
 
 
 class TestGridValidation:
+    """Full grids are a file format; core keeps only the triangle they reduce to."""
+
     def test_good_grid(self):
         grid = [[1.0, 2.0, 4.0], [0.5, 1.0, 2.0], [0.25, 0.5, 1.0]]
-        m = validate_multiplicative(3, grid)
+        m = parse_matrix_text(grid_text(grid, True))
         assert m.upper == (2.0, 4.0, 2.0)
 
     def test_upper_triangle_wins_within_tolerance(self):
@@ -118,36 +127,36 @@ class TestGridValidation:
         # value is the upper entry, never an average of the two
         grid = [[1.0, 2.0, 4.0], [0.5 * (1 + 5e-10), 1.0, 2.0],
                 [0.25, 0.5, 1.0]]
-        m = validate_multiplicative(3, grid)
+        m = parse_matrix_text(grid_text(grid, True))
         assert m.upper[0] == 2.0
 
     def test_bad_diagonal(self):
         grid = [[1.0, 2.0, 4.0], [0.5, 1.1, 2.0], [0.25, 0.5, 1.0]]
         with pytest.raises(BadDiagonal) as err:
-            validate_multiplicative(3, grid)
+            parse_matrix_text(grid_text(grid, True))
         assert err.value.i == 2
 
     def test_reciprocity_violation_names_pair(self):
         grid = [[1.0, 2.0, 4.0], [0.6, 1.0, 2.0], [0.25, 0.5, 1.0]]
         with pytest.raises(ReciprocityViolation) as err:
-            validate_multiplicative(3, grid)
+            parse_matrix_text(grid_text(grid, True))
         assert (err.value.i, err.value.j) == (1, 2)
         assert err.value.residual == pytest.approx(0.2)
 
     def test_nonpositive_entry_rejected_first(self):
         grid = [[1.0, -2.0, 4.0], [0.5, 1.0, 2.0], [0.25, 0.5, 1.0]]
         with pytest.raises(NonPositiveEntry):
-            validate_multiplicative(3, grid)
+            parse_matrix_text(grid_text(grid, True))
 
     def test_additive_grid(self):
         grid = [[0.0, -2.0, 3.0], [2.0, 0.0, 1.0], [-3.0, -1.0, 0.0]]
-        b = validate_additive(3, grid)
+        b = parse_matrix_text(grid_text(grid, False))
         assert b.upper == (-2.0, 3.0, 1.0)
 
     def test_antisymmetry_violation(self):
         grid = [[0.0, -2.0, 3.0], [2.1, 0.0, 1.0], [-3.0, -1.0, 0.0]]
         with pytest.raises(AntisymmetryViolation) as err:
-            validate_additive(3, grid)
+            parse_matrix_text(grid_text(grid, False))
         assert (err.value.i, err.value.j) == (1, 2)
 
 
@@ -159,12 +168,21 @@ class TestConversions:
         for a, b in zip(m.upper, back.upper):
             assert b == pytest.approx(a, rel=1e-12)
 
+    def test_exp_outside_the_normal_floats_names_the_entry(self):
+        # e^-709 is subnormal and e^-800 is 0.0: neither is a usable a_ij
+        for v in (800.0, 709.8, -709.0, -800.0):
+            with pytest.raises(EntryOverflow) as err:
+                to_multiplicative(AdditivePCMatrix(3, (0.0, 0.0, v)))
+            assert (err.value.i, err.value.j, err.value.value) == (2, 3, v)
+        b = AdditivePCMatrix(3, (-708.0, 709.0, 0.0))
+        assert to_multiplicative(b).upper == (math.exp(-708.0), math.exp(709.0), 1.0)
+
     @given(st.lists(log_entries, min_size=3, max_size=3))
     def test_additive_image_is_antisymmetric(self, logs):
         b = to_additive(random_mult(3, logs))
         for i in range(1, 4):
             for j in range(1, 4):
-                assert b.entry(i, j) == -b.entry(j, i)
+                assert entry(b, i, j) == -entry(b, j, i)
 
 
 class TestTriads:
@@ -202,7 +220,7 @@ class TestConsistency:
     def test_from_weights_is_consistent(self):
         m = consistent_from_weights((1.0, 2.0, 4.0, 8.0))
         assert is_consistent(m, tol=1e-12)
-        assert m.entry(1, 4) == pytest.approx(0.125)
+        assert entry(m, 1, 4) == pytest.approx(0.125)
 
     def test_inconsistent_detected(self):
         assert not is_consistent(MultiplicativePCMatrix(3, A3), tol=1e-6)

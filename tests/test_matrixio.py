@@ -1,10 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcreduce.core import AdditivePCMatrix, MultiplicativePCMatrix, upper_pairs, upper_size
-from pcreduce.descent import DescentConfig, run
+from pcreduce.descent import STOP_REASONS, DescentConfig, run
 from pcreduce.errors import (
     AntisymmetryViolation,
     BadDiagonal,
@@ -24,6 +24,8 @@ from pcreduce.matrixio import (
     write_matrix_file,
     write_trace_file,
 )
+
+from oracles import grid_text, validate_additive, validate_multiplicative
 
 A3 = MultiplicativePCMatrix(3, (math.exp(-2.0), math.exp(3.0), math.exp(1.0)))
 
@@ -53,6 +55,7 @@ TRACE_KEYS = st.sampled_from(["0", "1", "x", "", "stop_reason", "best_iter",
 
 
 TRACE_FIELDS = st.one_of(NUMBERS, st.sampled_from(["stalled", "converged"]))
+TRACE_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 
 
 @st.composite
@@ -69,6 +72,58 @@ def trace_texts(draw):
         fields = draw(st.lists(TRACE_FIELDS, min_size=0, max_size=count + 2))
         lines.append(",".join([draw(TRACE_KEYS)] + fields))
     return "\n".join(lines)
+
+
+@st.composite
+def well_formed_traces(draw):
+    """Trace text laid out as format_trace writes it, with any rows and summary."""
+    prefix = draw(st.sampled_from(["a", "b"]))
+    n = draw(st.integers(min_value=3, max_value=5))
+    floats = st.lists(TRACE_FLOATS, min_size=upper_size(n), max_size=upper_size(n))
+    names = [f"{prefix}_{i}_{j}" for i, j in upper_pairs(n)]
+    lines = ["iteration,indicator," + ",".join(names)]
+    for it in range(draw(st.integers(min_value=0, max_value=4))):
+        lines.append(",".join([str(it), draw(TRACE_FLOATS)] + draw(floats)))
+    lines.append(f"stop_reason,{draw(st.sampled_from(STOP_REASONS))}")
+    lines.append(f"best_iter,{draw(st.integers(min_value=-1, max_value=10))}")
+    if draw(st.booleans()):
+        lines.append(f"best_indicator,{draw(TRACE_FLOATS)}")
+        lines.append(",".join(["best"] + draw(floats)))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def grids(draw):
+    """A reciprocal (or antisymmetric) grid of order 1 to 5 with a few entries
+    overwritten: bad diagonals, perturbed lower entries, 0, negatives, inf, nan."""
+    mult = draw(st.booleans())
+    n = draw(st.integers(min_value=1, max_value=5))
+    identity = 1.0 if mult else 0.0
+    grid = [[identity] * n for _ in range(n)]
+    for i, j in upper_pairs(n):
+        x = draw(st.floats(min_value=-5.0, max_value=5.0))
+        grid[i - 1][j - 1] = math.exp(x) if mult else x
+        grid[j - 1][i - 1] = math.exp(-x) if mult else -x
+    index = st.integers(0, n - 1)
+    cells = st.one_of(st.tuples(index, index), index.map(lambda k: (k, k)))
+    for i, j in draw(st.lists(cells, max_size=3)):
+        nudge = draw(st.sampled_from([5e-10, -5e-10, 2e-9, 1e-3]))
+        grid[i][j] = draw(st.one_of(
+            st.just(grid[i][j] * (1.0 + nudge) if mult else grid[i][j] + nudge),
+            st.just(identity + nudge),
+            st.sampled_from([0.0, -0.0, -1.0]),
+            st.sampled_from([math.inf, -math.inf, math.nan]),
+        ))
+    return mult, n, grid
+
+
+def outcome(parse, *args):
+    """A parsed matrix, or the error class with the fields that locate it."""
+    try:
+        return parse(*args)
+    except ValidationError as exc:
+        fields = ("n", "i", "j", "value", "residual")
+        return type(exc), {k: repr(getattr(exc, k)) for k in fields if hasattr(exc, k)}
 
 
 class TestParseMatrix:
@@ -162,6 +217,21 @@ class TestParseMatrix:
     def test_nan_additive_diagonal_rejected(self):
         with pytest.raises(BadDiagonal):
             parse_matrix_text("mode=additive\nnan 0 0\n0 0 0\n0 0 0\n")
+
+    def test_additive_bad_diagonal_names_zero(self):
+        with pytest.raises(BadDiagonal) as err:
+            parse_matrix_text("mode=additive\n0.5 1 2\n-1 0 3\n-2 -3 0\n")
+        assert (err.value.i, err.value.value) == (1, 0.5)
+        assert str(err.value) == "diagonal entry (1,1) must be 0, got 0.5"
+
+    @given(grids())
+    @example((False, 3, [[0.0, 1.0, 2.0], [math.nan, 0.0, 3.0], [-2.0, -3.0, 0.0]]))
+    @settings(max_examples=500)
+    def test_grid_check_matches_the_reference_validators(self, case):
+        mult, n, grid = case
+        reference = validate_multiplicative if mult else validate_additive
+        assert outcome(parse_matrix_text, grid_text(grid, mult)) == outcome(
+            reference, n, grid)
 
     @given(st.one_of(st.text(), matrix_texts()))
     @settings(max_examples=500)
@@ -266,7 +336,7 @@ class TestTraceFiles:
             parse_trace_text(text)
         assert err.value.line == line
 
-    @given(st.one_of(st.text(), trace_texts()))
+    @given(st.one_of(st.text(), trace_texts(), well_formed_traces()))
     @settings(max_examples=500)
     def test_any_text_gives_trace_or_file_error(self, text):
         try:
@@ -274,5 +344,6 @@ class TestTraceFiles:
         except MatrixFileError:
             return
         assert data.n >= 3
+        assert data.stop_reason in STOP_REASONS
         assert data.best_upper is None or len(data.best_upper) == upper_size(data.n)
         assert all(len(upper) == upper_size(data.n) for _, _, upper in data.records)
