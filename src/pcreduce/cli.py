@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .core import upper_pairs
 from .descent import (
@@ -55,16 +56,6 @@ def exponent(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def positive(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad number {text!r}") from None
-    if not (value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
-    return value
-
-
 def build_parser() -> Parser:
     parser = Parser(prog="pcreduce", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -80,8 +71,8 @@ def build_parser() -> Parser:
                     help="averaging exponent (decimal or inf; default 1)")
     gr.add_argument("--kind", choices=(ANALYTIC, DIFFERENCE), default=ANALYTIC,
                     help="analytic (instant) or forward difference")
-    gr.add_argument("--l", type=positive, default=1e-3,
-                    help="difference increment (default 1e-3)")
+    gr.add_argument("--l", type=float, default=DescentConfig.l,
+                    help="difference increment (default %(default)g)")
 
     rd = sub.add_parser("reduce", help="descend to a less inconsistent matrix")
     rd.add_argument("matrix", help="matrix file")
@@ -91,10 +82,10 @@ def build_parser() -> Parser:
                     default=DescentConfig.scheme)
     rd.add_argument("--gradient", choices=(ANALYTIC, DIFFERENCE),
                     default=DescentConfig.gradient)
-    rd.add_argument("--h", type=positive, required=True, help="step length")
-    rd.add_argument("--l", type=positive, default=DescentConfig.l,
-                    help="difference increment (required with --gradient difference)")
-    rd.add_argument("--eps", type=positive, default=DescentConfig.eps,
+    rd.add_argument("--h", type=float, required=True, help="step length in (0, inf)")
+    rd.add_argument("--l", type=float, default=DescentConfig.l,
+                    help="difference increment (default %(default)g)")
+    rd.add_argument("--eps", type=float, default=DescentConfig.eps,
                     help="convergence threshold in (0, 1) (default %(default)g)")
     rd.add_argument("--max-iter", type=int, default=DescentConfig.max_iter)
     rd.add_argument("--stall-window", type=int, default=DescentConfig.stall_window)
@@ -125,26 +116,18 @@ def cmd_gradient(args) -> int:
 
 def cmd_reduce(args) -> int:
     m = read_matrix_file(args.matrix)
-    cfg = DescentConfig(
-        p=args.p,
-        h=args.h,
-        scheme=args.scheme,
-        gradient=args.gradient,
-        l=args.l,
-        eps=args.eps,
-        max_iter=args.max_iter,
-        stall_window=args.stall_window,
-    )
+    # the reduce options are named after the DescentConfig fields
+    cfg = DescentConfig(**{f.name: getattr(args, f.name) for f in fields(DescentConfig)})
     result = run(m, cfg)
     print(f"stop_reason {result.stop_reason}")
     print(f"best_iter {result.best_iter}")
     if result.best_matrix is not None:
         print(f"best_indicator {result.best_indicator:.6f}")
-        names = upper_entry_names(m.n, args.scheme)
+        names = upper_entry_names(result.n, result.scheme)
         for name, x in zip(names, result.best_matrix.upper):
             print(f"{name} {x:.6f}")
     if args.trace is not None:
-        write_trace_file(args.trace, result, m.n, args.scheme)
+        write_trace_file(args.trace, result)
     if args.out is not None and result.best_matrix is not None:
         write_matrix_file(args.out, result.best_matrix)
     if result.stop_reason in (STOP_UNDEFINED, STOP_POSITIVITY):

@@ -14,9 +14,11 @@ A run records every iterate and stops on the first of
   max_iter             iteration cap reached,
   indicator_undefined  indicator or direction evaluation failed
                        (typically p < 0 falling into the consistent hole),
-  positivity_failure   a step could not preserve positivity.
+  positivity_failure   the step could not keep the iterate in the scheme's
+                       domain (positive, finite).
 The best iterate (first attainment of the minimum recorded indicator, the
-"best rank n") is returned regardless of the stop reason.
+"best rank n") is returned regardless of the stop reason.  The result knows
+its order and scheme; a trace file (matrixio) is its text form.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .core import (
     to_multiplicative,
     upper_pairs,
 )
-from .errors import EvaluationError, NonSmoothExponent, PositivityFailure
+from .errors import EvaluationError, NonSmoothExponent, PositivityFailure, ValidationError
 from .gradients import (
     difference_priority_vector,
     instant_pv3_add,
@@ -67,7 +69,7 @@ class DescentConfig:
     h: float
     scheme: str = MULTIPLICATIVE
     gradient: str = DIFFERENCE
-    l: float | None = None
+    l: float | None = 1e-3
     eps: float = 1e-4
     max_iter: int = 100000
     stall_window: int = 50
@@ -78,8 +80,8 @@ class DescentConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         # the kind and l; the smoothness of p needs the order, which run has
         select_direction(3, self.p, self.gradient, self.l)
-        if not (self.h > 0.0):
-            raise ValueError(f"step h must be > 0, got {self.h!r}")
+        if not (0.0 < self.h < math.inf):
+            raise ValueError(f"step h must be in (0, inf), got {self.h!r}")
         # K_p < 1, so an eps of 1 or more would stop every run at iterate 0
         if not (0.0 < self.eps < 1.0):
             raise ValueError(f"eps must be in (0, 1), got {self.eps!r}")
@@ -111,6 +113,10 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class DescentResult:
+    """One run: its order and scheme, trace, stop reason and best iterate."""
+
+    n: int
+    scheme: str
     best_iter: int
     best_matrix: MultiplicativePCMatrix | AdditivePCMatrix | None
     best_indicator: float | None
@@ -194,7 +200,8 @@ def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> De
     for an entry whose exp is no positive normal float); select_direction
     runs before iterate 0.
     Each iteration evaluates the raw iterate once, for the stop rule and the
-    direction; the one matrix built is best_matrix.
+    direction; the one matrix built is best_matrix.  A step that its guard
+    (halving, then check_entries) rejects ends the run with positivity_failure.
     """
     if cfg.scheme == ADDITIVE:
         mat = to_additive(m0) if isinstance(m0, MultiplicativePCMatrix) else m0
@@ -249,13 +256,15 @@ def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> De
                 clamps.extend(ClampEvent(it, i, j, hv) for i, j, hv in raw)
             else:
                 upper = step_additive(n, upper, v, cfg.h)
-        except PositivityFailure:
+        except (PositivityFailure, ValidationError):
             stop = STOP_POSITIVITY
             break
         it += 1
 
     best_matrix = None if best_upper is None else mat.replace_upper(best_upper)
     return DescentResult(
+        n=n,
+        scheme=cfg.scheme,
         best_iter=best_iter,
         best_matrix=best_matrix,
         best_indicator=None if best_upper is None else best_ii,

@@ -12,14 +12,15 @@ per line.  Full grids exist only here: _grid_matrix checks one for unit
 diagonal and reciprocity (or zero diagonal and antisymmetry) to TAU_REC and
 keeps its upper triangle, the only part a PC matrix stores.
 
-Trace files are CSV-ish: a header row, one row per recorded iterate, and
-a short summary block.  Floats are written with repr so that reading a
-file back reproduces the run bit for bit.
+Trace files are the text form of a descent.DescentResult, CSV-ish: a
+header row naming the entries, one row per recorded iterate, and a short
+summary block.  Floats are written with repr, so reading a file back gives
+the DescentResult it was written from, bit for bit, less the direction
+norms and clamp events that the file does not hold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .core import (
@@ -29,16 +30,25 @@ from .core import (
     upper_pairs,
     upper_size,
 )
-from .descent import STOP_REASONS, DescentResult
+from .descent import (
+    ADDITIVE,
+    MULTIPLICATIVE,
+    STOP_REASONS,
+    DescentResult,
+    IterationTrace,
+    TraceRecord,
+)
 from .errors import (
     AntisymmetryViolation,
     BadDiagonal,
     MatrixFileError,
     NonPositiveEntry,
     ReciprocityViolation,
+    ValidationError,
 )
 
-MODES = ("multiplicative", "additive")
+#: the matrix class of each mode (the descent's scheme names)
+MATRIX_CLASSES = {MULTIPLICATIVE: MultiplicativePCMatrix, ADDITIVE: AdditivePCMatrix}
 
 #: tolerance of a full grid's diagonal and of a_ij * a_ji = 1 (b_ij + b_ji = 0);
 #: the checks read not (residual <= TAU_REC), so a NaN residual fails them
@@ -68,7 +78,7 @@ def parse_matrix_text(text: str):
             if key == "mode":
                 if mode is not None:
                     raise MatrixFileError("duplicate mode header", lineno)
-                if value not in MODES:
+                if value not in MATRIX_CLASSES:
                     raise MatrixFileError(f"unknown mode {value!r}", lineno)
                 mode = value
             elif key == "n":
@@ -84,7 +94,7 @@ def parse_matrix_text(text: str):
             continue
         data_lines.append((lineno, line))
     if mode is None:
-        mode = "multiplicative"
+        mode = MULTIPLICATIVE
     if not data_lines:
         raise MatrixFileError("no matrix data")
 
@@ -107,9 +117,7 @@ def parse_matrix_text(text: str):
                 f"got {len(values)}",
                 data_lines[-1][0],
             )
-        if mode == "multiplicative":
-            return MultiplicativePCMatrix(order, values)
-        return AdditivePCMatrix(order, values)
+        return MATRIX_CLASSES[mode](order, values)
 
     n = len(rows)
     for lineno, row in rows:
@@ -117,10 +125,10 @@ def parse_matrix_text(text: str):
             raise MatrixFileError(
                 f"grid is {n} rows but this row has {len(row)} entries", lineno
             )
-    return _grid_matrix(n, [row for _, row in rows], mode == "multiplicative")
+    return _grid_matrix(n, [row for _, row in rows], mode)
 
 
-def _grid_matrix(n: int, grid: list[list[float]], mult: bool):
+def _grid_matrix(n: int, grid: list[list[float]], mode: str):
     """The matrix of a square float grid, kept as its upper triangle.
 
     A multiplicative grid needs every entry positive, then a unit diagonal,
@@ -129,6 +137,7 @@ def _grid_matrix(n: int, grid: list[list[float]], mult: bool):
     discarded, never averaged in.
     """
     check_order(n)
+    mult = mode == MULTIPLICATIVE
     if mult:
         for i, row in enumerate(grid, start=1):
             for j, v in enumerate(row, start=1):
@@ -145,7 +154,7 @@ def _grid_matrix(n: int, grid: list[list[float]], mult: bool):
             violation = ReciprocityViolation if mult else AntisymmetryViolation
             raise violation(i, j, residual)
     upper = tuple(grid[i - 1][j - 1] for i, j in upper_pairs(n))
-    return (MultiplicativePCMatrix if mult else AdditivePCMatrix)(n, upper)
+    return MATRIX_CLASSES[mode](n, upper)
 
 
 def read_matrix_file(path):
@@ -155,7 +164,7 @@ def read_matrix_file(path):
 
 def format_matrix(m) -> str:
     """Render a matrix in upper-triangle file form (round-trips via repr)."""
-    mode = "additive" if isinstance(m, AdditivePCMatrix) else "multiplicative"
+    mode = ADDITIVE if isinstance(m, AdditivePCMatrix) else MULTIPLICATIVE
     lines = [f"mode={mode}", f"n={m.n}"]
     pos = 0
     for i in range(1, m.n):
@@ -173,20 +182,19 @@ def write_matrix_file(path, m) -> None:
 
 def upper_entry_names(n: int, mode: str) -> tuple[str, ...]:
     """Upper-entry names a_i_j (b_i_j in additive mode), in storage order."""
-    prefix = "b" if mode == "additive" else "a"
+    prefix = "b" if mode == ADDITIVE else "a"
     return tuple(f"{prefix}_{i}_{j}" for i, j in upper_pairs(n))
 
 
-def format_trace(result: DescentResult, n: int, mode: str) -> str:
-    """Render a descent result as a trace file.
+def format_trace(result: DescentResult) -> str:
+    """Render a descent result as a trace file, the text form of the run.
 
-    Rows carry the iterate and its indicator; the summary block carries the
-    stop reason and the best iterate.  Direction norms and clamp events stay
-    on the in-memory trace only.
+    The header names the entries of result.n in result.scheme's prefix, the
+    rows carry each iterate and its indicator, and the summary block carries
+    the stop reason and the best iterate.  Direction norms and clamp events
+    stay on the in-memory trace only.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    out = ["iteration,indicator," + ",".join(upper_entry_names(n, mode))]
+    out = ["iteration,indicator," + ",".join(upper_entry_names(result.n, result.scheme))]
     for rec in result.trace.records:
         out.append(
             f"{rec.iteration},{repr(rec.indicator)},"
@@ -200,32 +208,24 @@ def format_trace(result: DescentResult, n: int, mode: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def write_trace_file(path, result: DescentResult, n: int, mode: str) -> None:
+def write_trace_file(path, result: DescentResult) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        f.write(format_trace(result, n, mode))
-
-
-@dataclass(frozen=True)
-class TraceData:
-    n: int
-    mode: str
-    records: tuple[tuple[int, float, tuple[float, ...]], ...]
-    stop_reason: str
-    best_iter: int
-    best_indicator: float | None
-    best_upper: tuple[float, ...] | None
+        f.write(format_trace(result))
 
 
 #: summary keys of a trace file with one value each, and their types
 SUMMARY_FIELDS = {"stop_reason": str, "best_iter": int, "best_indicator": float}
 
 
-def parse_trace_text(text: str) -> TraceData:
-    """Read a trace file back; exact inverse of format_trace.
+def parse_trace_text(text: str) -> DescentResult:
+    """Read a trace file back as the DescentResult it was written from.
 
-    The header must name the entries as format_trace does and the stop
-    reason must be one descent.run reports; any other text raises
-    MatrixFileError naming the offending line.
+    The inverse of format_trace up to what a file does not hold: every
+    record's direction_norm is None and there are no clamp events.  The
+    header must name the entries as format_trace does, the stop reason must
+    be one descent.run reports, and best_indicator and best come together,
+    best being a valid triangle of the header's scheme.  Any other text
+    raises MatrixFileError naming the offending line.
     """
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or not lines[0][1].startswith("iteration,indicator,"):
@@ -238,14 +238,15 @@ def parse_trace_text(text: str) -> TraceData:
         raise MatrixFileError(
             f"{count} entry columns fit no matrix order >= 3", header_no
         )
-    mode = "additive" if names[0].startswith("b_") else "multiplicative"
-    if tuple(names) != upper_entry_names(n, mode):
+    scheme = ADDITIVE if names[0].startswith("b_") else MULTIPLICATIVE
+    if tuple(names) != upper_entry_names(n, scheme):
         raise MatrixFileError(
-            "entry columns must be " + ",".join(upper_entry_names(n, mode)), header_no
+            "entry columns must be " + ",".join(upper_entry_names(n, scheme)), header_no
         )
 
     records = []
     summary = {}
+    where = {}
     for lineno, line in lines[1:]:
         key, *fields = line.split(",")
         width = 1 if key in SUMMARY_FIELDS else count if key == "best" else count + 1
@@ -257,27 +258,32 @@ def parse_trace_text(text: str) -> TraceData:
             if key in SUMMARY_FIELDS:
                 summary[key] = SUMMARY_FIELDS[key](fields[0])
             elif key == "best":
-                summary[key] = tuple(map(float, fields))
+                summary[key] = MATRIX_CLASSES[scheme](n, tuple(map(float, fields)))
             else:
                 upper = tuple(map(float, fields[1:]))
-                records.append((int(key), float(fields[0]), upper))
-        except ValueError:
-            raise MatrixFileError(f"bad trace row {line!r}", lineno) from None
+                records.append(TraceRecord(int(key), upper, float(fields[0]), None))
+                continue
+        except (ValueError, ValidationError) as exc:
+            raise MatrixFileError(f"bad trace row {line!r}: {exc}", lineno) from None
+        where[key] = lineno
         if key == "stop_reason" and summary[key] not in STOP_REASONS:
             raise MatrixFileError(f"unknown stop reason {summary[key]!r}", lineno)
     if "stop_reason" not in summary or "best_iter" not in summary:
         raise MatrixFileError("trace file is missing its summary block", lines[-1][0])
-    return TraceData(
+    lone = [where[key] for key in ("best", "best_indicator") if key in summary]
+    if len(lone) == 1:
+        raise MatrixFileError("best and best_indicator come only together", lone[0])
+    return DescentResult(
         n=n,
-        mode=mode,
-        records=tuple(records),
-        stop_reason=summary["stop_reason"],
+        scheme=scheme,
         best_iter=summary["best_iter"],
+        best_matrix=summary.get("best"),
         best_indicator=summary.get("best_indicator"),
-        best_upper=summary.get("best"),
+        stop_reason=summary["stop_reason"],
+        trace=IterationTrace(tuple(records)),
     )
 
 
-def read_trace_file(path) -> TraceData:
+def read_trace_file(path) -> DescentResult:
     with open(path, encoding="utf-8") as f:
         return parse_trace_text(f.read())

@@ -226,9 +226,7 @@ def run_all(outdir=None, echo=None):
         oc = run_row(row)
         outcomes.append(oc)
         if outdir is not None:
-            write_trace_file(
-                outdir / f"{row.label}.trace", oc.result, row.n, row.scheme
-            )
+            write_trace_file(outdir / f"{row.label}.trace", oc.result)
         if echo is not None:
             maxdev = "-" if oc.entry_devs is None else f"{max(oc.entry_devs):.6f}"
             echo(

@@ -27,6 +27,8 @@ BAD_GRID_TEXT = "1 2 4\n0.6 1 2\n0.25 0.5 1\n"
 HUGE_TEXT = "mode=additive\nn=3\n800 1 1\n"
 TINY_TEXT = "mode=additive\nn=3\n-800 1 1\n"
 SUBNORMAL_TEXT = "mode=additive\nn=3\n-709 1 1\n"
+# a step of 1e307 along this start's direction overflows entry (1,2)
+OVERFLOW_TEXT = "mode=additive\nn=4\n1 2 0.5 1.000000001 3 -1\n"
 
 
 def pcreduce(*args):
@@ -45,7 +47,7 @@ def files(tmp_path_factory):
     for name, text in [("a3", A3_TEXT), ("a4", A4_TEXT), ("b3", B3_TEXT),
                        ("hole", HOLE_TEXT), ("bad", BAD_GRID_TEXT),
                        ("huge", HUGE_TEXT), ("tiny", TINY_TEXT),
-                       ("subnormal", SUBNORMAL_TEXT)]:
+                       ("subnormal", SUBNORMAL_TEXT), ("overflow", OVERFLOW_TEXT)]:
         p = d / f"{name}.txt"
         p.write_text(text)
         paths[name] = str(p)
@@ -161,9 +163,20 @@ class TestReduce:
         assert r.returncode == 0
         assert "b_1_2 " in r.stdout
 
-    def test_missing_l_for_difference(self, files):
+    def test_l_defaults_for_difference(self, files):
+        # the difference direction is the default and so is its increment
         r = pcreduce("reduce", files["a3"], "--h", "0.1")
-        assert r.returncode == 1
+        assert r.returncode == 0, r.stderr
+        assert "stop_reason converged" in r.stdout
+
+    def test_step_overflow_is_positivity_failure(self, files):
+        # h * w_1_2 overflows: the run stops and prints its best iterate
+        r = pcreduce("reduce", files["overflow"], "--scheme", "additive",
+                     "--p", "0.5", "--l", "1e-6", "--h", "1e307")
+        assert r.returncode == 2
+        assert "stop_reason positivity_failure" in r.stdout
+        assert "b_1_2 1.000000" in r.stdout
+        assert r.stderr == ""
 
     def test_indicator_hole_exits_two(self, files):
         r = pcreduce("reduce", files["hole"], "--p", "-1",

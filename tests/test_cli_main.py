@@ -119,3 +119,5 @@ def test_reduce_defaults_are_the_descent_config_defaults():
                 if f.default is not dataclasses.MISSING}
     assert set(defaults) == {"scheme", "gradient", "l", "eps", "max_iter", "stall_window"}
     assert {name: getattr(args, name) for name in defaults} == defaults
+    # gradient's difference increment is the same default
+    assert build_parser().parse_args(["gradient", "m.txt"]).l == defaults["l"]

@@ -56,7 +56,7 @@ class TestConfig:
         c = DescentConfig(p=2.0, h=0.1, gradient=ANALYTIC)
         assert c.eps == 1e-4
         assert c.stall_window == 50
-        assert c.l is None
+        assert c.l == 1e-3
 
     @pytest.mark.parametrize("bad", [{"scheme": "geometric"},
                                      {"gradient": "exact"},
@@ -67,7 +67,8 @@ class TestConfig:
                                      {"stall_window": 0},
                                      {"eps": 1.0},
                                      {"eps": 700.0},
-                                     {"eps": math.inf}])
+                                     {"eps": math.inf},
+                                     {"h": math.inf}])
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(ValueError):
             cfg(**bad)
@@ -162,6 +163,15 @@ class TestRunStops:
         res = run(A4, cfg(h=1e30))
         assert res.stop_reason == STOP_POSITIVITY
         assert res.best_matrix is not None
+
+    def test_step_overflow_ends_with_positivity_failure(self):
+        # h * w_1_2 overflows to -inf: check_entries rejects the new iterate,
+        # and the run keeps iterate 0 instead of raising NonFiniteEntry
+        m = AdditivePCMatrix(4, (1.0, 2.0, 0.5, 1.000000001, 3.0, -1.0))
+        res = run(m, cfg(scheme=ADDITIVE, p=0.5, l=1e-6, h=1e307))
+        assert res.stop_reason == STOP_POSITIVITY
+        assert res.best_iter == 0
+        assert res.best_matrix == m
 
     def test_undefined_at_start_returns_empty_result(self):
         # one exactly consistent triad puts p = -1 in its hole immediately

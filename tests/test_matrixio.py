@@ -1,10 +1,18 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pcreduce.core import AdditivePCMatrix, MultiplicativePCMatrix, upper_pairs, upper_size
-from pcreduce.descent import STOP_REASONS, DescentConfig, run
+from pcreduce.descent import (
+    ADDITIVE,
+    MULTIPLICATIVE,
+    STOP_REASONS,
+    DescentConfig,
+    IterationTrace,
+    run,
+)
 from pcreduce.errors import (
     AntisymmetryViolation,
     BadDiagonal,
@@ -268,47 +276,67 @@ def result():
     return run(A3, cfg)
 
 
+def as_written(result):
+    """result as its trace file holds it: no direction norms, no clamp events."""
+    records = tuple(rec._replace(direction_norm=None) for rec in result.trace.records)
+    return dataclasses.replace(result, trace=IterationTrace(records))
+
+
+# triad (1,2,3) exactly consistent: p = -1 is undefined at iterate 0
+HOLE4 = (math.log(2.0), math.log(4.0), 0.0, math.log(2.0), 0.0, 0.0)
+
+
+@st.composite
+def descent_runs(draw):
+    """(scheme, p, n, start logs, h) of a short difference-direction run."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    logs = draw(st.lists(st.one_of(st.integers(-3, 3).map(float),
+                                   st.floats(min_value=-4.0, max_value=4.0)),
+                         min_size=upper_size(n), max_size=upper_size(n)))
+    return (draw(st.sampled_from([MULTIPLICATIVE, ADDITIVE])),
+            draw(st.sampled_from([2.0, 1.0, math.inf, 0.5, -1.0])),
+            n, tuple(logs), draw(st.sampled_from([0.01, 0.1, 1.0, 10.0, 1e307])))
+
+
 class TestTraceFiles:
     def test_header_and_row_shape(self, result):
-        text = format_trace(result, 3, "multiplicative")
+        text = format_trace(result)
         lines = text.splitlines()
         assert lines[0] == "iteration,indicator,a_1_2,a_1_3,a_2_3"
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[2]) == A3.upper[0]
 
-    def test_additive_prefix(self, result):
-        text = format_trace(result, 3, "additive")
+    def test_additive_prefix(self):
+        res = run(A3, DescentConfig(p=1.0, h=0.1, scheme=ADDITIVE, max_iter=5))
+        text = format_trace(res)
         assert text.splitlines()[0] == "iteration,indicator,b_1_2,b_1_3,b_2_3"
 
     def test_summary_block(self, result):
-        text = format_trace(result, 3, "multiplicative")
+        text = format_trace(result)
         assert f"stop_reason,{result.stop_reason}" in text
         assert f"best_iter,{result.best_iter}" in text
 
     def test_round_trip_is_exact(self, result):
-        data = parse_trace_text(format_trace(result, 3, "multiplicative"))
+        data = parse_trace_text(format_trace(result))
         assert data.n == 3
-        assert data.mode == "multiplicative"
-        assert len(data.records) == len(result.trace.records)
-        for (it, ind, upper), rec in zip(data.records, result.trace.records):
-            assert it == rec.iteration
-            assert ind == rec.indicator
-            assert upper == rec.upper
-        assert data.stop_reason == result.stop_reason
-        assert data.best_iter == result.best_iter
-        assert data.best_indicator == result.best_indicator
-        assert data.best_upper == result.best_matrix.upper
+        assert data.scheme == MULTIPLICATIVE
+        assert data == as_written(result)
 
     def test_file_round_trip(self, result, tmp_path):
         path = tmp_path / "run.trace"
-        write_trace_file(path, result, 3, "multiplicative")
-        data = read_trace_file(path)
-        assert data.best_upper == result.best_matrix.upper
+        write_trace_file(path, result)
+        assert read_trace_file(path) == as_written(result)
 
-    def test_rejects_unknown_mode(self, result):
-        with pytest.raises(ValueError):
-            format_trace(result, 3, "geometric")
+    @given(descent_runs())
+    @example((MULTIPLICATIVE, -1.0, 4, HOLE4, 0.1))
+    @example((ADDITIVE, -1.0, 4, HOLE4, 0.1))
+    @settings(max_examples=120, deadline=None)
+    def test_real_runs_read_back_as_written(self, case):
+        scheme, p, n, logs, h = case
+        res = run(AdditivePCMatrix(n, logs), DescentConfig(
+            p=p, h=h, scheme=scheme, max_iter=30, stall_window=10))
+        assert parse_trace_text(format_trace(res)) == as_written(res)
 
     def test_rejects_non_trace_text(self):
         with pytest.raises(MatrixFileError):
@@ -329,8 +357,13 @@ class TestTraceFiles:
         ("iteration,indicator,q,b_1_3,zz\n0,0.9,1,2,3\nstop_reason,stalled\n"
          "best_iter,0\n", 1),
         (TRACE_HEAD + "stop_reason,x\nbest_iter,0\n", 3),
+        (TRACE_HEAD + "stop_reason,stalled\nbest_iter,0\nbest_indicator,0.9\n"
+         "best,0,-1,2\n", 6),
+        (TRACE_HEAD + "stop_reason,stalled\nbest_iter,0\nbest,1,2,3\n", 5),
+        (TRACE_HEAD + "stop_reason,stalled\nbest_indicator,0.9\nbest_iter,0\n", 4),
     ], ids=["order_two", "bad_best_iter", "bad_best_indicator", "empty_stop_reason",
-            "short_best_row", "bare_iteration", "wrong_entry_names", "unknown_stop_reason"])
+            "short_best_row", "bare_iteration", "wrong_entry_names", "unknown_stop_reason",
+            "nonpositive_best", "best_without_indicator", "indicator_without_best"])
     def test_malformed_trace_names_line(self, text, line):
         with pytest.raises(MatrixFileError) as err:
             parse_trace_text(text)
@@ -345,5 +378,9 @@ class TestTraceFiles:
             return
         assert data.n >= 3
         assert data.stop_reason in STOP_REASONS
-        assert data.best_upper is None or len(data.best_upper) == upper_size(data.n)
-        assert all(len(upper) == upper_size(data.n) for _, _, upper in data.records)
+        assert data.best_matrix is None or len(data.best_upper) == upper_size(data.n)
+        assert all(len(rec.upper) == upper_size(data.n) for rec in data.trace.records)
+        assert data.trace.clamp_events == ()
+        # format then parse is the identity on what parse returns
+        written = format_trace(data)
+        assert format_trace(parse_trace_text(written)) == written

@@ -19,6 +19,10 @@ from pcreduce.repro import (
 # change meant to alter outputs updates the hash and says why in CHANGES.md.
 SUMMARY_SHA256 = "7c5b197850233415e247e5079cd58b7a864707de5026bc6a4e8acd6cf1a6195b"
 
+# sha256 of the 16 trace files that run_all writes, concatenated in name
+# order (5,410,647 bytes); pinned like SUMMARY_SHA256.
+TRACES_SHA256 = "98aaf60d0c80d8360b6aee71cbc1962afc41c201e8212955f0fd3f5cb4a10518"
+
 
 class TestReferenceTable:
     def test_sixteen_rows_in_table_order(self):
@@ -69,6 +73,10 @@ class TestIdentity:
         run_all(outdir=tmp_path)
         digest = hashlib.sha256((tmp_path / "summary.csv").read_bytes()).hexdigest()
         assert digest == SUMMARY_SHA256
+        traces = hashlib.sha256()
+        for path in sorted(tmp_path.glob("*.trace")):
+            traces.update(path.read_bytes())
+        assert traces.hexdigest() == TRACES_SHA256
 
     def test_one_validated_matrix_per_iteration(self, monkeypatch):
         built = []
