@@ -36,12 +36,7 @@ from .core import (
     upper_pairs,
 )
 from .errors import EvaluationError, NonSmoothExponent, PositivityFailure, ValidationError
-from .gradients import (
-    difference_priority_vector,
-    instant_pv3_add,
-    instant_pv3_mult,
-    instant_pv_np,
-)
+from .gradients import difference_priority_vector, instant_pv_np
 from .indicators import INF, evaluate, normalize_exponent
 
 #: minimum running-min improvement that counts against the stall window
@@ -124,8 +119,8 @@ class DescentResult:
     trace: IterationTrace
 
     @property
-    def best_upper(self) -> tuple[float, ...]:
-        return self.best_matrix.upper
+    def best_upper(self) -> tuple[float, ...] | None:
+        return None if self.best_matrix is None else self.best_matrix.upper
 
 
 def step_multiplicative(
@@ -173,21 +168,19 @@ def step_additive(
 def select_direction(n: int, p: float, gradient: str, l: float | None = None):
     """The direction function of gradient at order n: the one way into the direction code.
 
-    It checks once what a run needs (l > 0 for the difference direction, a p
-    where K_p is C^1 for the analytic one above order 3) and maps a Point
+    It checks once what a run needs (0 < l < inf for the difference direction,
+    a p where K_p is C^1 for the analytic one above order 3) and maps a Point
     evaluated at p to its direction, a tuple in upper-triangle storage order.
     """
     if gradient == DIFFERENCE:
-        if l is None or not (l > 0.0):
-            raise ValueError(f"difference gradient needs an increment l > 0, got {l!r}")
+        if l is None or not (0.0 < l < math.inf):
+            raise ValueError(
+                f"difference gradient needs an increment l in (0, inf), got {l!r}")
         return lambda pt: difference_priority_vector(pt, l)
     if gradient != ANALYTIC:
         raise ValueError(f"unknown gradient kind {gradient!r}")
-    if n == 3:
-        # every 3x3 indicator collapses onto the single-triad form, which is
-        # smooth for all p (including 1 and inf) away from the consistent locus
-        return lambda pt: (instant_pv3_mult if pt.mult else instant_pv3_add)(*pt.upper)
-    if p in (0.0, 1.0, INF):
+    # at order 3, K_p = 1 - e^(-d) for every p: smooth away from d = 0
+    if n > 3 and p in (0.0, 1.0, INF):
         raise NonSmoothExponent(float(p))
     return instant_pv_np
 

@@ -5,12 +5,13 @@ tuple of floats in the matrices' upper-triangle storage order.  Moving an
 infinitesimal step along the returned vector strictly decreases the
 indicator.
 
-Two routes exist.  The analytic route (instant_pv*) differentiates the
+Two routes exist.  The analytic route (instant_pv_np) differentiates the
 indicator in closed form and is only available where Kii_{n,p} is C^1 --
-finite p outside {0, 1} -- and away from zero defects.  The difference route
-(difference_priority_vector) replaces each partial derivative by the forward
-one-sided quotient [ii(A + l*e_ij) - ii(A)] / l and works for every p,
-including 1 and infinity; it is the route the reproduction experiments use.
+finite p outside {0, 1}, or any p at order 3 -- and away from zero defects.
+The difference route (difference_priority_vector) replaces each partial
+derivative by the forward one-sided quotient [ii(A + l*e_ij) - ii(A)] / l
+and works for every p, including 1 and infinity; it is the route the
+reproduction experiments use.
 
 Moving one entry moves only the n - 2 triads that contain it, so from order
 INCREMENTAL_MIN_ORDER on each quotient updates the base point's defects in
@@ -42,35 +43,8 @@ from .indicators import DELTA_ZERO, INF, Point, _power_terms, _root_mean, kii_lo
 DELTA_GRAD = 1e-9
 
 
-def instant_pv3_mult(x: float, y: float, z: float) -> tuple[float, ...]:
-    """Descent direction of the triad indicator at (a12, a13, a23) = (x, y, z).
-
-    With u = ln y - ln x - ln z != 0 the components are
-    sign(u) * e^(-|u|) * (1/x, -1/y, 1/z).
-    """
-    u = math.log(y) - math.log(x) - math.log(z)
-    if abs(u) < DELTA_ZERO:
-        raise OnConsistentLocus("triad is consistent; no descent direction exists")
-    s = math.copysign(1.0, u)
-    e = math.exp(-abs(u))
-    return (s * e / x, -s * e / y, s * e / z)
-
-
-def instant_pv3_add(a: float, b: float, c: float) -> tuple[float, ...]:
-    """Additive-form descent direction at (b12, b13, b23) = (a, b, c).
-
-    With u = a + c - b != 0 the components are sign(u) * e^(-|u|) * (-1, +1, -1).
-    """
-    u = a + c - b
-    if abs(u) < DELTA_ZERO:
-        raise OnConsistentLocus("triad is consistent; no descent direction exists")
-    s = math.copysign(1.0, u)
-    e = math.exp(-abs(u))
-    return (-s * e, s * e, -s * e)
-
-
 def instant_pv_np(pt: Point) -> tuple[float, ...]:
-    """Descent direction -grad Kii_{n,p} at pt, for finite p outside {0, 1}.
+    """Descent direction -grad Kii_{n,p} at pt, for finite p outside {0, 1} or n = 3.
 
     Written in the ratio form
 
@@ -79,9 +53,11 @@ def instant_pv_np(pt: Point) -> tuple[float, ...]:
     over the triads t containing the pair (r,s), where D is the p-average of
     the defects, sigma is +sign(u_t) for the (i,j) and (j,k) slots and
     -sign(u_t) for the (i,k) slot.  The (d/D)^(p-1) ratio keeps the weights
-    finite where raw d^(p-1) would overflow, and makes the n = 3 case
-    collapse onto instant_pv3_mult to round-off.  An additive pt drops the
-    1/a_rs factor.  select_direction checks that p is smooth.
+    finite where raw d^(p-1) would overflow.  At n = 3, D = d for every p,
+    so the vector is the single-triad form sign(u) * e^(-|u|) *
+    (-1/a12, 1/a13, -1/a23) with u = ln a12 + ln a23 - ln a13 (exactly at
+    p = 1 and inf, to round-off elsewhere).  An additive pt drops the 1/a_rs
+    factor.  select_direction checks that p is smooth.
     """
     n, logs, ds, big = pt.n, pt.logs, pt.defects, pt.mean
     slots = triad_slots(n)

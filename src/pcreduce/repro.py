@@ -39,8 +39,6 @@ HARNESS_EPS = 1e-3
 HARNESS_MAX_ITER = 60000
 HARNESS_STALL_WINDOW = 50
 
-E = math.e
-
 #: 3x3 start, upper triangle (a_1_2, a_1_3, a_2_3)
 START3_MULT = (math.exp(-2.0), math.exp(3.0), math.exp(1.0))
 START3_ADD = (-2.0, 3.0, 1.0)

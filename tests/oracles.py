@@ -20,8 +20,10 @@ from pcreduce.errors import (
     AntisymmetryViolation,
     BadDiagonal,
     NonPositiveEntry,
+    OnConsistentLocus,
     ReciprocityViolation,
 )
+from pcreduce.indicators import DELTA_ZERO
 
 
 def kii3(x: float, y: float, z: float) -> float:
@@ -38,6 +40,37 @@ def kii3_min_form(x: float, y: float, z: float) -> float:
     """Equivalent closed form 1 - min(y/(xz), xz/y); kept as a cross-check."""
     r = y / (x * z)
     return 1.0 - min(r, 1.0 / r)
+
+
+# The order-3 direction reference.  The residual keeps the triad kernel's
+# association, (ln a12 + ln a23) - ln a13, so that at p = 1 and inf the
+# library's instant_pv_np equals these closed forms bit for bit.
+
+def instant_pv3_mult(x: float, y: float, z: float) -> tuple[float, ...]:
+    """Descent direction of the triad indicator at (a12, a13, a23) = (x, y, z).
+
+    With u = ln x + ln z - ln y != 0 the components are
+    sign(u) * e^(-|u|) * (-1/x, 1/y, -1/z).
+    """
+    u = math.log(x) + math.log(z) - math.log(y)
+    if abs(u) < DELTA_ZERO:
+        raise OnConsistentLocus("triad is consistent; no descent direction exists")
+    s = math.copysign(1.0, u)
+    e = math.exp(-abs(u))
+    return (-s * e / x, s * e / y, -s * e / z)
+
+
+def instant_pv3_add(a: float, b: float, c: float) -> tuple[float, ...]:
+    """Additive-form descent direction at (b12, b13, b23) = (a, b, c).
+
+    With u = a + c - b != 0 the components are sign(u) * e^(-|u|) * (-1, +1, -1).
+    """
+    u = a + c - b
+    if abs(u) < DELTA_ZERO:
+        raise OnConsistentLocus("triad is consistent; no descent direction exists")
+    s = math.copysign(1.0, u)
+    e = math.exp(-abs(u))
+    return (-s * e, s * e, -s * e)
 
 
 def entry(m, i: int, j: int) -> float:

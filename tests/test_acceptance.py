@@ -15,6 +15,10 @@ at p = -1 the step is also bounded, |w_1_3| <= N / a_1_3 = 4 / a_1_3, so
 a_1_3 moves by at most 0.053 within row 15's reference rank 133.  The
 reference rows 15 and 16 (a_1_3 above e^3) are therefore out of reach of
 the documented scheme; the harness still reports their deviations.
+
+Criterion 11 states the paper's headline claim on the same runs: the best
+iterates of different exponents, and of the two schemes, rank the
+alternatives differently.
 """
 
 import math
@@ -39,16 +43,18 @@ from pcreduce.descent import (
     step_additive,
     step_multiplicative,
 )
-from pcreduce.gradients import (
-    difference_priority_vector,
-    instant_pv3_add,
-    instant_pv3_mult,
-    instant_pv_np,
-)
+from pcreduce.gradients import difference_priority_vector, instant_pv_np
 from pcreduce.indicators import kii, point_at
 from pcreduce.repro import REFERENCE_RUNS, run_row
 
-from oracles import entry, kii3, kii3_min_form
+from oracles import (
+    entry,
+    gmm_priority_vector,
+    instant_pv3_add,
+    instant_pv3_mult,
+    kii3,
+    kii3_min_form,
+)
 
 A4 = MultiplicativePCMatrix(
     4, (math.exp(-2.0), math.exp(3.0), 1.0, math.exp(1.0), 1.0, 1.0)
@@ -288,3 +294,24 @@ def test_criterion_10_counts_carry_percentage_tolerances(outcomes):
     assert_count(outcomes["02"], 2300, 15)
     assert_count(outcomes["06"], 17800, 15)
     assert_count(outcomes["08"], 3080, 20)
+
+
+def ranking(outcome):
+    """Alternatives by descending geometric-mean weight of the best iterate."""
+    m = outcome.result.best_matrix
+    if isinstance(m, AdditivePCMatrix):
+        m = to_multiplicative(m)
+    w = gmm_priority_vector(m)
+    return tuple(sorted(range(1, m.n + 1), key=lambda i: -w[i - 1]))
+
+
+def test_criterion_11_indicators_are_not_equivalent(outcomes):
+    # the abstract's claim: different indicators give non-equivalent
+    # consistencizations.  From START4, alternatives 2 and 4 swap between
+    # p >= 1 and p <= 1/2; from START3 the two schemes swap 1 and 2
+    for key in ("08", "10", "12"):  # p = inf, 1, 2
+        assert ranking(outcomes[key]) == (1, 4, 2, 3), key
+    for key in ("13", "15"):  # p = 1/2, -1
+        assert ranking(outcomes[key]) == (1, 2, 4, 3), key
+    assert ranking(outcomes["02"]) == (1, 2, 3)
+    assert ranking(outcomes["06"]) == (2, 1, 3)

@@ -211,6 +211,15 @@ class TestReduce:
         r = pcreduce("reduce", files["a3"], "--h", "-0.1", "--l", "0.001")
         assert r.returncode == 1
 
+    def test_infinite_l_is_rejected(self, files):
+        # at l = inf every quotient is -0.0, so a run takes only zero steps
+        for args in (("gradient", files["a3"], "--kind", "difference"),
+                     ("reduce", files["a4"], "--h", "0.1")):
+            r = pcreduce(*args, "--l", "inf")
+            assert r.returncode == 1
+            assert r.stdout == ""
+            assert "increment l" in r.stderr
+
     @pytest.mark.parametrize("eps", ["700", "inf"])
     def test_eps_not_below_one_is_rejected(self, files, eps):
         # K_p < 1: such an eps would report converged at iterate 0

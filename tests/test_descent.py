@@ -34,8 +34,9 @@ from pcreduce.errors import (
     NonSmoothExponent,
     PositivityFailure,
 )
-from pcreduce.gradients import instant_pv3_mult
 from pcreduce.indicators import kii, point_at
+
+from oracles import instant_pv3_mult
 
 A3 = MultiplicativePCMatrix(3, (math.exp(-2.0), math.exp(3.0), math.exp(1.0)))
 B3 = AdditivePCMatrix(3, (-2.0, 3.0, 1.0))
@@ -68,7 +69,8 @@ class TestConfig:
                                      {"eps": 1.0},
                                      {"eps": 700.0},
                                      {"eps": math.inf},
-                                     {"h": math.inf}])
+                                     {"h": math.inf},
+                                     {"l": math.inf}])
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(ValueError):
             cfg(**bad)
@@ -179,6 +181,8 @@ class TestRunStops:
         res = run(m, cfg(p=-1.0))
         assert res.stop_reason == STOP_UNDEFINED
         assert res.best_matrix is None
+        assert res.best_upper is None
+        assert res.best_indicator is None
         assert res.best_iter == -1
         assert res.trace.records == ()
 
@@ -187,6 +191,15 @@ class TestRunStops:
         # analytic direction is not, so iterate 0 is recorded before the stop
         m = MultiplicativePCMatrix(4, (2.0, 4.0, 1.0, 2.0, 1.0, 1.0))
         res = run(m, cfg(gradient=ANALYTIC, p=2.0, l=None))
+        assert res.stop_reason == STOP_UNDEFINED
+        assert res.best_iter == 0
+        assert len(res.trace.records) == 1
+
+    def test_order_three_below_direction_guard_is_undefined(self):
+        # |u| = 1e-10: K_1 is defined, but below DELTA_GRAD (1e-9) the
+        # analytic direction raises OnConsistentLocus
+        m = MultiplicativePCMatrix(3, (2.0, 4.0 * math.exp(1e-10), 2.0))
+        res = run(m, cfg(gradient=ANALYTIC, l=None, h=0.1, eps=1e-12))
         assert res.stop_reason == STOP_UNDEFINED
         assert res.best_iter == 0
         assert len(res.trace.records) == 1

@@ -24,11 +24,11 @@ from pcreduce.errors import (
 from pcreduce.gradients import (
     INCREMENTAL_MIN_ORDER,
     difference_priority_vector,
-    instant_pv3_add,
-    instant_pv3_mult,
     instant_pv_np,
 )
 from pcreduce.indicators import kii, point_at
+
+from oracles import instant_pv3_mult
 
 logs = st.floats(min_value=-2.0, max_value=2.0,
                  allow_nan=False, allow_infinity=False)
@@ -113,37 +113,51 @@ def central_difference(m, p, k, l=1e-6):
     return (hi - lo) / (2 * l)
 
 
+def analytic3(m, p):
+    """The analytic direction a run takes at an order-3 matrix."""
+    return select_direction(3, p, ANALYTIC)(point_at(m, p))
+
+
 class TestInstantPv3:
+    """The analytic direction at order 3, where every p gives the single-triad form."""
+
     def test_worked_multiplicative(self):
-        # u = 3 - (-2) - 1 = 4 > 0
-        v = instant_pv3_mult(math.exp(-2.0), math.exp(3.0), math.exp(1.0))
-        assert v[0] == pytest.approx(math.exp(-2.0), rel=1e-12)
-        assert v[1] == pytest.approx(-math.exp(-7.0), rel=1e-12)
-        assert v[2] == pytest.approx(math.exp(-5.0), rel=1e-12)
+        # u = ln a12 + ln a23 - ln a13 = -2 + 1 - 3 = -4 < 0
+        m = MultiplicativePCMatrix(3, (math.exp(-2.0), math.exp(3.0), math.exp(1.0)))
+        for p in (1.0, 2.0, math.inf):
+            v = analytic3(m, p)
+            assert v[0] == pytest.approx(math.exp(-2.0), rel=1e-12)
+            assert v[1] == pytest.approx(-math.exp(-7.0), rel=1e-12)
+            assert v[2] == pytest.approx(math.exp(-5.0), rel=1e-12)
 
     def test_sign_flips_with_u(self):
-        # u < 0 here: y much smaller than x*z
-        v = instant_pv3_mult(4.0, 1.0, 4.0)
+        # u > 0 here: a13 much smaller than a12 * a23
+        v = analytic3(MultiplicativePCMatrix(3, (4.0, 1.0, 4.0)), 1.0)
         assert v[0] < 0 < v[1]
         assert v[2] < 0
 
     def test_worked_additive(self):
-        v = instant_pv3_add(-2.0, 3.0, 1.0)
         e4 = math.exp(-4.0)
-        assert v == pytest.approx((e4, -e4, e4), rel=1e-12)
+        for p in (1.0, 2.0, math.inf):
+            v = analytic3(AdditivePCMatrix(3, (-2.0, 3.0, 1.0)), p)
+            assert v == pytest.approx((e4, -e4, e4), rel=1e-12)
 
     def test_consistent_locus_raises(self):
-        with pytest.raises(OnConsistentLocus):
-            instant_pv3_mult(2.0, 4.0, 2.0)
-        with pytest.raises(OnConsistentLocus):
-            instant_pv3_add(1.0, 3.0, 2.0)
+        # the last triangle has |u| = 1e-10, below the guard DELTA_GRAD = 1e-9
+        near = MultiplicativePCMatrix(3, (2.0, 4.0 * math.exp(1e-10), 2.0))
+        for m in (MultiplicativePCMatrix(3, (2.0, 4.0, 2.0)),
+                  AdditivePCMatrix(3, (1.0, 3.0, 2.0)),
+                  near, to_additive(near)):
+            for p in (1.0, math.inf, 2.0):
+                with pytest.raises(OnConsistentLocus):
+                    analytic3(m, p)
 
     @given(logs, logs, logs)
     @settings(max_examples=200)
     def test_is_descent_direction(self, bx, by, bz):
         b = AdditivePCMatrix(3, (bx, by, bz))
         assume(abs(bx + bz - by) > 1e-3)
-        v = instant_pv3_add(bx, by, bz)
+        v = analytic3(b, 1.0)
         stepped = b.replace_upper(
             tuple(x + 1e-6 * c for x, c in zip(b.upper, v))
         )

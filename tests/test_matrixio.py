@@ -378,7 +378,7 @@ class TestTraceFiles:
             return
         assert data.n >= 3
         assert data.stop_reason in STOP_REASONS
-        assert data.best_matrix is None or len(data.best_upper) == upper_size(data.n)
+        assert data.best_upper is None or len(data.best_upper) == upper_size(data.n)
         assert all(len(rec.upper) == upper_size(data.n) for rec in data.trace.records)
         assert data.trace.clamp_events == ()
         # format then parse is the identity on what parse returns
