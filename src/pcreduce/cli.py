@@ -30,8 +30,8 @@ from .descent import (
     run,
     select_direction,
 )
-from .errors import EvaluationError, InvalidExponent, ValidationError
-from .indicators import kii, normalize_exponent, point_at
+from .errors import EvaluationError, ValidationError
+from .indicators import kii, point_at
 from .matrixio import (
     read_matrix_file,
     upper_entry_names,
@@ -49,25 +49,18 @@ class Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def exponent(text: str) -> float:
-    try:
-        return normalize_exponent(float(text))
-    except InvalidExponent as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def build_parser() -> Parser:
     parser = Parser(prog="pcreduce", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     ev = sub.add_parser("evaluate", help="inconsistency indicator of a matrix")
     ev.add_argument("matrix", help="matrix file")
-    ev.add_argument("--p", type=exponent, default=1.0,
+    ev.add_argument("--p", type=float, default=1.0,
                     help="averaging exponent (decimal or inf; default 1)")
 
     gr = sub.add_parser("gradient", help="priority direction at a matrix")
     gr.add_argument("matrix", help="matrix file")
-    gr.add_argument("--p", type=exponent, default=1.0,
+    gr.add_argument("--p", type=float, default=1.0,
                     help="averaging exponent (decimal or inf; default 1)")
     gr.add_argument("--kind", choices=(ANALYTIC, DIFFERENCE), default=ANALYTIC,
                     help="analytic (instant) or forward difference")
@@ -76,7 +69,7 @@ def build_parser() -> Parser:
 
     rd = sub.add_parser("reduce", help="descend to a less inconsistent matrix")
     rd.add_argument("matrix", help="matrix file")
-    rd.add_argument("--p", type=exponent, default=1.0,
+    rd.add_argument("--p", type=float, default=1.0,
                     help="averaging exponent (decimal or inf; default 1)")
     rd.add_argument("--scheme", choices=(MULTIPLICATIVE, ADDITIVE),
                     default=DescentConfig.scheme)
@@ -108,8 +101,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_gradient(args) -> int:
     m = read_matrix_file(args.matrix)
-    direction = select_direction(m.n, args.p, args.kind, args.l)
-    for (i, j), c in zip(upper_pairs(m.n), direction(point_at(m, args.p))):
+    pt = point_at(m, args.p)
+    direction = select_direction(m.n, pt.q, args.kind, args.l)
+    for (i, j), c in zip(upper_pairs(m.n), direction(pt)):
         print(f"w_{i}_{j} {c:.6f}")
     return 0
 

@@ -7,7 +7,8 @@ matrix to log space once and runs B_{n+1} = B_n + h * w_n there, where no
 positivity issue exists.  w_n is the selected priority direction at the
 current iterate: analytic (instant) or forward-difference.
 
-A run records every iterate and stops on the first of
+descend runs the iteration and yields each iterate it records; run keeps
+them all.  The iteration stops on the first of
   converged            indicator below eps,
   stalled              no improvement of the running minimum by at least
                        1e-12 for stall_window consecutive iterations,
@@ -23,6 +24,7 @@ its order and scheme; a trace file (matrixio) is its text form.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -73,7 +75,7 @@ class DescentConfig:
         object.__setattr__(self, "p", normalize_exponent(self.p))
         if self.scheme not in (MULTIPLICATIVE, ADDITIVE):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        # the kind and l; the smoothness of p needs the order, which run has
+        # the kind and l; the smoothness of p needs the order, which descend has
         select_direction(3, self.p, self.gradient, self.l)
         if not (0.0 < self.h < math.inf):
             raise ValueError(f"step h must be in (0, inf), got {self.h!r}")
@@ -185,48 +187,31 @@ def select_direction(n: int, p: float, gradient: str, l: float | None = None):
     return instant_pv_np
 
 
-def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> DescentResult:
-    """Descend from m0 under cfg; every stop reason returns a DescentResult.
+def descend(mat: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig):
+    """Iterate from mat (in cfg.scheme's form), yielding (record, clamps, stop).
 
-    A multiplicative start is converted once when scheme = additive (and an
-    additive start once when scheme = multiplicative, raising EntryOverflow
-    for an entry whose exp is no positive normal float); select_direction
-    runs before iterate 0.
-    Each iteration evaluates the raw iterate once, for the stop rule and the
-    direction; the one matrix built is best_matrix.  A step that its guard
-    (halving, then check_entries) rejects ends the run with positivity_failure.
+    select_direction runs before iterate 0.  Each recorded iterate is
+    evaluated once, for the stop rule and the direction, and yields its
+    TraceRecord, the ClampEvents of the step taken from it and None; the last
+    item has () and the stop reason.  An iterate whose evaluation fails is not
+    recorded: the last item is then (None, (), STOP_UNDEFINED).  A step that
+    its guard (halving, then check_entries) rejects ends with positivity_failure.
     """
-    if cfg.scheme == ADDITIVE:
-        mat = to_additive(m0) if isinstance(m0, MultiplicativePCMatrix) else m0
-    else:
-        mat = to_multiplicative(m0) if isinstance(m0, AdditivePCMatrix) else m0
     direction = select_direction(mat.n, cfg.p, cfg.gradient, cfg.l)
     n, upper, mult = mat.n, mat.upper, cfg.scheme == MULTIPLICATIVE
-
-    records: list[TraceRecord] = []
-    clamps: list[ClampEvent] = []
-    best_ii = math.inf
-    best_iter = -1
-    best_upper: tuple[float, ...] | None = None
-    ref = math.inf
-    stall = 0
-    it = 0
-    stop = None
-
-    while True:
+    ref, stall = math.inf, 0
+    for it in itertools.count():
         try:
             pt = evaluate(n, upper, mult, cfg.p)
         except EvaluationError:
-            stop = STOP_UNDEFINED
-            break
+            yield None, (), STOP_UNDEFINED
+            return
         ii = pt.value
-        if ii < best_ii:
-            best_ii, best_iter, best_upper = ii, it, upper
         if ref - ii >= STALL_IMPROVEMENT:
-            ref = ii
-            stall = 0
+            ref, stall = ii, 0
         else:
             stall += 1
+        stop = None
         if ii < cfg.eps:
             stop = STOP_CONVERGED
         elif stall >= cfg.stall_window:
@@ -238,29 +223,45 @@ def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> De
                 v = direction(pt)
             except EvaluationError:
                 stop = STOP_UNDEFINED
-        norm = None if stop else math.sqrt(math.fsum(c * c for c in v))
-        records.append(TraceRecord(it, upper, ii, norm))
         if stop is not None:
-            break
+            yield TraceRecord(it, upper, ii, None), (), stop
+            return
+        record = TraceRecord(it, upper, ii, math.sqrt(math.fsum(c * c for c in v)))
+        raw: list = []
         try:
-            if mult:
-                raw: list = []
-                upper = step_multiplicative(n, upper, v, cfg.h, raw)
-                clamps.extend(ClampEvent(it, i, j, hv) for i, j, hv in raw)
-            else:
-                upper = step_additive(n, upper, v, cfg.h)
+            upper = (step_multiplicative(n, upper, v, cfg.h, raw) if mult
+                     else step_additive(n, upper, v, cfg.h))
         except (PositivityFailure, ValidationError):
-            stop = STOP_POSITIVITY
-            break
-        it += 1
+            yield record, (), STOP_POSITIVITY
+            return
+        yield record, tuple(ClampEvent(it, i, j, hv) for i, j, hv in raw), None
 
-    best_matrix = None if best_upper is None else mat.replace_upper(best_upper)
+
+def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> DescentResult:
+    """Descend from m0 under cfg and keep the record; every stop returns a DescentResult.
+
+    m0 is converted to cfg.scheme's form once (EntryOverflow for an additive
+    entry whose exp is no positive normal float).  best_matrix, the first
+    record with the least indicator, is the one matrix a run builds.
+    """
+    if cfg.scheme == ADDITIVE:
+        mat = to_additive(m0) if isinstance(m0, MultiplicativePCMatrix) else m0
+    else:
+        mat = to_multiplicative(m0) if isinstance(m0, AdditivePCMatrix) else m0
+    records: list[TraceRecord] = []
+    clamps: list[ClampEvent] = []
+    for record, events, stop in descend(mat, cfg):
+        if record is not None:
+            records.append(record)
+        clamps.extend(events)
+    # min keeps the first of equal keys: the first attainment
+    best = min(records, key=lambda r: r.indicator, default=None)
     return DescentResult(
-        n=n,
+        n=mat.n,
         scheme=cfg.scheme,
-        best_iter=best_iter,
-        best_matrix=best_matrix,
-        best_indicator=None if best_upper is None else best_ii,
+        best_iter=-1 if best is None else best.iteration,
+        best_matrix=None if best is None else mat.replace_upper(best.upper),
+        best_indicator=None if best is None else best.indicator,
         stop_reason=stop,
         trace=IterationTrace(tuple(records), tuple(clamps)),
     )

@@ -69,6 +69,8 @@ def instant_pv_np(pt: Point) -> tuple[float, ...]:
             )
         raise DegenerateDefect(slots[worst][0], ds[worst])
     scale = math.exp(-big) / len(ds)
+    if scale == 0.0:  # e^(-D) underflows: K_p reads 1.0 here and all around
+        return (0.0,) * upper_size(n)
     grad = [0.0] * upper_size(n)
     for (_, ij, jk, ik), d in zip(slots, ds):
         s = math.copysign(1.0, logs[ij] + logs[jk] - logs[ik])

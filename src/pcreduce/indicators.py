@@ -60,7 +60,8 @@ def p_average(xs, p) -> float:
     x^p blows up and the mean is no longer meaningful.  Where the plain form
     overflows, or its mean of x^p falls below the normal floats while some
     x_i is positive, the mean is s * M_p(x / s), s the largest x_i for p > 0
-    and the smallest for p < 0.
+    and the smallest for p < 0; an infinite s (some x_i inf for p > 0, all
+    of them for p < 0) gives an infinite mean.
     """
     if not xs:
         raise ValueError("p_average of an empty sequence")
@@ -76,7 +77,7 @@ def p_average(xs, p) -> float:
         avg = 0.0
     if avg == 0.0 and max(xs) > 0.0:
         s = max(xs) if p > 0.0 else min(xs)
-        avg = s * _plain_mean([x / s for x in xs], p)
+        avg = s if s == INF else s * _plain_mean([x / s for x in xs], p)
     return avg
 
 

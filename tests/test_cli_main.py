@@ -27,7 +27,7 @@ PINNED_SHA256 = "5e6b866e0405bc0a3604242d75b3fb20b20a33ea9ba9a78c2f3a6bfa07cb528
 
 #: option values at the edges of what the parsers accept
 EDGE_VALUES = ("inf", "nan", "1e300", "-1e300", "1e-300", "-1", "700", "0.1", "2")
-EDGE_ENTRIES = (1e-300, 1e300, 710.0, -3.0, 0.5, 1.0, 2.0)
+EDGE_ENTRIES = (1e-300, 1e300, 1.7e308, -1.7e308, 710.0, -3.0, 0.5, 1.0, 2.0)
 
 
 def matrix_text(mode, n, upper):
@@ -109,8 +109,9 @@ def test_any_edge_invocation_exits_cleanly(workdir, invocation):
     text, argv = invocation
     path = workdir / "fuzz.txt"
     path.write_text(text)
-    code, _ = call([argv[0], str(path), *argv[1:]])
+    code, stdout = call([argv[0], str(path), *argv[1:]])
     assert code in (0, 1, 2)
+    assert "nan" not in stdout
 
 
 def test_reduce_defaults_are_the_descent_config_defaults():

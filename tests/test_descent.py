@@ -213,6 +213,56 @@ class TestRunStops:
         assert res.stop_reason == STOP_CONVERGED
 
 
+#: one start and config per stop reason whose items TestDescend checks
+DESCEND_RUNS = {
+    STOP_CONVERGED: (A3, dict(h=0.1)),
+    # the step from iterate 0 clamps a12, and iterate 0 stays the best
+    STOP_MAX_ITER: (MultiplicativePCMatrix(3, (0.01, 0.0001, 1.0)),
+                    dict(gradient=ANALYTIC, p=2.0, h=1.0, l=None, max_iter=3)),
+    # triad (1,2,3) is exactly consistent: iterate 0 is in p = -1's hole
+    STOP_UNDEFINED: (MultiplicativePCMatrix(4, (2.0, 4.0, 1.0, 2.0, 1.0, 1.0)),
+                     dict(p=-1.0)),
+    STOP_POSITIVITY: (A4, dict(h=1e30)),
+}
+
+
+class TestDescend:
+    @pytest.mark.parametrize("reason", list(DESCEND_RUNS))
+    def test_run_is_the_record_of_descend(self, reason):
+        m, kw = DESCEND_RUNS[reason]
+        config = cfg(**kw)
+        items = list(descent.descend(m, config))
+        assert [stop for _, _, stop in items] == [None] * (len(items) - 1) + [reason]
+        assert items[-1][1] == ()
+        records = [r for r, _, _ in items if r is not None]
+        assert [r.iteration for r in records] == list(range(len(records)))
+        assert all(ev.iteration == r.iteration for r, evs, _ in items for ev in evs)
+        best = min(records, key=lambda r: r.indicator, default=None)
+        assert run(m, config) == descent.DescentResult(
+            n=m.n,
+            scheme=config.scheme,
+            best_iter=-1 if best is None else best.iteration,
+            best_matrix=None if best is None else m.replace_upper(best.upper),
+            best_indicator=None if best is None else best.indicator,
+            stop_reason=reason,
+            trace=descent.IterationTrace(
+                tuple(records), tuple(ev for _, evs, _ in items for ev in evs)),
+        )
+
+    def test_hole_at_iterate_zero_records_nothing(self):
+        m, kw = DESCEND_RUNS[STOP_UNDEFINED]
+        assert list(descent.descend(m, cfg(**kw))) == [(None, (), STOP_UNDEFINED)]
+
+    def test_rejected_step_yields_its_iterate(self):
+        # the step from iterate 0 fails its guard: iterate 0 is the last item,
+        # with the norm of the direction it took and no clamps
+        m, kw = DESCEND_RUNS[STOP_POSITIVITY]
+        [(record, clamps, stop)] = descent.descend(m, cfg(**kw))
+        assert (record.iteration, record.upper, stop) == (0, m.upper, STOP_POSITIVITY)
+        assert record.direction_norm > 0.0
+        assert clamps == ()
+
+
 class TestRunTrace:
     def test_trace_is_faithful(self):
         res = run(A3, cfg(h=0.1))

@@ -214,6 +214,12 @@ class TestInstantPvNp:
         for cm, cb, a in zip(vm, vb, m.upper):
             assert cm == pytest.approx(cb / a, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("p", [2.0, math.inf])
+    def test_underflowing_scale_gives_zero_direction(self, p):
+        # the defect overflows: e^(-D) is 0 and (d/D)^(p-1) is nan or inf
+        b = AdditivePCMatrix(3, (1e308, -1e308, 1e308))
+        assert instant_pv_np(point_at(b, p)) == (0.0, 0.0, 0.0)
+
     def test_five_by_five_smoke(self):
         rng = random.Random(5)
         bs = [rng.uniform(-2.0, 2.0) for _ in range(10)]

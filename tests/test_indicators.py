@@ -84,6 +84,13 @@ class TestPAverage:
         assert kii(AdditivePCMatrix(3, (0.3053, 0.0, 0.0)), 628) == pytest.approx(
             1.0 - math.exp(-0.3053), rel=1e-15)
 
+    def test_infinite_value_gives_infinite_mean(self):
+        # the scaled form would divide by s = inf: inf / inf is nan
+        assert p_average([math.inf, 1e308], 2.0) == math.inf
+        assert p_average([math.inf], -1.0) == math.inf
+        # for p < 0 one finite value keeps the mean finite
+        assert p_average([math.inf, 1.0], -1.0) == 2.0
+
     def test_max(self):
         assert p_average((1.0, 5.0, 2.0), math.inf) == 5.0
 
@@ -180,6 +187,12 @@ class TestKii:
             kii(b, -1.0)
         assert err.value.triad == (2, 3, 4)
         assert err.value.defect == 0.0
+
+    def test_overflowing_additive_defect_reads_one(self):
+        # b12 + b23 - b13 overflows to an infinite defect
+        assert kii(AdditivePCMatrix(3, (1e308, -1e308, 1e308)), -1) == 1.0
+        b = AdditivePCMatrix(4, (1e308, -1e308, 0.0, 1e308, 0.0, 0.0))
+        assert kii(b, 2) == 1.0
 
     def test_negative_p_fine_away_from_hole(self):
         got = kii(A4, -1.0)
