@@ -13,7 +13,6 @@ from .core import (
     log_upper,
     to_additive,
     to_multiplicative,
-    upper_index,
     upper_pairs,
     upper_size,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "step_multiplicative",
     "to_additive",
     "to_multiplicative",
-    "upper_index",
     "upper_pairs",
     "upper_size",
     "write_matrix_file",

@@ -18,12 +18,10 @@ import argparse
 import sys
 from dataclasses import fields
 
-from .core import upper_pairs
+from .core import MATRIX_CLASSES, upper_pairs
 from .descent import (
-    ADDITIVE,
     ANALYTIC,
     DIFFERENCE,
-    MULTIPLICATIVE,
     STOP_POSITIVITY,
     STOP_UNDEFINED,
     DescentConfig,
@@ -52,32 +50,27 @@ class Parser(argparse.ArgumentParser):
 def build_parser() -> Parser:
     parser = Parser(prog="pcreduce", description=__doc__.split("\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("matrix", help="matrix file")
+    point.add_argument("--p", type=float, default=1.0,
+                       help="averaging exponent (decimal or inf; default 1)")
+    increment = argparse.ArgumentParser(add_help=False)
+    increment.add_argument("--l", type=float, default=DescentConfig.l,
+                           help="difference increment (default %(default)g)")
 
-    ev = sub.add_parser("evaluate", help="inconsistency indicator of a matrix")
-    ev.add_argument("matrix", help="matrix file")
-    ev.add_argument("--p", type=float, default=1.0,
-                    help="averaging exponent (decimal or inf; default 1)")
+    sub.add_parser("evaluate", parents=[point], help="inconsistency indicator of a matrix")
 
-    gr = sub.add_parser("gradient", help="priority direction at a matrix")
-    gr.add_argument("matrix", help="matrix file")
-    gr.add_argument("--p", type=float, default=1.0,
-                    help="averaging exponent (decimal or inf; default 1)")
+    gr = sub.add_parser("gradient", parents=[point, increment],
+                        help="priority direction at a matrix")
     gr.add_argument("--kind", choices=(ANALYTIC, DIFFERENCE), default=ANALYTIC,
                     help="analytic (instant) or forward difference")
-    gr.add_argument("--l", type=float, default=DescentConfig.l,
-                    help="difference increment (default %(default)g)")
 
-    rd = sub.add_parser("reduce", help="descend to a less inconsistent matrix")
-    rd.add_argument("matrix", help="matrix file")
-    rd.add_argument("--p", type=float, default=1.0,
-                    help="averaging exponent (decimal or inf; default 1)")
-    rd.add_argument("--scheme", choices=(MULTIPLICATIVE, ADDITIVE),
-                    default=DescentConfig.scheme)
+    rd = sub.add_parser("reduce", parents=[point, increment],
+                        help="descend to a less inconsistent matrix")
+    rd.add_argument("--scheme", choices=tuple(MATRIX_CLASSES), default=DescentConfig.scheme)
     rd.add_argument("--gradient", choices=(ANALYTIC, DIFFERENCE),
                     default=DescentConfig.gradient)
     rd.add_argument("--h", type=float, required=True, help="step length in (0, inf)")
-    rd.add_argument("--l", type=float, default=DescentConfig.l,
-                    help="difference increment (default %(default)g)")
     rd.add_argument("--eps", type=float, default=DescentConfig.eps,
                     help="convergence threshold in (0, 1) (default %(default)g)")
     rd.add_argument("--max-iter", type=int, default=DescentConfig.max_iter)
@@ -146,12 +139,9 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ValidationError, OSError, ValueError) as exc:
+    except (ValidationError, OSError, EvaluationError) as exc:
         print(f"pcreduce: error: {exc}", file=sys.stderr)
-        return 1
-    except EvaluationError as exc:
-        print(f"pcreduce: error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, EvaluationError) else 1
 
 
 if __name__ == "__main__":

@@ -20,18 +20,22 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import ClassVar
 
-from .errors import EntryOverflow, NonFiniteEntry, NonPositiveEntry, OrderTooSmall
+from .errors import (
+    EntryOverflow,
+    NonFiniteEntry,
+    NonPositiveEntry,
+    OrderTooSmall,
+    ValidationError,
+)
+
+MULTIPLICATIVE = "multiplicative"
+ADDITIVE = "additive"
+
 
 def upper_size(n: int) -> int:
     return n * (n - 1) // 2
-
-
-def upper_index(n: int, i: int, j: int) -> int:
-    """Position of entry (i,j), 1 <= i < j <= n, in the stored triangle."""
-    if not (1 <= i < j <= n):
-        raise IndexError(f"({i},{j}) is not an upper-triangle position for n={n}")
-    return (i - 1) * n - i * (i - 1) // 2 + (j - i - 1)
 
 
 @lru_cache(maxsize=None)
@@ -58,6 +62,7 @@ def check_entries(n: int, upper, mult: bool) -> None:
 class _PCMatrix:
     """Storage, shape and entry checks shared by both matrix forms."""
 
+    scheme: ClassVar[str]
     n: int
     upper: tuple[float, ...]
 
@@ -65,11 +70,11 @@ class _PCMatrix:
         check_order(self.n)
         object.__setattr__(self, "upper", tuple(float(v) for v in self.upper))
         if len(self.upper) != upper_size(self.n):
-            raise ValueError(
+            raise ValidationError(
                 f"expected {upper_size(self.n)} upper entries for n={self.n}, "
                 f"got {len(self.upper)}"
             )
-        check_entries(self.n, self.upper, isinstance(self, MultiplicativePCMatrix))
+        check_entries(self.n, self.upper, self.scheme == MULTIPLICATIVE)
 
     def replace_upper(self, upper) -> _PCMatrix:
         """A matrix of the same form with another upper triangle."""
@@ -80,10 +85,18 @@ class _PCMatrix:
 class MultiplicativePCMatrix(_PCMatrix):
     """Reciprocal positive matrix stored as its strict upper triangle."""
 
+    scheme = MULTIPLICATIVE
+
 
 @dataclass(frozen=True)
 class AdditivePCMatrix(_PCMatrix):
     """Antisymmetric log-image of a multiplicative PC matrix."""
+
+    scheme = ADDITIVE
+
+
+#: the one table from scheme name to matrix class
+MATRIX_CLASSES = {MULTIPLICATIVE: MultiplicativePCMatrix, ADDITIVE: AdditivePCMatrix}
 
 
 def log_upper(upper: tuple[float, ...], mult: bool) -> tuple[float, ...]:
@@ -123,8 +136,9 @@ def triad_slots(n: int) -> tuple[tuple[tuple[int, int, int], int, int, int], ...
     IndicatorUndefined and DegenerateDefect name.
     """
     check_order(n)
+    pos = {pair: k for k, pair in enumerate(upper_pairs(n))}
     return tuple(
-        ((i, j, k), upper_index(n, i, j), upper_index(n, j, k), upper_index(n, i, k))
+        ((i, j, k), pos[i, j], pos[j, k], pos[i, k])
         for i, j, k in combinations(range(1, n + 1), 3)
     )
 

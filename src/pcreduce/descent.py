@@ -2,9 +2,9 @@
 
 The multiplicative scheme updates the upper triangle directly,
 A_{n+1} = A_n + h * w_n, guarding positivity by halving any offending
-entry's step (at most 60 times).  The additive scheme converts the start
-matrix to log space once and runs B_{n+1} = B_n + h * w_n there, where no
-positivity issue exists.  w_n is the selected priority direction at the
+entry's step (at most MAX_HALVINGS times).  The additive scheme converts the
+start matrix to log space once and runs B_{n+1} = B_n + h * w_n there, where
+no positivity issue exists.  w_n is the selected priority direction at the
 current iterate: analytic (instant) or forward-difference.
 
 descend runs the iteration and yields each iterate it records; run keeps
@@ -30,6 +30,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import (
+    ADDITIVE,
+    MATRIX_CLASSES,
+    MULTIPLICATIVE,
     AdditivePCMatrix,
     MultiplicativePCMatrix,
     check_entries,
@@ -47,8 +50,6 @@ STALL_IMPROVEMENT = 1e-12
 #: positivity guard: maximum step halvings before giving up
 MAX_HALVINGS = 60
 
-MULTIPLICATIVE = "multiplicative"
-ADDITIVE = "additive"
 ANALYTIC = "analytic"
 DIFFERENCE = "difference"
 
@@ -73,19 +74,19 @@ class DescentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "p", normalize_exponent(self.p))
-        if self.scheme not in (MULTIPLICATIVE, ADDITIVE):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.scheme not in MATRIX_CLASSES:
+            raise ValidationError(f"unknown scheme {self.scheme!r}")
         # the kind and l; the smoothness of p needs the order, which descend has
         select_direction(3, self.p, self.gradient, self.l)
         if not (0.0 < self.h < math.inf):
-            raise ValueError(f"step h must be in (0, inf), got {self.h!r}")
+            raise ValidationError(f"step h must be in (0, inf), got {self.h!r}")
         # K_p < 1, so an eps of 1 or more would stop every run at iterate 0
         if not (0.0 < self.eps < 1.0):
-            raise ValueError(f"eps must be in (0, 1), got {self.eps!r}")
+            raise ValidationError(f"eps must be in (0, 1), got {self.eps!r}")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
+            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter!r}")
         if self.stall_window < 1:
-            raise ValueError(f"stall_window must be >= 1, got {self.stall_window!r}")
+            raise ValidationError(f"stall_window must be >= 1, got {self.stall_window!r}")
 
 
 class TraceRecord(NamedTuple):
@@ -147,7 +148,7 @@ def step_multiplicative(
             halvings = 0
             while value <= 0.0:
                 if halvings >= MAX_HALVINGS:
-                    raise PositivityFailure(i, j, a, h * c)
+                    raise PositivityFailure(i, j, a, h * c, MAX_HALVINGS)
                 step *= 0.5
                 value = a + step
                 halvings += 1
@@ -176,11 +177,11 @@ def select_direction(n: int, p: float, gradient: str, l: float | None = None):
     """
     if gradient == DIFFERENCE:
         if l is None or not (0.0 < l < math.inf):
-            raise ValueError(
+            raise ValidationError(
                 f"difference gradient needs an increment l in (0, inf), got {l!r}")
         return lambda pt: difference_priority_vector(pt, l)
     if gradient != ANALYTIC:
-        raise ValueError(f"unknown gradient kind {gradient!r}")
+        raise ValidationError(f"unknown gradient kind {gradient!r}")
     # at order 3, K_p = 1 - e^(-d) for every p: smooth away from d = 0
     if n > 3 and p in (0.0, 1.0, INF):
         raise NonSmoothExponent(float(p))
@@ -198,7 +199,7 @@ def descend(mat: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig):
     its guard (halving, then check_entries) rejects ends with positivity_failure.
     """
     direction = select_direction(mat.n, cfg.p, cfg.gradient, cfg.l)
-    n, upper, mult = mat.n, mat.upper, cfg.scheme == MULTIPLICATIVE
+    n, upper, mult = mat.n, mat.upper, mat.scheme == MULTIPLICATIVE
     ref, stall = math.inf, 0
     for it in itertools.count():
         try:
@@ -244,10 +245,8 @@ def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> De
     entry whose exp is no positive normal float).  best_matrix, the first
     record with the least indicator, is the one matrix a run builds.
     """
-    if cfg.scheme == ADDITIVE:
-        mat = to_additive(m0) if isinstance(m0, MultiplicativePCMatrix) else m0
-    else:
-        mat = to_multiplicative(m0) if isinstance(m0, AdditivePCMatrix) else m0
+    convert = to_additive if cfg.scheme == ADDITIVE else to_multiplicative
+    mat = m0 if m0.scheme == cfg.scheme else convert(m0)
     records: list[TraceRecord] = []
     clamps: list[ClampEvent] = []
     for record, events, stop in descend(mat, cfg):

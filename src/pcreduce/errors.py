@@ -1,10 +1,10 @@
 """Exception hierarchy.
 
-Two branches matter to callers: ``ValidationError`` covers malformed input
-(bad grids, broken reciprocity, unusable exponents at construction time),
-``EvaluationError`` covers domain failures of otherwise well-formed inputs
-(indicator holes for p < 0, gradients requested where none exists).  The CLI
-maps the former to exit code 1 and the latter to exit code 2.
+Two branches matter to callers: ``ValidationError`` (a ``ValueError`` too)
+covers rejected input (bad grids, broken reciprocity, unusable exponents or
+settings), ``EvaluationError`` covers domain failures of otherwise well-formed
+inputs (indicator holes for p < 0, gradients requested where none exists).
+The CLI maps the former to exit code 1 and the latter to exit code 2.
 """
 
 
@@ -12,7 +12,7 @@ class PCReduceError(Exception):
     """Base class for all library errors."""
 
 
-class ValidationError(PCReduceError):
+class ValidationError(PCReduceError, ValueError):
     """Malformed or rejected input."""
 
 
@@ -115,8 +115,7 @@ class NonSmoothExponent(EvaluationError):
 
 
 class OnConsistentLocus(EvaluationError):
-    def __init__(self, detail="gradient undefined on the consistent locus"):
-        super().__init__(detail)
+    """The gradient is undefined on the consistent locus."""
 
 
 class DegenerateDefect(EvaluationError):
@@ -129,9 +128,9 @@ class DegenerateDefect(EvaluationError):
 
 
 class PositivityFailure(EvaluationError):
-    def __init__(self, i, j, entry, step):
-        self.i, self.j, self.entry, self.step = i, j, entry, step
+    def __init__(self, i, j, entry, step, halvings):
+        self.i, self.j, self.entry, self.step, self.halvings = i, j, entry, step, halvings
         super().__init__(
             f"step at entry ({i},{j}) cannot preserve positivity: "
-            f"entry {entry:.3e}, raw step {step:.3e} after 60 halvings"
+            f"entry {entry:.3e}, raw step {step:.3e} after {halvings} halvings"
         )

@@ -18,13 +18,19 @@ import sys
 from typing import NamedTuple
 
 from .core import (
+    MULTIPLICATIVE,
     AdditivePCMatrix,
     MultiplicativePCMatrix,
     all_defects,
     log_upper,
     triad_slots,
 )
-from .errors import IndicatorUndefined, InvalidExponent, ZeroWithNegativeExponent
+from .errors import (
+    IndicatorUndefined,
+    InvalidExponent,
+    ValidationError,
+    ZeroWithNegativeExponent,
+)
 
 #: below this a triad defect counts as exactly zero for the p < 0 domain check
 DELTA_ZERO = 1e-12
@@ -64,7 +70,7 @@ def p_average(xs, p) -> float:
     of them for p < 0) gives an infinite mean.
     """
     if not xs:
-        raise ValueError("p_average of an empty sequence")
+        raise ValidationError("p_average of an empty sequence")
     if p == INF:
         return max(xs)
     if p < 0.0:
@@ -147,5 +153,4 @@ def evaluate(n: int, upper: tuple[float, ...], mult: bool, q: float) -> Point:
 
 def point_at(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> Point:
     """The Point of a PC matrix in either form at exponent p (checked here)."""
-    mult = isinstance(m, MultiplicativePCMatrix)
-    return evaluate(m.n, m.upper, mult, normalize_exponent(p))
+    return evaluate(m.n, m.upper, m.scheme == MULTIPLICATIVE, normalize_exponent(p))

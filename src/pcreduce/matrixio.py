@@ -21,18 +21,19 @@ norms and clamp events that the file does not hold.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import isqrt
 
 from .core import (
-    AdditivePCMatrix,
-    MultiplicativePCMatrix,
+    ADDITIVE,
+    MATRIX_CLASSES,
+    MULTIPLICATIVE,
+    check_entries,
     check_order,
     upper_pairs,
     upper_size,
 )
 from .descent import (
-    ADDITIVE,
-    MULTIPLICATIVE,
     STOP_REASONS,
     DescentResult,
     IterationTrace,
@@ -44,11 +45,7 @@ from .errors import (
     MatrixFileError,
     NonPositiveEntry,
     ReciprocityViolation,
-    ValidationError,
 )
-
-#: the matrix class of each mode (the descent's scheme names)
-MATRIX_CLASSES = {MULTIPLICATIVE: MultiplicativePCMatrix, ADDITIVE: AdditivePCMatrix}
 
 #: tolerance of a full grid's diagonal and of a_ij * a_ji = 1 (b_ij + b_ji = 0);
 #: the checks read not (residual <= TAU_REC), so a NaN residual fails them
@@ -56,15 +53,12 @@ TAU_REC = 1e-9
 
 
 def _strip(line: str) -> str:
-    cut = line.find("#")
-    if cut >= 0:
-        line = line[:cut]
-    return line.strip()
+    return line.partition("#")[0].strip()
 
 
 def parse_matrix_text(text: str):
-    """Parse matrix file contents; returns a PC matrix of the header's mode."""
-    mode = None
+    """Parse matrix file contents; returns a PC matrix of the mode header's scheme."""
+    scheme = None
     order = None
     data_lines: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -76,11 +70,11 @@ def parse_matrix_text(text: str):
             key = key.strip()
             value = value.strip()
             if key == "mode":
-                if mode is not None:
+                if scheme is not None:
                     raise MatrixFileError("duplicate mode header", lineno)
                 if value not in MATRIX_CLASSES:
                     raise MatrixFileError(f"unknown mode {value!r}", lineno)
-                mode = value
+                scheme = value
             elif key == "n":
                 if order is not None:
                     raise MatrixFileError("duplicate n header", lineno)
@@ -93,8 +87,8 @@ def parse_matrix_text(text: str):
                 raise MatrixFileError(f"unknown header {key!r}", lineno)
             continue
         data_lines.append((lineno, line))
-    if mode is None:
-        mode = MULTIPLICATIVE
+    if scheme is None:
+        scheme = MULTIPLICATIVE
     if not data_lines:
         raise MatrixFileError("no matrix data")
 
@@ -117,7 +111,7 @@ def parse_matrix_text(text: str):
                 f"got {len(values)}",
                 data_lines[-1][0],
             )
-        return MATRIX_CLASSES[mode](order, values)
+        return MATRIX_CLASSES[scheme](order, values)
 
     n = len(rows)
     for lineno, row in rows:
@@ -125,10 +119,10 @@ def parse_matrix_text(text: str):
             raise MatrixFileError(
                 f"grid is {n} rows but this row has {len(row)} entries", lineno
             )
-    return _grid_matrix(n, [row for _, row in rows], mode)
+    return _grid_matrix(n, [row for _, row in rows], scheme)
 
 
-def _grid_matrix(n: int, grid: list[list[float]], mode: str):
+def _grid_matrix(n: int, grid: list[list[float]], scheme: str):
     """The matrix of a square float grid, kept as its upper triangle.
 
     A multiplicative grid needs every entry positive, then a unit diagonal,
@@ -137,7 +131,7 @@ def _grid_matrix(n: int, grid: list[list[float]], mode: str):
     discarded, never averaged in.
     """
     check_order(n)
-    mult = mode == MULTIPLICATIVE
+    mult = scheme == MULTIPLICATIVE
     if mult:
         for i, row in enumerate(grid, start=1):
             for j, v in enumerate(row, start=1):
@@ -154,24 +148,20 @@ def _grid_matrix(n: int, grid: list[list[float]], mode: str):
             violation = ReciprocityViolation if mult else AntisymmetryViolation
             raise violation(i, j, residual)
     upper = tuple(grid[i - 1][j - 1] for i, j in upper_pairs(n))
-    return MATRIX_CLASSES[mode](n, upper)
+    return MATRIX_CLASSES[scheme](n, upper)
 
 
 def read_matrix_file(path):
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8", errors="replace") as f:  # a bad byte reads as U+FFFD
         return parse_matrix_text(f.read())
 
 
 def format_matrix(m) -> str:
     """Render a matrix in upper-triangle file form (round-trips via repr)."""
-    mode = ADDITIVE if isinstance(m, AdditivePCMatrix) else MULTIPLICATIVE
-    lines = [f"mode={mode}", f"n={m.n}"]
-    pos = 0
+    lines = [f"mode={m.scheme}", f"n={m.n}"]
+    entries = iter(m.upper)
     for i in range(1, m.n):
-        width = m.n - i
-        row = m.upper[pos : pos + width]
-        pos += width
-        lines.append(" ".join(repr(x) for x in row))
+        lines.append(" ".join(map(repr, islice(entries, m.n - i))))
     return "\n".join(lines) + "\n"
 
 
@@ -180,9 +170,9 @@ def write_matrix_file(path, m) -> None:
         f.write(format_matrix(m))
 
 
-def upper_entry_names(n: int, mode: str) -> tuple[str, ...]:
-    """Upper-entry names a_i_j (b_i_j in additive mode), in storage order."""
-    prefix = "b" if mode == ADDITIVE else "a"
+def upper_entry_names(n: int, scheme: str) -> tuple[str, ...]:
+    """Upper-entry names a_i_j (b_i_j in the additive scheme), in storage order."""
+    prefix = "b" if scheme == ADDITIVE else "a"
     return tuple(f"{prefix}_{i}_{j}" for i, j in upper_pairs(n))
 
 
@@ -222,10 +212,11 @@ def parse_trace_text(text: str) -> DescentResult:
 
     The inverse of format_trace up to what a file does not hold: every
     record's direction_norm is None and there are no clamp events.  The
-    header must name the entries as format_trace does, the stop reason must
-    be one descent.run reports, and best_indicator and best come together,
-    best being a valid triangle of the header's scheme.  Any other text
-    raises MatrixFileError naming the offending line.
+    header must name the entries as format_trace does, every iterate row and
+    best must be a valid triangle of the header's scheme, the stop reason
+    must be one descent.run reports, best_indicator and best come together,
+    and best_iter is -1 without them and a rank >= 0 with them.  Any other
+    text raises MatrixFileError naming the offending line.
     """
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or not lines[0][1].startswith("iteration,indicator,"):
@@ -261,9 +252,10 @@ def parse_trace_text(text: str) -> DescentResult:
                 summary[key] = MATRIX_CLASSES[scheme](n, tuple(map(float, fields)))
             else:
                 upper = tuple(map(float, fields[1:]))
+                check_entries(n, upper, scheme == MULTIPLICATIVE)
                 records.append(TraceRecord(int(key), upper, float(fields[0]), None))
                 continue
-        except (ValueError, ValidationError) as exc:
+        except ValueError as exc:  # a ValidationError among them
             raise MatrixFileError(f"bad trace row {line!r}: {exc}", lineno) from None
         where[key] = lineno
         if key == "stop_reason" and summary[key] not in STOP_REASONS:
@@ -273,10 +265,14 @@ def parse_trace_text(text: str) -> DescentResult:
     lone = [where[key] for key in ("best", "best_indicator") if key in summary]
     if len(lone) == 1:
         raise MatrixFileError("best and best_indicator come only together", lone[0])
+    best_iter = summary["best_iter"]
+    if not (best_iter >= 0 if "best" in summary else best_iter == -1):
+        raise MatrixFileError(
+            "best_iter is -1 exactly when best is absent", where["best_iter"])
     return DescentResult(
         n=n,
         scheme=scheme,
-        best_iter=summary["best_iter"],
+        best_iter=best_iter,
         best_matrix=summary.get("best"),
         best_indicator=summary.get("best_indicator"),
         stop_reason=summary["stop_reason"],
@@ -285,5 +281,5 @@ def parse_trace_text(text: str) -> DescentResult:
 
 
 def read_trace_file(path) -> DescentResult:
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8", errors="replace") as f:  # a bad byte reads as U+FFFD
         return parse_trace_text(f.read())

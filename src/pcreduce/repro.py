@@ -31,8 +31,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import AdditivePCMatrix, MultiplicativePCMatrix
-from .descent import ADDITIVE, DIFFERENCE, MULTIPLICATIVE, DescentConfig, DescentResult, run
+from .core import ADDITIVE, MATRIX_CLASSES, MULTIPLICATIVE
+from .descent import DIFFERENCE, DescentConfig, DescentResult, run
 from .matrixio import upper_entry_names, write_trace_file
 
 HARNESS_EPS = 1e-3
@@ -44,6 +44,9 @@ START3_MULT = (math.exp(-2.0), math.exp(3.0), math.exp(1.0))
 START3_ADD = (-2.0, 3.0, 1.0)
 #: 4x4 start, upper triangle (a_1_2, a_1_3, a_1_4, a_2_3, a_2_4, a_3_4)
 START4_MULT = (math.exp(-2.0), math.exp(3.0), 1.0, math.exp(1.0), 1.0, 1.0)
+#: the start triangle of each (order, scheme) in the table
+STARTS = {(3, MULTIPLICATIVE): START3_MULT, (3, ADDITIVE): START3_ADD,
+          (4, MULTIPLICATIVE): START4_MULT}
 
 #: reference entry tuples use table label order a_1_2, a_1_3, a_2_3 for 3x3
 #: and a_1_2, a_1_3, a_2_3, a_1_4, a_2_4, a_3_4 for 4x4
@@ -100,11 +103,7 @@ REFERENCE_RUNS: tuple[ReproRow, ...] = (
 
 
 def start_matrix(row: ReproRow):
-    if row.n == 3:
-        if row.scheme == ADDITIVE:
-            return AdditivePCMatrix(3, START3_ADD)
-        return MultiplicativePCMatrix(3, START3_MULT)
-    return MultiplicativePCMatrix(4, START4_MULT)
+    return MATRIX_CLASSES[row.scheme](row.n, STARTS[row.n, row.scheme])
 
 
 def label_order(n: int) -> tuple[int, ...]:
@@ -193,17 +192,15 @@ def write_summary_csv(path, outcomes) -> None:
             row = oc.row
             if oc.best_entries is None:
                 best = ref = devs = maxdev = ""
-                best_iter = oc.result.best_iter
             else:
                 best = ";".join(repr(x) for x in oc.best_entries)
                 ref = ";".join(repr(x) for x in row.ref_entries)
                 devs = ";".join(repr(x) for x in oc.entry_devs)
                 maxdev = repr(max(oc.entry_devs))
-                best_iter = oc.result.best_iter
             w.writerow(
                 [
                     row.label, row.scheme, repr(row.p), repr(row.h), repr(row.l),
-                    oc.result.stop_reason, best_iter, row.ref_iter,
+                    oc.result.stop_reason, oc.result.best_iter, row.ref_iter,
                     "" if oc.iter_dev is None else oc.iter_dev,
                     best, ref, devs, maxdev,
                 ]

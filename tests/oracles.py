@@ -13,7 +13,6 @@ from pcreduce.core import (
     all_defects,
     check_order,
     log_upper,
-    upper_index,
     upper_pairs,
 )
 from pcreduce.errors import (
@@ -71,6 +70,13 @@ def instant_pv3_add(a: float, b: float, c: float) -> tuple[float, ...]:
     s = math.copysign(1.0, u)
     e = math.exp(-abs(u))
     return (-s * e, s * e, -s * e)
+
+
+def upper_index(n: int, i: int, j: int) -> int:
+    """Position of entry (i,j), 1 <= i < j <= n, in the stored triangle, in closed form."""
+    if not (1 <= i < j <= n):
+        raise IndexError(f"({i},{j}) is not an upper-triangle position for n={n}")
+    return (i - 1) * n - i * (i - 1) // 2 + (j - i - 1)
 
 
 def entry(m, i: int, j: int) -> float:

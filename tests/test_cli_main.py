@@ -8,6 +8,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pcreduce import cli
 from pcreduce.cli import build_parser, main
 from pcreduce.core import upper_size
 from pcreduce.descent import DescentConfig
@@ -112,6 +113,20 @@ def test_any_edge_invocation_exits_cleanly(workdir, invocation):
     code, stdout = call([argv[0], str(path), *argv[1:]])
     assert code in (0, 1, 2)
     assert "nan" not in stdout
+
+
+def test_a_stray_value_error_is_not_reported_as_a_user_error(workdir, monkeypatch):
+    # exit 1 is for rejected input (ValidationError) and OS errors; any other
+    # ValueError is a fault of the program and propagates
+    path = workdir / "stray.txt"
+    path.write_text(matrix_text(*STARTS["mult3"]))
+
+    def stray(m, p):
+        raise ValueError("stray")
+
+    monkeypatch.setattr(cli, "kii", stray)
+    with pytest.raises(ValueError, match="stray"):
+        main(["evaluate", str(path)])
 
 
 def test_reduce_defaults_are_the_descent_config_defaults():

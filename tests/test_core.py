@@ -1,9 +1,13 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcreduce.core import (
+    ADDITIVE,
+    MATRIX_CLASSES,
+    MULTIPLICATIVE,
     AdditivePCMatrix,
     MultiplicativePCMatrix,
     all_defects,
@@ -11,7 +15,6 @@ from pcreduce.core import (
     to_additive,
     to_multiplicative,
     triad_slots,
-    upper_index,
     upper_pairs,
     upper_size,
 )
@@ -23,6 +26,7 @@ from pcreduce.errors import (
     NonPositiveEntry,
     OrderTooSmall,
     ReciprocityViolation,
+    ValidationError,
 )
 from pcreduce.matrixio import parse_matrix_text
 
@@ -33,6 +37,7 @@ from oracles import (
     grid_text,
     is_consistent,
     to_grid,
+    upper_index,
 )
 
 # the worked 3x3 and 4x4 starts used throughout
@@ -69,6 +74,21 @@ class TestUpperIndexing:
             upper_index(4, i, j)
 
 
+class TestSchemes:
+    def test_each_class_carries_its_scheme(self):
+        assert MultiplicativePCMatrix.scheme == MULTIPLICATIVE == "multiplicative"
+        assert AdditivePCMatrix.scheme == ADDITIVE == "additive"
+        assert MultiplicativePCMatrix(3, A3).scheme == MULTIPLICATIVE
+        assert AdditivePCMatrix(3, (-2.0, 3.0, 1.0)).scheme == ADDITIVE
+        # a class constant, not a dataclass field
+        assert [f.name for f in dataclasses.fields(AdditivePCMatrix)] == ["n", "upper"]
+
+    def test_table_maps_each_scheme_to_its_class(self):
+        assert list(MATRIX_CLASSES) == [MULTIPLICATIVE, ADDITIVE]
+        for scheme, cls in MATRIX_CLASSES.items():
+            assert cls.scheme == scheme
+
+
 class TestMultiplicativeMatrix:
     def test_entries_and_reciprocals(self):
         m = MultiplicativePCMatrix(3, (2.0, 4.0, 2.0))
@@ -80,7 +100,7 @@ class TestMultiplicativeMatrix:
         assert grid[2] == [0.25, 0.5, 1.0]
 
     def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             MultiplicativePCMatrix(4, (1.0, 2.0, 3.0))
 
     def test_rejects_nonpositive_with_position(self):

@@ -33,6 +33,7 @@ from pcreduce.errors import (
     NonPositiveEntry,
     NonSmoothExponent,
     PositivityFailure,
+    ValidationError,
 )
 from pcreduce.indicators import kii, point_at
 
@@ -72,11 +73,11 @@ class TestConfig:
                                      {"h": math.inf},
                                      {"l": math.inf}])
     def test_rejects_bad_fields(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             cfg(**bad)
 
     def test_difference_requires_increment(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             cfg(gradient=DIFFERENCE, l=None)
 
     def test_rejects_p_zero(self):
@@ -116,6 +117,14 @@ class TestSteps:
         with pytest.raises(PositivityFailure) as err:
             step_multiplicative(3, m.upper, v, 0.1)
         assert (err.value.i, err.value.j) == (1, 2)
+
+    def test_failure_reports_the_halving_limit(self, monkeypatch):
+        # a = 0.01 and a raw step of -0.1 need four halvings
+        monkeypatch.setattr(descent, "MAX_HALVINGS", 3)
+        with pytest.raises(PositivityFailure) as err:
+            step_multiplicative(3, (0.01, 1.0, 1.0), (-1.0, 0.0, 0.0), 0.1)
+        assert err.value.halvings == 3
+        assert "after 3 halvings" in str(err.value)
 
     def test_nonfinite_result_raises_the_constructors_error(self):
         # the guard is the only check of an iterate: it names the entry as
@@ -424,11 +433,11 @@ class TestDescentProgress:
 
 class TestSelectDirection:
     def test_difference_requires_increment(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             select_direction(4, 1.0, DIFFERENCE)
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             select_direction(4, 1.0, "newton")
 
     def test_analytic_order_three_allows_any_p(self):

@@ -10,7 +10,6 @@ from pcreduce.core import (
     all_defects,
     log_upper,
     to_additive,
-    upper_index,
     upper_pairs,
     upper_size,
 )
@@ -20,6 +19,7 @@ from pcreduce.errors import (
     IndicatorUndefined,
     NonSmoothExponent,
     OnConsistentLocus,
+    ValidationError,
 )
 from pcreduce.gradients import (
     INCREMENTAL_MIN_ORDER,
@@ -28,7 +28,7 @@ from pcreduce.gradients import (
 )
 from pcreduce.indicators import kii, point_at
 
-from oracles import instant_pv3_mult
+from oracles import instant_pv3_mult, upper_index
 
 logs = st.floats(min_value=-2.0, max_value=2.0,
                  allow_nan=False, allow_infinity=False)
@@ -310,7 +310,7 @@ class TestDifferenceGradient:
     def test_rejects_bad_increment(self):
         m = mult_from_logs(3, (-2.0, 3.0, 1.0))
         for l in (0.0, -1e-3, None):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValidationError):
                 select_direction(m.n, 1.0, DIFFERENCE, l)
 
     def test_works_for_nonsmooth_p(self):

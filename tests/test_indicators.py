@@ -11,6 +11,7 @@ from pcreduce.core import (
 from pcreduce.errors import (
     IndicatorUndefined,
     InvalidExponent,
+    ValidationError,
     ZeroWithNegativeExponent,
 )
 from pcreduce.indicators import (
@@ -99,7 +100,7 @@ class TestPAverage:
             p_average((1.0, 0.0), -1.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             p_average((), 1.0)
 
     @given(st.lists(st.floats(min_value=0.01, max_value=10.0),

@@ -84,19 +84,27 @@ def trace_texts(draw):
 
 @st.composite
 def well_formed_traces(draw):
-    """Trace text laid out as format_trace writes it, with any rows and summary."""
+    """Trace text laid out as format_trace writes it, with any rows and summary.
+
+    Entries are valid for the header's scheme (positive for a_, finite for
+    b_), and best_iter is -1 exactly when there is no best row.
+    """
     prefix = draw(st.sampled_from(["a", "b"]))
     n = draw(st.integers(min_value=3, max_value=5))
-    floats = st.lists(TRACE_FLOATS, min_size=upper_size(n), max_size=upper_size(n))
+    entries = TRACE_FLOATS if prefix == "b" else st.floats(
+        min_value=0.0, exclude_min=True, allow_infinity=False).map(repr)
+    floats = st.lists(entries, min_size=upper_size(n), max_size=upper_size(n))
     names = [f"{prefix}_{i}_{j}" for i, j in upper_pairs(n)]
     lines = ["iteration,indicator," + ",".join(names)]
     for it in range(draw(st.integers(min_value=0, max_value=4))):
         lines.append(",".join([str(it), draw(TRACE_FLOATS)] + draw(floats)))
     lines.append(f"stop_reason,{draw(st.sampled_from(STOP_REASONS))}")
-    lines.append(f"best_iter,{draw(st.integers(min_value=-1, max_value=10))}")
     if draw(st.booleans()):
+        lines.append(f"best_iter,{draw(st.integers(min_value=0, max_value=10))}")
         lines.append(f"best_indicator,{draw(TRACE_FLOATS)}")
         lines.append(",".join(["best"] + draw(floats)))
+    else:
+        lines.append("best_iter,-1")
     return "\n".join(lines) + "\n"
 
 
@@ -268,6 +276,13 @@ class TestMatrixRoundTrip:
         write_matrix_file(path, A3)
         assert read_matrix_file(path).upper == A3.upper
 
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"mode=additive\nn=3\n1 2 \xff\n")
+        with pytest.raises(MatrixFileError) as err:
+            read_matrix_file(path)
+        assert err.value.line == 3
+
 
 @pytest.fixture(scope="module")
 def result():
@@ -338,6 +353,14 @@ class TestTraceFiles:
             p=p, h=h, scheme=scheme, max_iter=30, stall_window=10))
         assert parse_trace_text(format_trace(res)) == as_written(res)
 
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        path = tmp_path / "run.trace"
+        path.write_bytes(TRACE_HEAD.encode() + b"1,0.5,1,\xff,3\nstop_reason,stalled\n"
+                         b"best_iter,-1\n")
+        with pytest.raises(MatrixFileError) as err:
+            read_trace_file(path)
+        assert err.value.line == 3
+
     def test_rejects_non_trace_text(self):
         with pytest.raises(MatrixFileError):
             parse_trace_text("just,some,csv\n1,2,3\n")
@@ -361,9 +384,21 @@ class TestTraceFiles:
          "best,0,-1,2\n", 6),
         (TRACE_HEAD + "stop_reason,stalled\nbest_iter,0\nbest,1,2,3\n", 5),
         (TRACE_HEAD + "stop_reason,stalled\nbest_indicator,0.9\nbest_iter,0\n", 4),
+        (TRACE_HEAD + "1,0.5,-1.0,2.0,3.0\nstop_reason,stalled\nbest_iter,-1\n", 3),
+        (TRACE_HEAD + "1,0.5,inf,2.0,3.0\nstop_reason,stalled\nbest_iter,-1\n", 3),
+        ("iteration,indicator,b_1_2,b_1_3,b_2_3\n0,0.9,1,-inf,3\n"
+         "stop_reason,stalled\nbest_iter,-1\n", 2),
+        (TRACE_HEAD + "stop_reason,stalled\nbest_iter,7\n", 4),
+        (TRACE_HEAD + "stop_reason,stalled\nbest_iter,-1\nbest_indicator,0.9\n"
+         "best,1,2,3\n", 4),
+        (TRACE_HEAD + "stop_reason,stalled\nbest_iter,-2\nbest_indicator,0.9\n"
+         "best,1,2,3\n", 4),
     ], ids=["order_two", "bad_best_iter", "bad_best_indicator", "empty_stop_reason",
             "short_best_row", "bare_iteration", "wrong_entry_names", "unknown_stop_reason",
-            "nonpositive_best", "best_without_indicator", "indicator_without_best"])
+            "nonpositive_best", "best_without_indicator", "indicator_without_best",
+            "nonpositive_iterate", "infinite_iterate", "infinite_additive_iterate",
+            "best_iter_without_best", "best_with_best_iter_minus_one",
+            "best_with_negative_best_iter"])
     def test_malformed_trace_names_line(self, text, line):
         with pytest.raises(MatrixFileError) as err:
             parse_trace_text(text)
