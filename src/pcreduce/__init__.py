@@ -23,7 +23,6 @@ from .descent import (
     IterationTrace,
     TraceRecord,
     run,
-    select_direction,
     step_additive,
     step_multiplicative,
 )
@@ -47,7 +46,7 @@ from .errors import (
     ValidationError,
     ZeroWithNegativeExponent,
 )
-from .gradients import difference_priority_vector, instant_pv_np
+from .gradients import difference_priority_vector, instant_pv_np, select_direction
 from .indicators import kii, p_average, point_at
 from .matrixio import (
     format_matrix,

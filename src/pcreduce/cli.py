@@ -20,15 +20,17 @@ from dataclasses import fields
 
 from .core import MATRIX_CLASSES, upper_pairs
 from .descent import (
-    ANALYTIC,
-    DIFFERENCE,
     STOP_POSITIVITY,
     STOP_UNDEFINED,
     DescentConfig,
     run,
-    select_direction,
 )
 from .errors import EvaluationError, ValidationError
+from .gradients import (
+    ANALYTIC,
+    DIFFERENCE,
+    select_direction,
+)
 from .indicators import kii, point_at
 from .matrixio import (
     read_matrix_file,

@@ -40,18 +40,15 @@ from .core import (
     to_multiplicative,
     upper_pairs,
 )
-from .errors import EvaluationError, NonSmoothExponent, PositivityFailure, ValidationError
-from .gradients import difference_priority_vector, instant_pv_np
-from .indicators import INF, evaluate, normalize_exponent
+from .errors import EvaluationError, PositivityFailure, ValidationError
+from .gradients import DIFFERENCE, select_direction
+from .indicators import evaluate, normalize_exponent
 
 #: minimum running-min improvement that counts against the stall window
 STALL_IMPROVEMENT = 1e-12
 
 #: positivity guard: maximum step halvings before giving up
 MAX_HALVINGS = 60
-
-ANALYTIC = "analytic"
-DIFFERENCE = "difference"
 
 STOP_CONVERGED = "converged"
 STOP_STALLED = "stalled"
@@ -166,26 +163,6 @@ def step_additive(
     new = tuple(x + h * c for x, c in zip(upper, v))
     check_entries(n, new, False)
     return new
-
-
-def select_direction(n: int, p: float, gradient: str, l: float | None = None):
-    """The direction function of gradient at order n: the one way into the direction code.
-
-    It checks once what a run needs (0 < l < inf for the difference direction,
-    a p where K_p is C^1 for the analytic one above order 3) and maps a Point
-    evaluated at p to its direction, a tuple in upper-triangle storage order.
-    """
-    if gradient == DIFFERENCE:
-        if l is None or not (0.0 < l < math.inf):
-            raise ValidationError(
-                f"difference gradient needs an increment l in (0, inf), got {l!r}")
-        return lambda pt: difference_priority_vector(pt, l)
-    if gradient != ANALYTIC:
-        raise ValidationError(f"unknown gradient kind {gradient!r}")
-    # at order 3, K_p = 1 - e^(-d) for every p: smooth away from d = 0
-    if n > 3 and p in (0.0, 1.0, INF):
-        raise NonSmoothExponent(float(p))
-    return instant_pv_np
 
 
 def descend(mat: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig):

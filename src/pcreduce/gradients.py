@@ -1,4 +1,4 @@
-"""Instant and difference priority vectors.
+"""Instant and difference priority vectors, and select_direction, the one way in.
 
 Every function here returns a DESCENT direction: iW = -grad ii, a plain
 tuple of floats in the matrices' upper-triangle storage order.  Moving an
@@ -11,32 +11,20 @@ finite p outside {0, 1}, or any p at order 3 -- and away from zero defects.
 The difference route (difference_priority_vector) replaces each partial
 derivative by the forward one-sided quotient [ii(A + l*e_ij) - ii(A)] / l
 and works for every p, including 1 and infinity; it is the route the
-reproduction experiments use.
-
-Moving one entry moves only the n - 2 triads that contain it, so from order
-INCREMENTAL_MIN_ORDER on each quotient updates the base point's defects in
-O(n) instead of sweeping all C(n,3) triads: O(n^3) per direction, not O(n^5).
-The update reproduces the naive quotients bit for bit.  A moved defect uses
-the triad kernel's own expression on the moved logs.  For finite p the base
-terms d^p are kept as an exact expansion (the role of Shewchuk's partials,
-"Adaptive Precision Floating-Point Arithmetic", 1997, the algorithm inside
-math.fsum), and fsum over it, the negated old terms and the new ones is the
-correctly rounded exact sum, which is what fsum over the moved point's terms
-returns.  For p = inf the largest untouched base defect comes from the n - 1
-largest.  A component goes to the naive evaluation where the plain mean does
-not apply: d^p overflows, the mean lands on p_average's scaled form, or at
-p < 0 a moved defect falls into the hole, where kii_logs raises.
+reproduction experiments use.  Its moved indicator values come from
+indicators.moved_kii, which owns the arithmetic of K_p.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from heapq import nlargest
 
 from .core import triad_slots, upper_size
-from .errors import DegenerateDefect, OnConsistentLocus
-from .indicators import DELTA_ZERO, INF, Point, _power_terms, _root_mean, kii_logs
+from .errors import DegenerateDefect, NonSmoothExponent, OnConsistentLocus, ValidationError
+from .indicators import INF, Point, moved_kii
+
+ANALYTIC = "analytic"
+DIFFERENCE = "difference"
 
 #: minimum triad defect for analytic-gradient evaluation (d^(p-1) diverges
 #: below it when p < 1; sign(u) is meaningless at u = 0 for any p)
@@ -83,14 +71,6 @@ def instant_pv_np(pt: Point) -> tuple[float, ...]:
     return tuple(-g for g in grad)
 
 
-#: the smallest order whose difference direction takes the incremental route.
-#: Per call on a generic multiplicative matrix (best of 5, Python 3.11, 2
-#: vCPUs), naive vs incremental: n = 4 20-28 vs 25-28 us, n = 5 42-67 vs
-#: 46-57 us (p = inf favours naive), n = 6 92-140 vs 66-84 us, 1.3-1.9x
-#: faster at each of p = 2, 1, 1/2, inf, -1.
-INCREMENTAL_MIN_ORDER = 6
-
-
 def difference_priority_vector(pt: Point, l: float) -> tuple[float, ...]:
     """Discrete analog of the instant priority vector: negated forward quotients.
 
@@ -98,93 +78,33 @@ def difference_priority_vector(pt: Point, l: float) -> tuple[float, ...]:
     the (i,j) upper entry by +l (its mirror follows from the representation)
     and kii(A, p) is pt.value.  Perturbations act on the log coordinates, a
     multiplicative a_ij + l entering as ln(a_ij + l); select_direction checks l.
-    Below INCREMENTAL_MIN_ORDER every component is a fresh kii_logs; from it
-    on each is an O(n) update of pt (see the module docstring), with the
-    fresh evaluation as its fallback.
+    kii(A', p) is indicators.moved_kii's value of pt with that log moved.
     """
-    n, q, base = pt.n, pt.q, pt.value
-    update = _updater(pt) if n >= INCREMENTAL_MIN_ORDER else None
+    value_at, base = moved_kii(pt), pt.value
     logs = list(pt.logs)
     comps = []
     for k, saved in enumerate(logs):
         logs[k] = math.log(pt.upper[k] + l) if pt.mult else saved + l
-        value = update(k, logs) if update else None
-        if value is None:
-            value = kii_logs(n, logs, q)[0]
-        comps.append(-(value - base) / l)
+        comps.append(-(value_at(k, logs) - base) / l)
         logs[k] = saved
     return tuple(comps)
 
 
-@lru_cache(maxsize=None)
-def _pair_triads(n: int):
-    """Per upper position k, the rows (t, ij, jk, ik) of the triads that contain k."""
-    rows = [[] for _ in range(upper_size(n))]
-    for t, (_, ij, jk, ik) in enumerate(triad_slots(n)):
-        row = (t, ij, jk, ik)
-        for k in (ij, jk, ik):
-            rows[k].append(row)
-    return tuple(map(tuple, rows))
+def select_direction(n: int, p: float, gradient: str, l: float | None = None):
+    """The direction function of gradient at order n: the one way into the direction code.
 
-
-def _updater(pt: Point):
-    """kii of pt with one log moved, from pt's defects and the n - 2 touched triads.
-
-    Returns update(k, logs) -> value, or None where the plain form cannot be
-    trusted for the whole point; update itself returns None for a component
-    the naive loop must evaluate.
+    It checks once what a run needs (0 < l < inf for the difference direction,
+    a p where K_p is C^1 for the analytic one above order 3) and maps a Point
+    evaluated at p to its direction, a tuple in upper-triangle storage order.
     """
-    ds, q = pt.defects, pt.q
-    # an inf defect (an overflowing additive triad) or a nan one (inf - inf)
-    # neither cancels exactly in a sum nor orders in a max
-    if not all(map(math.isfinite, ds)):
-        return None
-    rows = _pair_triads(pt.n)
-    if q == INF:
-        slots = triad_slots(pt.n)
-        # the n - 2 triads one move touches cannot cover the n - 1 largest
-        # defects once n > 3; at n = 3 the default 0.0 is below every defect
-        tops = [(ds[t], slots[t][1:])
-                for t in nlargest(pt.n - 1, range(len(ds)), key=ds.__getitem__)]
-
-        def update_max(k, logs):
-            new = max(abs(logs[a] + logs[b] - logs[c]) for _, a, b, c in rows[k])
-            rest = next((d for d, ks in tops if k not in ks), 0.0)
-            return 1.0 - math.exp(-max(new, rest))
-
-        return update_max
-    try:
-        terms = _power_terms(ds, q)
-        parts = _exact_parts(terms)
-    except OverflowError:
-        return None
-    neg = [-x for x in terms]
-    count = len(ds)
-
-    def update_mean(k, logs):
-        new = [abs(logs[a] + logs[b] - logs[c]) for _, a, b, c in rows[k]]
-        if q < 0.0 and min(new) < DELTA_ZERO:
-            return None
-        try:
-            total = math.fsum(parts + [neg[t] for t, _, _, _ in rows[k]]
-                              + _power_terms(new, q))
-            avg = _root_mean(total, count, q)
-        except OverflowError:
-            return None
-        return 1.0 - math.exp(-avg) if avg != 0.0 else None
-
-    return update_mean
-
-
-def _exact_parts(terms: list[float]) -> list[float]:
-    """Floats whose exact sum is the exact sum of terms.
-
-    Each part is fsum's correctly rounded value of what the previous parts
-    leave, so the parts play the role of Shewchuk's partials.
-    """
-    parts = []
-    rest = math.fsum(terms)
-    while rest:
-        parts.append(rest)
-        rest = math.fsum(terms + [-x for x in parts])
-    return parts
+    if gradient == DIFFERENCE:
+        if l is None or not (0.0 < l < math.inf):
+            raise ValidationError(
+                f"difference gradient needs an increment l in (0, inf), got {l!r}")
+        return lambda pt: difference_priority_vector(pt, l)
+    if gradient != ANALYTIC:
+        raise ValidationError(f"unknown gradient kind {gradient!r}")
+    # at order 3, K_p = 1 - e^(-d) for every p: smooth away from d = 0
+    if n > 3 and p in (0.0, 1.0, INF):
+        raise NonSmoothExponent(float(p))
+    return instant_pv_np

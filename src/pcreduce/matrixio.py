@@ -45,6 +45,7 @@ from .errors import (
     MatrixFileError,
     NonPositiveEntry,
     ReciprocityViolation,
+    ValidationError,
 )
 
 #: tolerance of a full grid's diagonal and of a_ij * a_ji = 1 (b_ij + b_ji = 0);
@@ -203,8 +204,16 @@ def write_trace_file(path, result: DescentResult) -> None:
         f.write(format_trace(result))
 
 
+def _indicator(text: str) -> float:
+    """An indicator read from a trace: K_p = 1 - e^(-M) lies in [0, 1]."""
+    x = float(text)
+    if not 0.0 <= x <= 1.0:  # a nan fails too
+        raise ValidationError(f"indicator {x!r} is not in [0, 1]")
+    return x
+
+
 #: summary keys of a trace file with one value each, and their types
-SUMMARY_FIELDS = {"stop_reason": str, "best_iter": int, "best_indicator": float}
+SUMMARY_FIELDS = {"stop_reason": str, "best_iter": int, "best_indicator": _indicator}
 
 
 def parse_trace_text(text: str) -> DescentResult:
@@ -212,11 +221,13 @@ def parse_trace_text(text: str) -> DescentResult:
 
     The inverse of format_trace up to what a file does not hold: every
     record's direction_norm is None and there are no clamp events.  The
-    header must name the entries as format_trace does, every iterate row and
-    best must be a valid triangle of the header's scheme, the stop reason
-    must be one descent.run reports, best_indicator and best come together,
-    and best_iter is -1 without them and a rank >= 0 with them.  Any other
-    text raises MatrixFileError naming the offending line.
+    header must name the entries as format_trace does, iterate rows must
+    have ranks >= 0 in increasing order, every indicator must lie in [0, 1],
+    every iterate row and best must be a valid triangle of the header's
+    scheme, the stop reason must be one descent.run reports, best_indicator
+    and best come together, and best_iter is -1 without them and a rank >= 0
+    with them.  Any other text raises MatrixFileError naming the offending
+    line.
     """
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or not lines[0][1].startswith("iteration,indicator,"):
@@ -253,7 +264,10 @@ def parse_trace_text(text: str) -> DescentResult:
             else:
                 upper = tuple(map(float, fields[1:]))
                 check_entries(n, upper, scheme == MULTIPLICATIVE)
-                records.append(TraceRecord(int(key), upper, float(fields[0]), None))
+                rank = int(key)
+                if rank <= (records[-1].iteration if records else -1):
+                    raise ValidationError(f"iterations must be >= 0 and increasing, got {rank}")
+                records.append(TraceRecord(rank, upper, _indicator(fields[0]), None))
                 continue
         except ValueError as exc:  # a ValidationError among them
             raise MatrixFileError(f"bad trace row {line!r}: {exc}", lineno) from None

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import ADDITIVE, MATRIX_CLASSES, MULTIPLICATIVE
-from .descent import DIFFERENCE, DescentConfig, DescentResult, run
+from .descent import DescentConfig, DescentResult, run
+from .gradients import DIFFERENCE
 from .matrixio import upper_entry_names, write_trace_file
 
 HARNESS_EPS = 1e-3

@@ -36,14 +36,17 @@ from pcreduce.core import (
     upper_pairs,
 )
 from pcreduce.descent import (
-    ANALYTIC,
     DescentConfig,
     run,
-    select_direction,
     step_additive,
     step_multiplicative,
 )
-from pcreduce.gradients import difference_priority_vector, instant_pv_np
+from pcreduce.gradients import (
+    ANALYTIC,
+    difference_priority_vector,
+    instant_pv_np,
+    select_direction,
+)
 from pcreduce.indicators import kii, point_at
 from pcreduce.repro import REFERENCE_RUNS, run_row
 

@@ -13,8 +13,6 @@ from pcreduce.core import (
 )
 from pcreduce.descent import (
     ADDITIVE,
-    ANALYTIC,
-    DIFFERENCE,
     MULTIPLICATIVE,
     STOP_CONVERGED,
     STOP_MAX_ITER,
@@ -23,7 +21,6 @@ from pcreduce.descent import (
     STOP_UNDEFINED,
     DescentConfig,
     run,
-    select_direction,
     step_additive,
     step_multiplicative,
 )
@@ -34,6 +31,11 @@ from pcreduce.errors import (
     NonSmoothExponent,
     PositivityFailure,
     ValidationError,
+)
+from pcreduce.gradients import (
+    ANALYTIC,
+    DIFFERENCE,
+    select_direction,
 )
 from pcreduce.indicators import kii, point_at
 
@@ -368,7 +370,7 @@ class TestRunCost:
         # at order 8 each of the 28 components updates the base point's
         # defects instead of evaluating kii afresh
         n = 8
-        assert n >= gradients.INCREMENTAL_MIN_ORDER
+        assert n >= indicators.INCREMENTAL_MIN_ORDER
         rng = random.Random(8)
         m = AdditivePCMatrix(n, tuple(rng.uniform(-2.0, 2.0) for _ in range(28)))
         pt = point_at(m, 2.0)
@@ -380,7 +382,7 @@ class TestRunCost:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for mod in (core, indicators, gradients):
+        for mod in (core, indicators):
             for name in ("all_defects", "kii_logs"):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))

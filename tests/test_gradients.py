@@ -13,7 +13,6 @@ from pcreduce.core import (
     upper_pairs,
     upper_size,
 )
-from pcreduce.descent import ANALYTIC, DIFFERENCE, select_direction
 from pcreduce.errors import (
     DegenerateDefect,
     IndicatorUndefined,
@@ -22,11 +21,13 @@ from pcreduce.errors import (
     ValidationError,
 )
 from pcreduce.gradients import (
-    INCREMENTAL_MIN_ORDER,
+    ANALYTIC,
+    DIFFERENCE,
     difference_priority_vector,
     instant_pv_np,
+    select_direction,
 )
-from pcreduce.indicators import kii, point_at
+from pcreduce.indicators import INCREMENTAL_MIN_ORDER, kii, point_at
 
 from oracles import instant_pv3_mult, upper_index
 
@@ -274,6 +275,16 @@ class TestDifferenceGradient:
         m = AdditivePCMatrix(n, tuple(level + rng.uniform(-0.01, 0.01)
                                       for _ in range(upper_size(n))))
         assert_matches_naive(m, 700.0, l)
+
+    @pytest.mark.parametrize("p", [2.0, math.inf, 0.5, -1.0])
+    def test_infinite_base_defect_takes_the_fresh_evaluation(self, p):
+        # b12 + b23 - b13 overflows, so triad (1,2,3) has an infinite defect;
+        # an exact sum over it would meet inf - inf
+        m = lifted(6, (1e308, 0.0, 1e308), seed=4)
+        assert all_defects(m.n, m.upper)[0] == math.inf
+        assert_matches_naive(m, p, 1e-3)
+        v = difference_priority_vector(point_at(m, p), 1e-3)
+        assert any(v) == (p == -1.0)
 
     @pytest.mark.parametrize("l", [1e-3, 0.5])
     def test_max_when_the_largest_triad_is_touched(self, l):

@@ -87,21 +87,23 @@ def well_formed_traces(draw):
     """Trace text laid out as format_trace writes it, with any rows and summary.
 
     Entries are valid for the header's scheme (positive for a_, finite for
-    b_), and best_iter is -1 exactly when there is no best row.
+    b_), indicators lie in [0, 1], and best_iter is -1 exactly when there is
+    no best row.
     """
     prefix = draw(st.sampled_from(["a", "b"]))
     n = draw(st.integers(min_value=3, max_value=5))
     entries = TRACE_FLOATS if prefix == "b" else st.floats(
         min_value=0.0, exclude_min=True, allow_infinity=False).map(repr)
     floats = st.lists(entries, min_size=upper_size(n), max_size=upper_size(n))
+    indicators = st.floats(min_value=0.0, max_value=1.0).map(repr)
     names = [f"{prefix}_{i}_{j}" for i, j in upper_pairs(n)]
     lines = ["iteration,indicator," + ",".join(names)]
     for it in range(draw(st.integers(min_value=0, max_value=4))):
-        lines.append(",".join([str(it), draw(TRACE_FLOATS)] + draw(floats)))
+        lines.append(",".join([str(it), draw(indicators)] + draw(floats)))
     lines.append(f"stop_reason,{draw(st.sampled_from(STOP_REASONS))}")
     if draw(st.booleans()):
         lines.append(f"best_iter,{draw(st.integers(min_value=0, max_value=10))}")
-        lines.append(f"best_indicator,{draw(TRACE_FLOATS)}")
+        lines.append(f"best_indicator,{draw(indicators)}")
         lines.append(",".join(["best"] + draw(floats)))
     else:
         lines.append("best_iter,-1")
@@ -393,12 +395,23 @@ class TestTraceFiles:
          "best,1,2,3\n", 4),
         (TRACE_HEAD + "stop_reason,stalled\nbest_iter,-2\nbest_indicator,0.9\n"
          "best,1,2,3\n", 4),
+        ("iteration,indicator,a_1_2,a_1_3,a_2_3\n-3,0.5,1,2,3\n"
+         "stop_reason,stalled\nbest_iter,-1\n", 2),
+        (TRACE_HEAD + "0,0.5,1,2,3\nstop_reason,stalled\nbest_iter,-1\n", 3),
+        (TRACE_HEAD + "5,0.5,1,2,3\n4,0.5,1,2,3\nstop_reason,stalled\nbest_iter,-1\n", 4),
+        (TRACE_HEAD + "1,nan,1,2,3\nstop_reason,stalled\nbest_iter,-1\n", 3),
+        (TRACE_HEAD + "1,7.5,1,2,3\nstop_reason,stalled\nbest_iter,-1\n", 3),
+        (TRACE_HEAD + "1,-0.5,1,2,3\nstop_reason,stalled\nbest_iter,-1\n", 3),
+        (TRACE_HEAD + "stop_reason,stalled\nbest_iter,0\nbest_indicator,inf\n"
+         "best,1,2,3\n", 5),
     ], ids=["order_two", "bad_best_iter", "bad_best_indicator", "empty_stop_reason",
             "short_best_row", "bare_iteration", "wrong_entry_names", "unknown_stop_reason",
             "nonpositive_best", "best_without_indicator", "indicator_without_best",
             "nonpositive_iterate", "infinite_iterate", "infinite_additive_iterate",
             "best_iter_without_best", "best_with_best_iter_minus_one",
-            "best_with_negative_best_iter"])
+            "best_with_negative_best_iter", "negative_iteration", "repeated_iteration",
+            "decreasing_iteration", "nan_indicator", "indicator_above_one",
+            "negative_indicator", "infinite_best_indicator"])
     def test_malformed_trace_names_line(self, text, line):
         with pytest.raises(MatrixFileError) as err:
             parse_trace_text(text)
