@@ -51,6 +51,8 @@ def check_order(n: int) -> None:
 
 def check_entries(n: int, upper, mult: bool) -> None:
     """The entry check of either form: a_ij positive and finite, b_ij finite."""
+    if all(map(math.isfinite, upper)) and (not mult or min(upper) > 0.0):
+        return
     for (i, j), v in zip(upper_pairs(n), upper):
         if mult and not (0.0 < v < math.inf):
             raise NonPositiveEntry(i, j, v)
@@ -148,4 +150,4 @@ def all_defects(n: int, logs) -> tuple[float, ...]:
 
     The one triad kernel: indicators and directions all go through it.
     """
-    return tuple(abs(logs[q] + logs[v] - logs[w]) for _, q, v, w in triad_slots(n))
+    return tuple([abs(logs[a] + logs[b] - logs[c]) for _, a, b, c in triad_slots(n)])

@@ -204,7 +204,7 @@ def descend(mat: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig):
         if stop is not None:
             yield TraceRecord(it, upper, ii, None), (), stop
             return
-        record = TraceRecord(it, upper, ii, math.sqrt(math.fsum(c * c for c in v)))
+        record = TraceRecord(it, upper, ii, math.sqrt(math.fsum([c * c for c in v])))
         raw: list = []
         try:
             upper = (step_multiplicative(n, upper, v, cfg.h, raw) if mult
@@ -212,7 +212,7 @@ def descend(mat: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig):
         except (PositivityFailure, ValidationError):
             yield record, (), STOP_POSITIVITY
             return
-        yield record, tuple(ClampEvent(it, i, j, hv) for i, j, hv in raw), None
+        yield record, tuple(ClampEvent(it, i, j, hv) for i, j, hv in raw) if raw else (), None
 
 
 def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> DescentResult:

@@ -60,9 +60,11 @@ def instant_pv_np(pt: Point) -> tuple[float, ...]:
     if scale == 0.0:  # e^(-D) underflows: K_p reads 1.0 here and all around
         return (0.0,) * upper_size(n)
     grad = [0.0] * upper_size(n)
+    e = pt.q - 1.0
     for (_, ij, jk, ik), d in zip(slots, ds):
         s = math.copysign(1.0, logs[ij] + logs[jk] - logs[ik])
-        w = scale * (d / big) ** (pt.q - 1.0)
+        # r ** 1.0 == r: q = 2 skips the pow
+        w = scale * (d / big if e == 1.0 else (d / big) ** e)
         grad[ij] += s * w
         grad[jk] += s * w
         grad[ik] -= s * w

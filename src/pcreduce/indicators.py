@@ -10,20 +10,23 @@ Defects are always computed from the log coordinates (core.log_upper), never
 by multiplying raw entries, so matrices with entries like e^3 cannot overflow
 their triad products.
 
-kii_logs evaluates K_p afresh; moved_kii evaluates it with one log of a Point
-moved, for the forward quotients.  A move touches only the n - 2 triads that
-contain the entry, so from order INCREMENTAL_MIN_ORDER on moved_kii updates
-the Point's defects in O(n) instead of sweeping all C(n,3) triads (O(n^3) per
-difference direction, not O(n^5)), bit for bit as the fresh evaluation.  A
-moved defect uses the triad kernel's own expression on the moved logs.
-For finite p the base terms d^p are kept as an exact expansion (the role of
-Shewchuk's partials, "Adaptive Precision Floating-Point Arithmetic", 1997,
-the algorithm inside math.fsum), and fsum over it, the negated old terms and
-the new ones is the correctly rounded exact sum, which is what fsum over the
-moved point's terms returns.  For p = inf the largest untouched base defect
-comes from the n - 1 largest.  The moved value is the fresh one where the
-plain mean does not apply: d^p overflows, the mean lands on p_average's
-scaled form, or at p < 0 a moved defect falls into the hole (kii_logs raises).
+kii_logs evaluates K_p afresh; moved_kii evaluates it with one log of a
+Point moved, for the forward quotients.  The fresh evaluation is one kernel
+per (n, p), chosen once (kernels): the power mean's branch is fixed in
+advance and p_average takes over wherever its plain form does not apply.  A
+move touches only the n - 2 triads that contain the entry, so from order
+INCREMENTAL_MIN_ORDER on moved_kii updates the Point's defects in O(n)
+instead of sweeping all C(n,3) triads (O(n^3) per difference direction, not
+O(n^5)), bit for bit as the fresh evaluation.  A moved defect uses the triad
+kernel's own expression on the moved logs.  For finite p the base terms d^p
+are kept as an exact expansion (the role of Shewchuk's partials, "Adaptive
+Precision Floating-Point Arithmetic", 1997, the algorithm inside math.fsum),
+and fsum over it, the negated old terms and the new ones is the correctly
+rounded exact sum, which is what fsum over the moved point's terms returns.
+For p = inf the largest untouched base defect comes from the n - 1 largest.
+The moved value is the fresh one where the plain mean does not apply: d^p
+overflows, the mean lands on p_average's scaled form, or at p < 0 a moved
+defect falls into the hole (kii_logs raises).
 """
 
 from __future__ import annotations
@@ -141,7 +144,79 @@ def kii_logs(n: int, logs, q: float) -> tuple[float, tuple[float, ...], float]:
 
     q must be normalized; validates nothing, as the descent's inner loop needs.
     """
-    ds = all_defects(n, logs)
+    return kernels(n, q)[0](logs)
+
+
+@lru_cache(maxsize=64)
+def kernels(n: int, q: float):
+    """(fresh, value_at): the K_p kernels of order n at a normalized q, chosen once.
+
+    fresh(logs) is kii_logs(n, logs, q); value_at(k, logs) is its value alone,
+    with moved_kii's signature (k unused).  Each sweeps the defects through
+    core.all_defects and takes p_average's plain form with its branch fixed
+    here: max at q = inf, fsum(ds) / count at q = 1 (x ** 1.0 == x), the
+    sqrt terms at q = 1/2, pow otherwise, the hole check first at q < 0.
+    Where p_average would leave the plain form (an OverflowError, a zero or
+    subnormal mean, or the q < 0 hole, IndicatorUndefined naming its triad),
+    the defects go to p_average itself, so every result is bit-identical.
+    """
+    mean = _plain_means(q, len(triad_slots(n)))
+
+    def fresh(logs):
+        ds = all_defects(n, logs)
+        avg = mean(ds)
+        if avg is None:
+            return _by_p_average(n, ds, q)
+        return 1.0 - math.exp(-avg), ds, avg
+
+    def value_at(k, logs):
+        ds = all_defects(n, logs)
+        avg = mean(ds)
+        if avg is None:
+            return _by_p_average(n, ds, q)[0]
+        return 1.0 - math.exp(-avg)
+
+    return fresh, value_at
+
+
+def _plain_means(q: float, count: int):
+    """mean(ds): p_average's plain form at q of count defects, None where it does not apply."""
+    if q == INF:
+        return max
+    if q == 1.0:
+        def mean(ds):
+            try:
+                avg = math.fsum(ds) / count
+            except OverflowError:
+                return None
+            return None if avg < sys.float_info.min else avg
+    elif q == 0.5:
+        def mean(ds):
+            try:
+                avg = (math.fsum(map(math.sqrt, ds)) / count) ** 2
+            except OverflowError:
+                return None
+            return None if avg == 0.0 else avg
+    else:
+        root = 1.0 / q
+
+        def mean(ds):
+            # a nan first would hide a zero behind it from min: it falls back too
+            if q < 0.0 and not min(ds) >= DELTA_ZERO:
+                return None
+            try:
+                avg = math.fsum([d ** q for d in ds]) / count
+                if avg < sys.float_info.min:
+                    return None
+                avg **= root
+            except OverflowError:
+                return None
+            return None if avg == 0.0 else avg
+    return mean
+
+
+def _by_p_average(n: int, ds: tuple[float, ...], q: float):
+    """kii_logs from the defects ds through p_average itself."""
     try:
         avg = p_average(ds, q)
     except ZeroWithNegativeExponent:
@@ -166,7 +241,7 @@ class Point(NamedTuple):
 def evaluate(n: int, upper: tuple[float, ...], mult: bool, q: float) -> Point:
     """The Point of a raw triangle; q must be normalized.  Validates nothing."""
     logs = log_upper(upper, mult)
-    return Point(n, upper, logs, mult, q, *kii_logs(n, logs, q))
+    return Point(n, upper, logs, mult, q, *kernels(n, q)[0](logs))
 
 
 def point_at(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> Point:
@@ -175,24 +250,21 @@ def point_at(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> Point:
 
 
 #: the smallest order whose moved_kii updates the base Point.  Per difference
-#: direction on a generic multiplicative matrix (best of 5, Python 3.11, 2
-#: vCPUs), fresh vs updated: n = 4 20-28 vs 25-28 us, n = 5 42-67 vs
-#: 46-57 us (p = inf favours fresh), n = 6 92-140 vs 66-84 us, 1.3-1.9x
-#: faster at each of p = 2, 1, 1/2, inf, -1.
+#: direction on a generic multiplicative matrix (best of 5, three runs, Python
+#: 3.11, 2 vCPUs), fresh kernel vs updated: n = 4 11-23 vs 22-33 us, n = 5
+#: 26-68 vs 32-60 us (either way by p), n = 6 53-144 vs 46-94 us, the update
+#: no slower at each of p = 2, 1, 1/2, inf, -1.
 INCREMENTAL_MIN_ORDER = 6
 
 
 def moved_kii(pt: Point):
     """value_at(k, logs): Kii_{n,q} at pt.q of pt's logs with log k moved to logs[k].
 
-    value_at is the fresh kii_logs below INCREMENTAL_MIN_ORDER or at a
+    value_at is the fresh kernel's below INCREMENTAL_MIN_ORDER or at a
     non-finite defect of pt, else the module docstring's O(n) update of pt.
     """
     n, ds, q = pt.n, pt.defects, pt.q
-
-    def fresh(k, logs):
-        return kii_logs(n, logs, q)[0]
-
+    fresh = kernels(n, q)[1]
     # an inf defect (an overflowing additive triad) or a nan one (inf - inf)
     # neither cancels exactly in a sum nor orders in a max
     if n < INCREMENTAL_MIN_ORDER or not all(map(math.isfinite, ds)):

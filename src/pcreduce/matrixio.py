@@ -187,10 +187,7 @@ def format_trace(result: DescentResult) -> str:
     """
     out = ["iteration,indicator," + ",".join(upper_entry_names(result.n, result.scheme))]
     for rec in result.trace.records:
-        out.append(
-            f"{rec.iteration},{repr(rec.indicator)},"
-            + ",".join(repr(x) for x in rec.upper)
-        )
+        out.append(f"{rec.iteration},{rec.indicator!r},{','.join(map(repr, rec.upper))}")
     out.append(f"stop_reason,{result.stop_reason}")
     out.append(f"best_iter,{result.best_iter}")
     if result.best_matrix is not None:

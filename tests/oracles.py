@@ -6,6 +6,7 @@ only to cross-check it.
 """
 
 import math
+import sys
 
 from pcreduce.core import (
     AdditivePCMatrix,
@@ -13,14 +14,17 @@ from pcreduce.core import (
     all_defects,
     check_order,
     log_upper,
+    triad_slots,
     upper_pairs,
 )
 from pcreduce.errors import (
     AntisymmetryViolation,
     BadDiagonal,
+    IndicatorUndefined,
     NonPositiveEntry,
     OnConsistentLocus,
     ReciprocityViolation,
+    ZeroWithNegativeExponent,
 )
 from pcreduce.indicators import DELTA_ZERO
 
@@ -70,6 +74,47 @@ def instant_pv3_add(a: float, b: float, c: float) -> tuple[float, ...]:
     s = math.copysign(1.0, u)
     e = math.exp(-abs(u))
     return (-s * e, s * e, -s * e)
+
+
+# The indicator reference: K_p of log coordinates through the general power
+# mean, deciding its branches on every call.  The library's per-(n, q)
+# kernels fix those branches in advance and must match this bit for bit.
+
+def reference_kii_logs(n: int, logs, q: float) -> tuple[float, tuple[float, ...], float]:
+    """(K_q, defects, q-mean) of log coordinates at a normalized q."""
+    ds = tuple(abs(logs[a] + logs[b] - logs[c]) for _, a, b, c in triad_slots(n))
+    try:
+        avg = reference_p_average(ds, q)
+    except ZeroWithNegativeExponent:
+        k = next(k for k, d in enumerate(ds) if d < DELTA_ZERO)
+        raise IndicatorUndefined(q, triad_slots(n)[k][0], ds[k]) from None
+    return 1.0 - math.exp(-avg), ds, avg
+
+
+def reference_p_average(xs, p: float) -> float:
+    """((1/N) sum x^p)^(1/p), max at p = inf, scaled where the plain form fails."""
+    if p == math.inf:
+        return max(xs)
+    if p < 0.0:
+        for x in xs:
+            if x < DELTA_ZERO:
+                raise ZeroWithNegativeExponent(x)
+    try:
+        avg = _reference_plain_mean(xs, p)
+    except OverflowError:
+        avg = 0.0
+    if avg == 0.0 and max(xs) > 0.0:
+        s = max(xs) if p > 0.0 else min(xs)
+        avg = s if s == math.inf else s * _reference_plain_mean([x / s for x in xs], p)
+    return avg
+
+
+def _reference_plain_mean(xs, q: float) -> float:
+    terms = [math.sqrt(x) for x in xs] if q == 0.5 else [x ** q for x in xs]
+    mean = math.fsum(terms) / len(xs)
+    if q == 0.5:
+        return mean ** 2
+    return 0.0 if mean < sys.float_info.min else mean ** (1.0 / q)
 
 
 def upper_index(n: int, i: int, j: int) -> int:

@@ -3,10 +3,13 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pcreduce import indicators
 from pcreduce.core import (
     AdditivePCMatrix,
     MultiplicativePCMatrix,
+    log_upper,
     to_additive,
+    upper_size,
 )
 from pcreduce.errors import (
     IndicatorUndefined,
@@ -16,12 +19,15 @@ from pcreduce.errors import (
 )
 from pcreduce.indicators import (
     P_MIN,
+    evaluate,
+    kernels,
     kii,
+    kii_logs,
     normalize_exponent,
     p_average,
 )
 
-from oracles import consistent_from_weights, kii3, kii3_min_form
+from oracles import consistent_from_weights, kii3, kii3_min_form, reference_kii_logs
 
 A4 = MultiplicativePCMatrix(
     4, (math.exp(-2.0), math.exp(3.0), 1.0, math.exp(1.0), 1.0, 1.0)
@@ -212,3 +218,88 @@ class TestKii:
     def test_vanishes_exactly_on_consistent_set(self, w):
         m = consistent_from_weights(w)
         assert kii(m, 1.0) <= 1e-12
+
+
+#: the exponents of the kernels' fixed branches, a general pow on either side
+#: of 1, the hole side and one whose d^q over- or underflows
+KERNEL_QS = (1.0, math.inf, 2.0, 0.5, 3.7, -1.0, 628.0)
+
+#: logs drawn to reach every fallback: zero defects from exact sums, huge
+#: and subnormal magnitudes from the whole float range
+kernel_logs = st.one_of(
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.sampled_from([0.0, 0.5, 1.0, -1.0, 2.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+kernel_entries = st.one_of(
+    st.floats(min_value=1 / 9, max_value=9.0),
+    st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+    st.floats(min_value=5e-324, max_value=1.7e308),
+)
+
+
+def outcome(f, *args):
+    """f's result, or its exception's class and fields; repr tells floats apart bit for bit."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # the reference's exception is the expected outcome
+        return type(exc).__name__, repr(vars(exc))
+
+
+def assert_kernels_match_reference(n, logs, q):
+    assert outcome(kii_logs, n, logs, q) == outcome(reference_kii_logs, n, logs, q)
+    value_at = kernels(n, q)[1]
+    assert outcome(value_at, 0, logs) == outcome(lambda: reference_kii_logs(n, logs, q)[0])
+
+
+class TestKernels:
+    @given(st.data())
+    @settings(max_examples=400)
+    def test_kernel_matches_reference(self, data):
+        n = data.draw(st.integers(min_value=3, max_value=8))
+        mult = data.draw(st.booleans())
+        q = data.draw(st.sampled_from(KERNEL_QS))
+        upper = tuple(data.draw(st.lists(kernel_entries if mult else kernel_logs,
+                                         min_size=upper_size(n), max_size=upper_size(n))))
+        logs = log_upper(upper, mult)
+        assert_kernels_match_reference(n, logs, q)
+        assert (outcome(lambda: tuple(evaluate(n, upper, mult, q))[5:])
+                == outcome(reference_kii_logs, n, logs, q))
+
+    @pytest.mark.parametrize("n, logs, q", [
+        # defects 1e308, 1e308, 0, 0: fsum overflows
+        (4, (1e308, 0.0, 0.0, 0.0, 0.0, 0.0), 1.0),
+        # and so does 1e308 ** 2
+        (4, (1e308, 0.0, 0.0, 0.0, 0.0, 0.0), 2.0),
+        # 0.3053 ** 628 is a subnormal mean
+        (3, (0.3053, 0.0, 0.0), 628.0),
+        # and so is a subnormal defect's mean at q = 1
+        (3, (5e-324, 0.0, 0.0), 1.0),
+        # defects 5e-324, 5e-324, 0, 0: the squared mean of the roots is 0
+        (4, (5e-324, 0.0, 0.0, 0.0, 0.0, 0.0), 0.5),
+        # defects 1, 1, 0, 0: 0.5 ** 1e6 underflows the root to 0
+        (4, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0), P_MIN),
+        # 1 + 1 - 2: a zero defect in the hole
+        (3, (1.0, 2.0, 1.0), -1.0),
+    ], ids=["fsum_overflow", "pow_overflow", "subnormal_mean", "subnormal_plain_mean",
+            "zero_sqrt_mean", "zero_root", "hole"])
+    def test_fallback_takes_p_average(self, monkeypatch, n, logs, q):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return p_average(*args)
+
+        monkeypatch.setattr(indicators, "p_average", counted)
+        assert_kernels_match_reference(n, logs, q)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("q", KERNEL_QS)
+    @pytest.mark.parametrize("n, logs", [
+        (3, (1e308, 0.0, 1e308)),
+        (3, (math.nan, 0.0, 0.0)),
+        # defects nan, nan, 0, 1: min(ds) is nan, yet (1,3,4) is in the hole
+        (4, (math.nan, 1.0, 2.0, 0.0, 0.0, 1.0)),
+    ], ids=["infinite_defect", "nan_defect", "nan_before_zero"])
+    def test_non_finite_defect(self, n, logs, q):
+        assert_kernels_match_reference(n, logs, q)

@@ -1,7 +1,10 @@
 """The package's export list and the boundaries between its modules."""
 
 import ast
+import sys
 from pathlib import Path
+
+import pytest
 
 import pcreduce
 
@@ -26,3 +29,24 @@ def test_no_module_imports_private_names_of_another():
                           f"import {alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
     assert found == []
+
+
+def test_source_imports_only_the_standard_library():
+    # speed comes from the algorithms and the per-call overhead, not from a
+    # runtime dependency: the package stays pure Python
+    package = Path(pcreduce.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert found == []
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    assert pyproject["project"]["dependencies"] == []
