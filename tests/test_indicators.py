@@ -27,7 +27,13 @@ from pcreduce.indicators import (
     p_average,
 )
 
-from oracles import consistent_from_weights, kii3, kii3_min_form, reference_kii_logs
+from oracles import (
+    consistent_from_weights,
+    kii3,
+    kii3_min_form,
+    reference_kii_logs,
+    reference_p_average,
+)
 
 A4 = MultiplicativePCMatrix(
     4, (math.exp(-2.0), math.exp(3.0), 1.0, math.exp(1.0), 1.0, 1.0)
@@ -58,7 +64,24 @@ class TestNormalizeExponent:
         assert abs(p_average([d] * k, p) - d) <= 1e-9 * d
 
 
+#: exponents on both sides of 0 and of 1, the fixed branches, the smallest
+#: accepted |p| and two whose x^p over- or underflows
+AVERAGE_QS = (1.0, math.inf, 2.0, 0.5, 3.7, -1.0, -0.5, P_MIN, -P_MIN,
+              628.0, -628.0, 1000.0, -1000.0)
+
+#: values with zero, subnormal, tiny, huge and infinite members
+average_values = st.lists(
+    st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-12, 1e308, math.inf]),
+              st.floats(min_value=0.0)),
+    min_size=1, max_size=6)
+
+
 class TestPAverage:
+    @given(average_values, st.sampled_from(AVERAGE_QS))
+    @settings(max_examples=1000)
+    def test_matches_reference_bit_for_bit(self, xs, q):
+        assert outcome(p_average, xs, q) == outcome(reference_p_average, xs, q)
+
     def test_arithmetic(self):
         assert p_average((1.0, 2.0, 3.0), 1.0) == pytest.approx(2.0)
 
