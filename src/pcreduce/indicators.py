@@ -10,31 +10,32 @@ Defects are always computed from the log coordinates (core.log_upper), never
 by multiplying raw entries, so matrices with entries like e^3 cannot overflow
 their triad products.
 
-kii_logs evaluates K_p afresh; moved_kii evaluates it with one log of a
-Point moved, for the forward quotients.  The fresh evaluation is one kernel
-per (n, p), chosen once (kernels): the power mean's branch is fixed in
-advance and p_average takes over wherever its plain form does not apply.  A
-move touches only the n - 2 triads that contain the entry, so from order
-INCREMENTAL_MIN_ORDER on moved_kii updates the Point's defects in O(n)
-instead of sweeping all C(n,3) triads (O(n^3) per difference direction, not
-O(n^5)), bit for bit as the fresh evaluation.  A moved defect uses the triad
-kernel's own expression on the moved logs.  For finite p the base terms d^p
-are kept as an exact expansion (the role of Shewchuk's partials, "Adaptive
-Precision Floating-Point Arithmetic", 1997, the algorithm inside math.fsum),
-and fsum over it, the negated old terms and the new ones is the correctly
-rounded exact sum, which is what fsum over the moved point's terms returns.
-For p = inf the largest untouched base defect comes from the n - 1 largest.
-The moved value is the fresh one where the plain mean does not apply: d^p
+kernels(n, q) evaluates K_p afresh, one kernel per (n, p) chosen once;
+moved_kii evaluates it with one log of a Point moved, for the forward
+quotients.  Both, and p_average, take power_form's plain mean, and p_average
+takes over wherever that does not apply.  A move touches only the n - 2
+triads that contain the entry, so from order INCREMENTAL_MIN_ORDER on
+moved_kii updates the Point's defects in O(n) instead of sweeping all C(n,3)
+triads (O(n^3) per difference direction, not O(n^5)), bit for bit as the
+fresh evaluation.  A moved defect uses the triad kernel's own expression on
+the moved logs.  For finite p the base terms d^p are kept as an exact
+expansion (the role of Shewchuk's partials, "Adaptive Precision
+Floating-Point Arithmetic", 1997, the algorithm inside math.fsum), and fsum
+over it, the negated old terms and the new ones is the correctly rounded
+exact sum, which is what fsum over the moved point's terms returns.  For
+p = inf the largest untouched base defect comes from the n - 1 largest.  The
+moved value is the fresh one where the plain mean does not apply: d^p
 overflows, the mean lands on p_average's scaled form, or at p < 0 a moved
-defect falls into the hole (kii_logs raises).
+defect falls into the hole (the fresh kernel raises).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from heapq import nlargest
+from itertools import chain
 from typing import NamedTuple
 
 from .core import (
@@ -80,53 +81,64 @@ def normalize_exponent(p) -> float:
     return q
 
 
+#: a mean of the terms below this (zero or subnormal) has lost bits that the
+#: 1/q root would magnify: it has no plain root
+_MEAN_FLOOR = sys.float_info.min
+
+
+@lru_cache(maxsize=64)
+def power_form(q: float):
+    """(terms, e): the plain q-mean of N values xs is (fsum(terms(xs)) / N) ** e.
+
+    q is finite and normalized.  The plain form applies where nothing
+    overflows, the mean of the terms is at least _MEAN_FLOOR and the root is
+    not 0.  The terms are x itself at q = 1 (x ** 1.0 == x), sqrt(x) at
+    q = 1/2 (correctly rounded where pow(x, 0.5) need not be, e = 2), else
+    x ** q with e = 1/q.
+    """
+    if q == 1.0:
+        return iter, 1.0
+    if q == 0.5:
+        return partial(map, math.sqrt), 2.0
+    return (lambda xs: [x ** q for x in xs]), 1.0 / q
+
+
 def p_average(xs, p) -> float:
-    """((1/N) sum x_i^p)^(1/p) for a normalized p; max of the x_i when p = inf.
+    """((1/N) sum x_i^p)^(1/p) at an exponent p (checked here); max of the x_i when p = inf.
 
     For p < 0 any x_i below DELTA_ZERO raises ZeroWithNegativeExponent:
-    x^p blows up and the mean is no longer meaningful.  Where the plain form
-    overflows, or its mean of x^p falls below the normal floats while some
-    x_i is positive, the mean is s * M_p(x / s), s the largest x_i for p > 0
-    and the smallest for p < 0; an infinite s (some x_i inf for p > 0, all
-    of them for p < 0) gives an infinite mean.
+    x^p blows up and the mean is no longer meaningful.  Where power_form's
+    plain form does not apply, the mean is s * M_p(x / s), s the largest x_i
+    for p > 0 and the smallest for p < 0; an infinite s (some x_i inf for
+    p > 0, all of them for p < 0) or root gives an infinite mean.
     """
     if not xs:
         raise ValidationError("p_average of an empty sequence")
-    if p == INF:
+    q = normalize_exponent(p)
+    if q == INF:
         return max(xs)
-    if p < 0.0:
+    if q < 0.0:
         for x in xs:
             if x < DELTA_ZERO:
                 raise ZeroWithNegativeExponent(x)
+    terms, e = power_form(q)
     try:
-        avg = _plain_mean(xs, p)
+        avg = math.fsum(terms(xs)) / len(xs)
+        avg = 0.0 if avg < _MEAN_FLOOR else avg ** e
     except OverflowError:
         avg = 0.0
     if avg == 0.0 and max(xs) > 0.0:
-        s = max(xs) if p > 0.0 else min(xs)
-        avg = s if s == INF else s * _plain_mean([x / s for x in xs], p)
+        s = max(xs) if q > 0.0 else min(xs)
+        if s == INF:
+            return INF
+        # the term of s is 1, so this mean is at least 1/N: only its root
+        # can overflow, at q < 0 where the plain root did too
+        avg = math.fsum(terms([x / s for x in xs])) / len(xs)
+        try:
+            avg = s * avg ** e
+        except OverflowError:
+            avg = INF
     return avg
-
-
-def _plain_mean(xs, q) -> float:
-    return _root_mean(math.fsum(_power_terms(xs, q)), len(xs), q)
-
-
-def _power_terms(xs, q) -> list[float]:
-    """The terms x^q that the plain mean sums."""
-    if q == 0.5:
-        # sqrt is correctly rounded where pow(x, 0.5) need not be
-        return [math.sqrt(x) for x in xs]
-    return [x ** q for x in xs]
-
-
-def _root_mean(total: float, count: int, q: float) -> float:
-    """(total / count)^(1/q), the plain mean of count terms summing to total."""
-    mean = total / count
-    if q == 0.5:
-        return mean ** 2
-    # a zero or subnormal mean has lost bits that the 1/q root would magnify
-    return 0.0 if mean < sys.float_info.min else mean ** (1.0 / q)
 
 
 def kii(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> float:
@@ -139,94 +151,71 @@ def kii(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> float:
     return point_at(m, p).value
 
 
-def kii_logs(n: int, logs, q: float) -> tuple[float, tuple[float, ...], float]:
-    """Kii_{n,q} of log coordinates, with the triad defects and their q-mean.
-
-    q must be normalized; validates nothing, as the descent's inner loop needs.
-    """
-    return kernels(n, q)[0](logs)
-
-
 @lru_cache(maxsize=64)
 def kernels(n: int, q: float):
-    """(fresh, value_at): the K_p kernels of order n at a normalized q, chosen once.
+    """(fresh, value_at): the K_q kernels of log coordinates of order n at a normalized q.
 
-    fresh(logs) is kii_logs(n, logs, q); value_at(k, logs) is its value alone,
-    with moved_kii's signature (k unused).  Each sweeps the defects through
-    core.all_defects and takes p_average's plain form with its branch fixed
-    here: max at q = inf, fsum(ds) / count at q = 1 (x ** 1.0 == x), the
-    sqrt terms at q = 1/2, pow otherwise, the hole check first at q < 0.
-    Where p_average would leave the plain form (an OverflowError, a zero or
-    subnormal mean, or the q < 0 hole, IndicatorUndefined naming its triad),
-    the defects go to p_average itself, so every result is bit-identical.
+    fresh(logs) is (K_q, the triad defects, their q-mean); value_at(k, logs)
+    is K_q alone, with moved_kii's signature (k unused).  Neither validates
+    anything, as the descent's inner loop needs.  Each sweeps the defects
+    through core.all_defects and takes max at q = inf, else power_form's
+    plain form, the hole check first at q < 0.  Where that does not apply
+    (or at the hole, IndicatorUndefined naming its triad), the defects go
+    to p_average itself, so every result is bit-identical to it.
     """
-    mean = _plain_means(q, len(triad_slots(n)))
+    if q == INF:
+        def fresh(logs):
+            ds = all_defects(n, logs)
+            avg = max(ds)
+            return 1.0 - math.exp(-avg), ds, avg
 
+        def value_at(k, logs):
+            return 1.0 - math.exp(-max(all_defects(n, logs)))
+
+        return fresh, value_at
+    terms, e = power_form(q)
+    count = len(triad_slots(n))
+
+    # fresh and value_at each take the plain form in their own body: one
+    # more Python frame per value is measurable on small orders
     def fresh(logs):
         ds = all_defects(n, logs)
-        avg = mean(ds)
-        if avg is None:
-            return _by_p_average(n, ds, q)
+        # a nan first would hide a zero behind it from min: it falls back too
+        if q > 0.0 or min(ds) >= DELTA_ZERO:
+            try:
+                avg = math.fsum(terms(ds)) / count
+                avg = 0.0 if avg < _MEAN_FLOOR else avg ** e
+            except OverflowError:
+                avg = 0.0
+            if avg != 0.0:
+                return 1.0 - math.exp(-avg), ds, avg
+        avg = by_p_average(ds)
         return 1.0 - math.exp(-avg), ds, avg
 
     def value_at(k, logs):
         ds = all_defects(n, logs)
-        avg = mean(ds)
-        if avg is None:
-            return _by_p_average(n, ds, q)[0]
-        return 1.0 - math.exp(-avg)
+        if q > 0.0 or min(ds) >= DELTA_ZERO:
+            try:
+                avg = math.fsum(terms(ds)) / count
+                avg = 0.0 if avg < _MEAN_FLOOR else avg ** e
+            except OverflowError:
+                avg = 0.0
+            if avg != 0.0:
+                return 1.0 - math.exp(-avg)
+        return 1.0 - math.exp(-by_p_average(ds))
+
+    def by_p_average(ds):
+        try:
+            return p_average(ds, q)
+        except ZeroWithNegativeExponent:
+            k = next(k for k, d in enumerate(ds) if d < DELTA_ZERO)
+            raise IndicatorUndefined(q, triad_slots(n)[k][0], ds[k]) from None
 
     return fresh, value_at
 
 
-def _plain_means(q: float, count: int):
-    """mean(ds): p_average's plain form at q of count defects, None where it does not apply."""
-    if q == INF:
-        return max
-    if q == 1.0:
-        def mean(ds):
-            try:
-                avg = math.fsum(ds) / count
-            except OverflowError:
-                return None
-            return None if avg < sys.float_info.min else avg
-    elif q == 0.5:
-        def mean(ds):
-            try:
-                avg = (math.fsum(map(math.sqrt, ds)) / count) ** 2
-            except OverflowError:
-                return None
-            return None if avg == 0.0 else avg
-    else:
-        root = 1.0 / q
-
-        def mean(ds):
-            # a nan first would hide a zero behind it from min: it falls back too
-            if q < 0.0 and not min(ds) >= DELTA_ZERO:
-                return None
-            try:
-                avg = math.fsum([d ** q for d in ds]) / count
-                if avg < sys.float_info.min:
-                    return None
-                avg **= root
-            except OverflowError:
-                return None
-            return None if avg == 0.0 else avg
-    return mean
-
-
-def _by_p_average(n: int, ds: tuple[float, ...], q: float):
-    """kii_logs from the defects ds through p_average itself."""
-    try:
-        avg = p_average(ds, q)
-    except ZeroWithNegativeExponent:
-        k = next(k for k, d in enumerate(ds) if d < DELTA_ZERO)
-        raise IndicatorUndefined(q, triad_slots(n)[k][0], ds[k]) from None
-    return 1.0 - math.exp(-avg), ds, avg
-
-
 class Point(NamedTuple):
-    """An unvalidated triangle (a_ij if mult, else b_ij), its logs and kii_logs at q."""
+    """An unvalidated triangle (a_ij if mult, else b_ij), its logs and kernels' fresh K_q."""
 
     n: int
     upper: tuple[float, ...]
@@ -283,12 +272,13 @@ def moved_kii(pt: Point):
             return 1.0 - math.exp(-max(new, rest))
 
         return moved_max
+    terms, e = power_form(q)
     try:
-        terms = _power_terms(ds, q)
-        parts = _exact_parts(terms)
+        base = list(terms(ds))
+        parts = _exact_parts(base)
     except OverflowError:
         return fresh
-    neg = [-x for x in terms]
+    neg = [-x for x in base]
     count = len(ds)
 
     def moved_mean(k, logs):
@@ -296,9 +286,9 @@ def moved_kii(pt: Point):
         if q < 0.0 and min(new) < DELTA_ZERO:
             return fresh(k, logs)
         try:
-            total = math.fsum(parts + [neg[t] for t, _, _, _ in rows[k]]
-                              + _power_terms(new, q))
-            avg = _root_mean(total, count, q)
+            avg = math.fsum(chain(parts, [neg[t] for t, _, _, _ in rows[k]],
+                                  terms(new))) / count
+            avg = 0.0 if avg < _MEAN_FLOOR else avg ** e
         except OverflowError:
             return fresh(k, logs)
         return 1.0 - math.exp(-avg) if avg != 0.0 else fresh(k, logs)

@@ -105,7 +105,10 @@ def reference_p_average(xs, p: float) -> float:
         avg = 0.0
     if avg == 0.0 and max(xs) > 0.0:
         s = max(xs) if p > 0.0 else min(xs)
-        avg = s if s == math.inf else s * _reference_plain_mean([x / s for x in xs], p)
+        try:
+            avg = s if s == math.inf else s * _reference_plain_mean([x / s for x in xs], p)
+        except OverflowError:  # the root overflows: so does the mean
+            avg = math.inf
     return avg
 
 

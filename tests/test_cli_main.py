@@ -27,7 +27,8 @@ STARTS = {
 PINNED_SHA256 = "5e6b866e0405bc0a3604242d75b3fb20b20a33ea9ba9a78c2f3a6bfa07cb528e"
 
 #: option values at the edges of what the parsers accept
-EDGE_VALUES = ("inf", "nan", "1e300", "-1e300", "1e-300", "-1", "700", "0.1", "2")
+EDGE_VALUES = ("inf", "nan", "1e300", "-1e300", "1e-300", "-1", "700", "0.1", "2",
+               "-1e-6")
 EDGE_ENTRIES = (1e-300, 1e300, 1.7e308, -1.7e308, 710.0, -3.0, 0.5, 1.0, 2.0)
 
 
@@ -113,6 +114,14 @@ def test_any_edge_invocation_exits_cleanly(workdir, invocation):
     code, stdout = call([argv[0], str(path), *argv[1:]])
     assert code in (0, 1, 2)
     assert "nan" not in stdout
+
+
+def test_overflowing_mean_reads_one(workdir):
+    # triad defects inf, 1e308, 1e308, 1e308: at p = -1e-6 the root of even
+    # the scaled power mean overflows, and K_p reads 1
+    path = workdir / "overflow.txt"
+    path.write_text(matrix_text("additive", 4, (1e308, -1e308, 0.0, 1e308, 0.0, 0.0)))
+    assert call(["evaluate", str(path), "--p=-1e-6"]) == (0, "1.000000\n")
 
 
 def test_a_stray_value_error_is_not_reported_as_a_user_error(workdir, monkeypatch):

@@ -406,7 +406,7 @@ class TestRunCost:
             return wrapper
 
         for mod in (core, indicators):
-            for name in ("all_defects", "kii_logs"):
+            for name in ("all_defects",):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         v = gradients.difference_priority_vector(pt, 1e-3)

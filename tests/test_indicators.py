@@ -22,7 +22,6 @@ from pcreduce.indicators import (
     evaluate,
     kernels,
     kii,
-    kii_logs,
     normalize_exponent,
     p_average,
 )
@@ -81,6 +80,17 @@ class TestPAverage:
     @settings(max_examples=1000)
     def test_matches_reference_bit_for_bit(self, xs, q):
         assert outcome(p_average, xs, q) == outcome(reference_p_average, xs, q)
+
+    # the values TestNormalizeExponent.test_rejects rejects
+    @pytest.mark.parametrize("bad", [0, 0.0, -0.0, float("nan"), -math.inf, "2",
+                                     9.9e-7, -9.9e-7, 1e-17, 1e-300, 1e-320])
+    def test_rejects_what_normalize_exponent_rejects(self, bad):
+        with pytest.raises(InvalidExponent):
+            p_average((1.0, 2.0), bad)
+
+    def test_overflowing_scaled_root_gives_infinite_mean(self):
+        # 0.75 ** -1e6, the scaled form's root, overflows: so does the mean
+        assert p_average((math.inf, 1e308, 1e308, 1e308), -P_MIN) == math.inf
 
     def test_arithmetic(self):
         assert p_average((1.0, 2.0, 3.0), 1.0) == pytest.approx(2.0)
@@ -224,6 +234,12 @@ class TestKii:
         b = AdditivePCMatrix(4, (1e308, -1e308, 0.0, 1e308, 0.0, 0.0))
         assert kii(b, 2) == 1.0
 
+    def test_overflowing_mean_reads_one(self):
+        # defects inf, 1e308, 1e308, 1e308: at p = -1e-6 the root of even the
+        # scaled power mean overflows
+        b = AdditivePCMatrix(4, (1e308, -1e308, 0.0, 1e308, 0.0, 0.0))
+        assert kii(b, -P_MIN) == 1.0
+
     def test_negative_p_fine_away_from_hole(self):
         got = kii(A4, -1.0)
         assert got == pytest.approx(1.0 - math.exp(-1.92), rel=1e-12)
@@ -270,7 +286,7 @@ def outcome(f, *args):
 
 
 def assert_kernels_match_reference(n, logs, q):
-    assert outcome(kii_logs, n, logs, q) == outcome(reference_kii_logs, n, logs, q)
+    assert outcome(kernels(n, q)[0], logs) == outcome(reference_kii_logs, n, logs, q)
     value_at = kernels(n, q)[1]
     assert outcome(value_at, 0, logs) == outcome(lambda: reference_kii_logs(n, logs, q)[0])
 

@@ -31,6 +31,22 @@ def test_no_module_imports_private_names_of_another():
     assert found == []
 
 
+def test_every_public_function_is_used_or_exported():
+    # a public function that no code of the package names and that the
+    # package does not export has no caller but the tests: dead code
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(pcreduce.__file__).parent.glob("*.py"))}
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = [f"{module}.{node.name}" for module, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_")
+              and node.name not in named and node.name not in pcreduce.__all__]
+    assert unused == []
+
+
 def test_source_imports_only_the_standard_library():
     # speed comes from the algorithms and the per-call overhead, not from a
     # runtime dependency: the package stays pure Python
