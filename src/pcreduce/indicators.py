@@ -109,8 +109,9 @@ def p_average(xs, p) -> float:
     For p < 0 any x_i below DELTA_ZERO raises ZeroWithNegativeExponent:
     x^p blows up and the mean is no longer meaningful.  Where power_form's
     plain form does not apply, the mean is s * M_p(x / s), s the largest x_i
-    for p > 0 and the smallest for p < 0; an infinite s (some x_i inf for
-    p > 0, all of them for p < 0) or root gives an infinite mean.
+    for p > 0 and the smallest for p < 0.  An infinite s (some x_i inf for
+    p > 0, all of them for p < 0) or an overflowing scaled root gives an
+    infinite mean.
     """
     if not xs:
         raise ValidationError("p_average of an empty sequence")
