@@ -39,6 +39,7 @@ from .errors import (
     NonPositiveEntry,
     NonSmoothExponent,
     OnConsistentLocus,
+    OrderTooLarge,
     OrderTooSmall,
     PCReduceError,
     PositivityFailure,
@@ -81,6 +82,7 @@ __all__ = [
     "NonPositiveEntry",
     "NonSmoothExponent",
     "OnConsistentLocus",
+    "OrderTooLarge",
     "OrderTooSmall",
     "PCReduceError",
     "PositivityFailure",

@@ -8,9 +8,10 @@ then never be broken by arithmetic on the entries, and this module holds no
 full-grid code: a full grid is a file format, checked and stripped to its
 triangle by matrixio.
 
-The additive form is the entrywise natural log, an antisymmetric matrix.
-Natural log is the convention throughout.  A triad (i,j,k) with i < j < k has
-defect |b_ij + b_jk - b_ik|, zero exactly when the triad is consistent.
+The additive form is the entrywise natural log, an antisymmetric matrix.  A
+triad (i,j,k), i < j < k, has defect |b_ij + b_jk - b_ik|, zero exactly when
+it is consistent.  triad_slots(n) holds only the positions of each triad's
+entries, and triad(n, t) names row t; check_order caps n at MAX_ORDER first.
 """
 
 from __future__ import annotations
@@ -19,13 +20,14 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from typing import ClassVar
 
 from .errors import (
     EntryOverflow,
     NonFiniteEntry,
     NonPositiveEntry,
+    OrderTooLarge,
     OrderTooSmall,
     ValidationError,
 )
@@ -44,9 +46,18 @@ def upper_pairs(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
+#: the largest accepted order.  Both triad tables (triad_slots and
+#: indicators._pair_triads) hold about 157 B per triad, 25 MB for the
+#: C(100, 3) triads here, and one descent iteration sweeps every triad at
+#: least once; README gives the sizes and times behind the bound
+MAX_ORDER = 100
+
+
 def check_order(n: int) -> None:
     if n < 3:
         raise OrderTooSmall(n)
+    if n > MAX_ORDER:
+        raise OrderTooLarge(n, MAX_ORDER)
 
 
 def check_entries(n: int, upper, mult: bool) -> None:
@@ -130,19 +141,21 @@ def to_multiplicative(b: AdditivePCMatrix) -> MultiplicativePCMatrix:
 
 
 @lru_cache(maxsize=None)
-def triad_slots(n: int) -> tuple[tuple[tuple[int, int, int], int, int, int], ...]:
-    """Each triad (i,j,k) with the positions of its (i,j), (j,k), (i,k) entries.
+def triad_slots(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The positions (ij, jk, ik) of each triad (i,j,k)'s (i,j), (j,k), (i,k) entries.
 
-    The one triad table, lexicographic in (i,j,k): the hot lookup behind
-    indicator and gradient evaluation, and the source of the triad that
-    IndicatorUndefined and DegenerateDefect name.
+    The one triad table, lexicographic in (i,j,k), that the indicators and
+    directions sweep; its rows hold no label, and triad(n, t) names row t.
     """
     check_order(n)
     pos = {pair: k for k, pair in enumerate(upper_pairs(n))}
-    return tuple(
-        ((i, j, k), pos[i, j], pos[j, k], pos[i, k])
-        for i, j, k in combinations(range(1, n + 1), 3)
-    )
+    return tuple((pos[i, j], pos[j, k], pos[i, k])
+                 for i, j, k in combinations(range(1, n + 1), 3))
+
+
+def triad(n: int, t: int) -> tuple[int, int, int]:
+    """The triad (i,j,k) of triad_slots(n)'s row t, for the errors that name it."""
+    return next(islice(combinations(range(1, n + 1), 3), t, None))
 
 
 def all_defects(n: int, logs) -> tuple[float, ...]:
@@ -150,4 +163,4 @@ def all_defects(n: int, logs) -> tuple[float, ...]:
 
     The one triad kernel: indicators and directions all go through it.
     """
-    return tuple([abs(logs[a] + logs[b] - logs[c]) for _, a, b, c in triad_slots(n)])
+    return tuple([abs(logs[a] + logs[b] - logs[c]) for a, b, c in triad_slots(n)])

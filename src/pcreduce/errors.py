@@ -26,6 +26,12 @@ class OrderTooSmall(ValidationError):
         super().__init__(f"matrix order must be >= 3, got {n}")
 
 
+class OrderTooLarge(ValidationError):
+    def __init__(self, n, limit):
+        self.n, self.limit = n, limit
+        super().__init__(f"matrix order must be <= {limit}, got {n}")
+
+
 class NonPositiveEntry(ValidationError):
     def __init__(self, i, j, value):
         self.i, self.j, self.value = i, j, value

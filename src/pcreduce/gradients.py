@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .core import triad_slots, upper_size
+from .core import triad, triad_slots, upper_size
 from .errors import DegenerateDefect, NonSmoothExponent, OnConsistentLocus, ValidationError
 from .indicators import INF, Point, moved_kii
 
@@ -48,20 +48,19 @@ def instant_pv_np(pt: Point) -> tuple[float, ...]:
     factor.  select_direction checks that p is smooth.
     """
     n, logs, ds, big = pt.n, pt.logs, pt.defects, pt.mean
-    slots = triad_slots(n)
     worst = min(range(len(ds)), key=lambda t: ds[t])
     if ds[worst] < DELTA_GRAD:
         if max(ds) < DELTA_GRAD:
             raise OnConsistentLocus(
                 "all triad defects vanish; no descent direction exists"
             )
-        raise DegenerateDefect(slots[worst][0], ds[worst])
+        raise DegenerateDefect(triad(n, worst), ds[worst])
     scale = math.exp(-big) / len(ds)
     if scale == 0.0:  # e^(-D) underflows: K_p reads 1.0 here and all around
         return (0.0,) * upper_size(n)
     grad = [0.0] * upper_size(n)
     e = pt.q - 1.0
-    for (_, ij, jk, ik), d in zip(slots, ds):
+    for (ij, jk, ik), d in zip(triad_slots(n), ds):
         s = math.copysign(1.0, logs[ij] + logs[jk] - logs[ik])
         # r ** 1.0 == r: q = 2 skips the pow
         w = scale * (d / big if e == 1.0 else (d / big) ** e)

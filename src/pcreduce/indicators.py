@@ -44,6 +44,7 @@ from .core import (
     MultiplicativePCMatrix,
     all_defects,
     log_upper,
+    triad,
     triad_slots,
     upper_size,
 )
@@ -210,7 +211,7 @@ def kernels(n: int, q: float):
             return p_average(ds, q)
         except ZeroWithNegativeExponent:
             k = next(k for k, d in enumerate(ds) if d < DELTA_ZERO)
-            raise IndicatorUndefined(q, triad_slots(n)[k][0], ds[k]) from None
+            raise IndicatorUndefined(q, triad(n, k), ds[k]) from None
 
     return fresh, value_at
 
@@ -259,17 +260,16 @@ def moved_kii(pt: Point):
     # neither cancels exactly in a sum nor orders in a max
     if n < INCREMENTAL_MIN_ORDER or not all(map(math.isfinite, ds)):
         return fresh
-    rows = _pair_triads(n)
+    pairs = _pair_triads(n)
     if q == INF:
         slots = triad_slots(n)
         # the n - 2 triads one move touches cannot cover the n - 1 largest
         # defects once n > 3; at n = 3 the default 0.0 is below every defect
-        tops = [(ds[t], slots[t][1:])
-                for t in nlargest(n - 1, range(len(ds)), key=ds.__getitem__)]
+        tops = nlargest(n - 1, range(len(ds)), key=ds.__getitem__)
 
         def moved_max(k, logs):
-            new = max(abs(logs[a] + logs[b] - logs[c]) for _, a, b, c in rows[k])
-            rest = next((d for d, ks in tops if k not in ks), 0.0)
+            new = max(abs(logs[a] + logs[b] - logs[c]) for a, b, c in pairs[k][1])
+            rest = next((ds[t] for t in tops if k not in slots[t]), 0.0)
             return 1.0 - math.exp(-max(new, rest))
 
         return moved_max
@@ -283,12 +283,12 @@ def moved_kii(pt: Point):
     count = len(ds)
 
     def moved_mean(k, logs):
-        new = [abs(logs[a] + logs[b] - logs[c]) for _, a, b, c in rows[k]]
+        ts, rows = pairs[k]
+        new = [abs(logs[a] + logs[b] - logs[c]) for a, b, c in rows]
         if q < 0.0 and min(new) < DELTA_ZERO:
             return fresh(k, logs)
         try:
-            avg = math.fsum(chain(parts, [neg[t] for t, _, _, _ in rows[k]],
-                                  terms(new))) / count
+            avg = math.fsum(chain(parts, [neg[t] for t in ts], terms(new))) / count
             avg = 0.0 if avg < _MEAN_FLOOR else avg ** e
         except OverflowError:
             return fresh(k, logs)
@@ -299,13 +299,12 @@ def moved_kii(pt: Point):
 
 @lru_cache(maxsize=None)
 def _pair_triads(n: int):
-    """Per upper position k, the rows (t, ij, jk, ik) of the triads that contain k."""
-    rows = [[] for _ in range(upper_size(n))]
-    for t, (_, ij, jk, ik) in enumerate(triad_slots(n)):
-        row = (t, ij, jk, ik)
-        for k in (ij, jk, ik):
-            rows[k].append(row)
-    return tuple(map(tuple, rows))
+    """Per upper position k, (ts, rows): the triads t that contain k and their own table rows."""
+    slots, ts = triad_slots(n), [[] for _ in range(upper_size(n))]
+    for t, row in enumerate(slots):
+        for k in row:
+            ts[k].append(t)
+    return tuple((tuple(tk), tuple(map(slots.__getitem__, tk))) for tk in ts)
 
 
 def _exact_parts(terms: list[float]) -> list[float]:

@@ -27,6 +27,7 @@ from math import isqrt
 from .core import (
     ADDITIVE,
     MATRIX_CLASSES,
+    MAX_ORDER,
     MULTIPLICATIVE,
     check_entries,
     check_order,
@@ -233,9 +234,9 @@ def parse_trace_text(text: str) -> DescentResult:
     names = header.split(",")[2:]
     count = len(names)
     n = (1 + isqrt(1 + 8 * count)) // 2  # the inverse of upper_size
-    if n < 3 or upper_size(n) != count:
+    if not 3 <= n <= MAX_ORDER or upper_size(n) != count:
         raise MatrixFileError(
-            f"{count} entry columns fit no matrix order >= 3", header_no
+            f"{count} entry columns fit no matrix order in [3, {MAX_ORDER}]", header_no
         )
     scheme = ADDITIVE if names[0].startswith("b_") else MULTIPLICATIVE
     if tuple(names) != upper_entry_names(n, scheme):

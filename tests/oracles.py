@@ -7,6 +7,7 @@ only to cross-check it.
 
 import math
 import sys
+from itertools import combinations
 
 from pcreduce.core import (
     AdditivePCMatrix,
@@ -14,7 +15,6 @@ from pcreduce.core import (
     all_defects,
     check_order,
     log_upper,
-    triad_slots,
     upper_pairs,
 )
 from pcreduce.errors import (
@@ -79,15 +79,19 @@ def instant_pv3_add(a: float, b: float, c: float) -> tuple[float, ...]:
 # The indicator reference: K_p of log coordinates through the general power
 # mean, deciding its branches on every call.  The library's per-(n, q)
 # kernels fix those branches in advance and must match this bit for bit.
+# It takes the triads from combinations and their positions from
+# upper_index, so it checks the library's triad table instead of sharing it.
 
 def reference_kii_logs(n: int, logs, q: float) -> tuple[float, tuple[float, ...], float]:
     """(K_q, defects, q-mean) of log coordinates at a normalized q."""
-    ds = tuple(abs(logs[a] + logs[b] - logs[c]) for _, a, b, c in triad_slots(n))
+    triads = list(combinations(range(1, n + 1), 3))
+    ds = tuple(abs(logs[upper_index(n, i, j)] + logs[upper_index(n, j, k)]
+                   - logs[upper_index(n, i, k)]) for i, j, k in triads)
     try:
         avg = reference_p_average(ds, q)
     except ZeroWithNegativeExponent:
-        k = next(k for k, d in enumerate(ds) if d < DELTA_ZERO)
-        raise IndicatorUndefined(q, triad_slots(n)[k][0], ds[k]) from None
+        t = next(t for t, d in enumerate(ds) if d < DELTA_ZERO)
+        raise IndicatorUndefined(q, triads[t], ds[t]) from None
     return 1.0 - math.exp(-avg), ds, avg
 
 

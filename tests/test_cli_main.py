@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pcreduce import cli
 from pcreduce.cli import build_parser, main
-from pcreduce.core import upper_size
+from pcreduce.core import MAX_ORDER, triad_slots, upper_size
 from pcreduce.descent import DescentConfig
 from pcreduce.repro import START3_ADD, START3_MULT, START4_MULT
 
@@ -114,6 +114,23 @@ def test_any_edge_invocation_exits_cleanly(workdir, invocation):
     code, stdout = call([argv[0], str(path), *argv[1:]])
     assert code in (0, 1, 2)
     assert "nan" not in stdout
+
+
+@pytest.mark.parametrize("form", ["header", "grid"])
+@pytest.mark.parametrize("argv", [["evaluate"], ["gradient"], ["reduce", "--h=0.1"]],
+                         ids=lambda argv: argv[0])
+def test_order_above_max_exits_one_before_any_table(workdir, form, argv):
+    n = MAX_ORDER + 1
+    path = workdir / f"order_{form}.txt"
+    path.write_text(f"n={n}\n" if form == "header"
+                    else "\n".join(" ".join(["1"] * n) for _ in range(n)) + "\n")
+    before = triad_slots.cache_info().currsize
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([argv[0], str(path), *argv[1:]])
+    assert code == 1
+    assert err.getvalue() == f"pcreduce: error: matrix order must be <= {MAX_ORDER}, got {n}\n"
+    assert triad_slots.cache_info().currsize == before
 
 
 def test_overflowing_mean_reads_one(workdir):

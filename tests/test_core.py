@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pcreduce.core import (
     ADDITIVE,
     MATRIX_CLASSES,
+    MAX_ORDER,
     MULTIPLICATIVE,
     AdditivePCMatrix,
     MultiplicativePCMatrix,
@@ -14,6 +17,7 @@ from pcreduce.core import (
     log_upper,
     to_additive,
     to_multiplicative,
+    triad,
     triad_slots,
     upper_pairs,
     upper_size,
@@ -24,10 +28,12 @@ from pcreduce.errors import (
     EntryOverflow,
     NonFiniteEntry,
     NonPositiveEntry,
+    OrderTooLarge,
     OrderTooSmall,
     ReciprocityViolation,
     ValidationError,
 )
+from pcreduce.indicators import _pair_triads
 from pcreduce.matrixio import parse_matrix_text
 
 from oracles import (
@@ -111,6 +117,15 @@ class TestMultiplicativeMatrix:
     def test_rejects_order_below_three(self):
         with pytest.raises(OrderTooSmall):
             MultiplicativePCMatrix(2, (2.0,))
+
+    @pytest.mark.parametrize("cls", [MultiplicativePCMatrix, AdditivePCMatrix])
+    def test_rejects_order_above_max(self, cls):
+        n = MAX_ORDER + 1
+        before = triad_slots.cache_info().currsize
+        with pytest.raises(OrderTooLarge):
+            cls(n, (1.0,) * upper_size(n))
+        assert triad_slots.cache_info().currsize == before
+        assert cls(MAX_ORDER, (1.0,) * upper_size(MAX_ORDER)).n == MAX_ORDER
 
     def test_replace_upper_returns_same_kind(self):
         m = MultiplicativePCMatrix(3, A3)
@@ -211,20 +226,63 @@ class TestTriads:
         assert len(triad_slots(n)) == count
 
     def test_lexicographic_order_n4(self):
-        assert [t for t, *_ in triad_slots(4)] == [
+        assert [triad(4, t) for t in range(len(triad_slots(4)))] == [
             (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
 
     def test_slots_match_pairs(self):
-        pairs = upper_pairs(5)
-        for (i, j, k), ij, jk, ik in triad_slots(5):
-            assert pairs[ij] == (i, j)
-            assert pairs[jk] == (j, k)
-            assert pairs[ik] == (i, k)
+        # row t holds only positions; triad(n, t) names it, in combinations order
+        for n in range(3, 9):
+            pairs = upper_pairs(n)
+            slots = triad_slots(n)
+            labels = list(combinations(range(1, n + 1), 3))
+            assert len(slots) == len(labels)
+            for t, (i, j, k) in enumerate(labels):
+                assert triad(n, t) == (i, j, k)
+                assert tuple(pairs[x] for x in slots[t]) == ((i, j), (j, k), (i, k))
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 8])
+    def test_pair_triads_point_into_the_table(self, n):
+        # each position lists the table's own row objects, no copies, and
+        # every triad appears under exactly its three positions
+        slots = triad_slots(n)
+        seen = [set() for _ in slots]
+        for k, (ts, rows) in enumerate(_pair_triads(n)):
+            assert len(ts) == len(rows) == n - 2
+            for t, row in zip(ts, rows):
+                assert row is slots[t]
+                assert k in row
+                seen[t].add(k)
+        assert seen == [set(row) for row in slots]
+
+    def test_tables_stay_small(self):
+        # the rows of both tables at n = 80 are position tuples shared by
+        # reference: 12.9 MB, where label-carrying rows and per-position
+        # copies took 22.4 MB
+        caches = (upper_pairs, triad_slots, _pair_triads)
+        for cache in caches:
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            triad_slots(80)
+            _pair_triads(80)
+            size = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            for cache in caches:
+                cache.cache_clear()
+        assert size <= 13.4e6
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_rejects_order_below_three(self, n):
         with pytest.raises(OrderTooSmall):
             triad_slots(n)
+
+    def test_rejects_order_above_max_before_building(self):
+        before = triad_slots.cache_info().currsize
+        with pytest.raises(OrderTooLarge) as err:
+            triad_slots(MAX_ORDER + 1)
+        assert (err.value.n, err.value.limit) == (MAX_ORDER + 1, MAX_ORDER)
+        assert triad_slots.cache_info().currsize == before
 
     def test_worked_defects(self):
         m = MultiplicativePCMatrix(4, A4)

@@ -4,7 +4,14 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pcreduce.core import AdditivePCMatrix, MultiplicativePCMatrix, upper_pairs, upper_size
+from pcreduce.core import (
+    MAX_ORDER,
+    AdditivePCMatrix,
+    MultiplicativePCMatrix,
+    triad_slots,
+    upper_pairs,
+    upper_size,
+)
 from pcreduce.descent import (
     ADDITIVE,
     MULTIPLICATIVE,
@@ -18,6 +25,7 @@ from pcreduce.errors import (
     BadDiagonal,
     MatrixFileError,
     NonFiniteEntry,
+    OrderTooLarge,
     OrderTooSmall,
     ReciprocityViolation,
     ValidationError,
@@ -212,6 +220,17 @@ class TestParseMatrix:
         with pytest.raises(OrderTooSmall):
             parse_matrix_text(f"n={order}\n1\n")
 
+    @pytest.mark.parametrize("text", [
+        f"n={MAX_ORDER + 1}\n",
+        "\n".join(" ".join(["1"] * (MAX_ORDER + 1)) for _ in range(MAX_ORDER + 1)),
+    ], ids=["header", "grid"])
+    def test_order_above_max(self, text):
+        # a header-only file is rejected at its header, before any data
+        before = triad_slots.cache_info().currsize
+        with pytest.raises(OrderTooLarge):
+            parse_matrix_text(text)
+        assert triad_slots.cache_info().currsize == before
+
     def test_bad_order_value(self):
         with pytest.raises(MatrixFileError):
             parse_matrix_text("n=three\n2 4 2\n")
@@ -404,6 +423,9 @@ class TestTraceFiles:
         (TRACE_HEAD + "1,-0.5,1,2,3\nstop_reason,stalled\nbest_iter,-1\n", 3),
         (TRACE_HEAD + "stop_reason,stalled\nbest_iter,0\nbest_indicator,inf\n"
          "best,1,2,3\n", 5),
+        # the order-(MAX_ORDER + 1) triangle, in a trace without a best row
+        ("iteration,indicator," + ",".join(f"a_{i}_{j}" for i, j in upper_pairs(MAX_ORDER + 1))
+         + "\nstop_reason,stalled\nbest_iter,-1\n", 1),
     ], ids=["order_two", "bad_best_iter", "bad_best_indicator", "empty_stop_reason",
             "short_best_row", "bare_iteration", "wrong_entry_names", "unknown_stop_reason",
             "nonpositive_best", "best_without_indicator", "indicator_without_best",
@@ -411,7 +433,7 @@ class TestTraceFiles:
             "best_iter_without_best", "best_with_best_iter_minus_one",
             "best_with_negative_best_iter", "negative_iteration", "repeated_iteration",
             "decreasing_iteration", "nan_indicator", "indicator_above_one",
-            "negative_indicator", "infinite_best_indicator"])
+            "negative_indicator", "infinite_best_indicator", "order_above_max"])
     def test_malformed_trace_names_line(self, text, line):
         with pytest.raises(MatrixFileError) as err:
             parse_trace_text(text)

@@ -66,3 +66,19 @@ def test_source_imports_only_the_standard_library():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
     pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
     assert pyproject["project"]["dependencies"] == []
+
+
+def test_only_core_enumerates_triads():
+    # core.triad_slots is the one triad table and core.triad the one way to
+    # name a row of it: no other module enumerates triads with combinations
+    found = []
+    for path in sorted(Path(pcreduce.__file__).parent.glob("*.py")):
+        if path.stem == "core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.ImportFrom) and node.module == "itertools"
+                    and any(alias.name == "combinations" for alias in node.names)):
+                found.append(f"{path.name}: from itertools import combinations")
+            elif isinstance(node, ast.Attribute) and node.attr == "combinations":
+                found.append(f"{path.name}: .combinations")
+    assert found == []
