@@ -10,8 +10,10 @@ triangle by matrixio.
 
 The additive form is the entrywise natural log, an antisymmetric matrix.  A
 triad (i,j,k), i < j < k, has defect |b_ij + b_jk - b_ik|, zero exactly when
-it is consistent.  triad_slots(n) holds only the positions of each triad's
-entries, and triad(n, t) names row t; check_order caps n at MAX_ORDER first.
+it is consistent; residuals(n, logs) keeps the signed u = b_ij + b_jk - b_ik
+and all_defects(n, logs) its abs.  triad_slots(n) holds only the positions
+of each triad's entries, and triad(n, t) names row t; check_order caps n at
+MAX_ORDER first.
 """
 
 from __future__ import annotations
@@ -158,9 +160,19 @@ def triad(n: int, t: int) -> tuple[int, int, int]:
     return next(islice(combinations(range(1, n + 1), 3), t, None))
 
 
+def residuals(n: int, logs) -> tuple[float, ...]:
+    """Signed residuals b_ij + b_jk - b_ik of every triad of the log coordinates, in table order.
+
+    The fresh evaluation sweeps these once per iterate: its defects are
+    their abs, and the analytic direction takes its signs from them.
+    """
+    return tuple([logs[a] + logs[b] - logs[c] for a, b, c in triad_slots(n)])
+
+
 def all_defects(n: int, logs) -> tuple[float, ...]:
     """Defects of every triad of the log coordinates, in lexicographic order.
 
-    The one triad kernel: indicators and directions all go through it.
+    abs of residuals(n, logs) in one fused sweep, for the evaluations that
+    need no sign: the K_p values of indicators.kernels' value_at.
     """
     return tuple([abs(logs[a] + logs[b] - logs[c]) for a, b, c in triad_slots(n)])

@@ -18,6 +18,7 @@ indicators.moved_kii, which owns the arithmetic of K_p.
 from __future__ import annotations
 
 import math
+from math import copysign
 
 from .core import triad, triad_slots, upper_size
 from .errors import DegenerateDefect, NonSmoothExponent, OnConsistentLocus, ValidationError
@@ -40,36 +41,42 @@ def instant_pv_np(pt: Point) -> tuple[float, ...]:
 
     over the triads t containing the pair (r,s), where D is the p-average of
     the defects, sigma is +sign(u_t) for the (i,j) and (j,k) slots and
-    -sign(u_t) for the (i,k) slot.  The (d/D)^(p-1) ratio keeps the weights
-    finite where raw d^(p-1) would overflow.  At n = 3, D = d for every p,
-    so the vector is the single-triad form sign(u) * e^(-|u|) *
-    (-1/a12, 1/a13, -1/a23) with u = ln a12 + ln a23 - ln a13 (exactly at
-    p = 1 and inf, to round-off elsewhere).  An additive pt drops the 1/a_rs
-    factor.  select_direction checks that p is smooth.
+    -sign(u_t) for the (i,k) slot, u_t being pt.residuals[t].  The
+    (d/D)^(p-1) ratio keeps the weights finite where raw d^(p-1) would
+    overflow.  One comprehension over pt's residuals builds the signed
+    weights and the loop over triad_slots only adds them up, so no Python
+    function is called per triad.  At n = 3, D = d for every p, so the
+    vector is the single-triad form sign(u) * e^(-|u|) * (-1/a12, 1/a13,
+    -1/a23) with u = ln a12 + ln a23 - ln a13 (exactly at p = 1 and inf, to
+    round-off elsewhere).  An additive pt drops the 1/a_rs factor.
+    select_direction checks that p is smooth.
     """
-    n, logs, ds, big = pt.n, pt.logs, pt.defects, pt.mean
-    worst = min(range(len(ds)), key=lambda t: ds[t])
-    if ds[worst] < DELTA_GRAD:
+    n, ds, big = pt.n, pt.defects, pt.mean
+    worst = min(ds)  # the first least defect; a nan in first place hides the rest
+    if worst < DELTA_GRAD:
         if max(ds) < DELTA_GRAD:
             raise OnConsistentLocus(
                 "all triad defects vanish; no descent direction exists"
             )
-        raise DegenerateDefect(triad(n, worst), ds[worst])
+        raise DegenerateDefect(triad(n, ds.index(worst)), worst)
     scale = math.exp(-big) / len(ds)
     if scale == 0.0:  # e^(-D) underflows: K_p reads 1.0 here and all around
         return (0.0,) * upper_size(n)
-    grad = [0.0] * upper_size(n)
     e = pt.q - 1.0
-    for (ij, jk, ik), d in zip(triad_slots(n), ds):
-        s = math.copysign(1.0, logs[ij] + logs[jk] - logs[ik])
-        # r ** 1.0 == r: q = 2 skips the pow
-        w = scale * (d / big if e == 1.0 else (d / big) ** e)
-        grad[ij] += s * w
-        grad[jk] += s * w
-        grad[ik] -= s * w
+    # the signed weights sign(u_t) * scale * (d_t / D)^(p-1); at q = 2 the
+    # pow drops out, and u / D == sign(u) * (d / D) as rounding is symmetric
+    if e == 1.0:
+        ws = [scale * (u / big) for u in pt.residuals]
+    else:
+        ws = [copysign(scale * (d / big) ** e, u) for u, d in zip(pt.residuals, ds)]
+    grad = [0.0] * upper_size(n)
+    for (ij, jk, ik), w in zip(triad_slots(n), ws):
+        grad[ij] += w
+        grad[jk] += w
+        grad[ik] -= w
     if pt.mult:
-        return tuple(-g / a for g, a in zip(grad, pt.upper))
-    return tuple(-g for g in grad)
+        return tuple([-g / a for g, a in zip(grad, pt.upper)])
+    return tuple([-g for g in grad])
 
 
 def difference_priority_vector(pt: Point, l: float) -> tuple[float, ...]:

@@ -44,6 +44,7 @@ from .core import (
     MultiplicativePCMatrix,
     all_defects,
     log_upper,
+    residuals,
     triad,
     triad_slots,
     upper_size,
@@ -157,19 +158,21 @@ def kii(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> float:
 def kernels(n: int, q: float):
     """(fresh, value_at): the K_q kernels of log coordinates of order n at a normalized q.
 
-    fresh(logs) is (K_q, the triad defects, their q-mean); value_at(k, logs)
-    is K_q alone, with moved_kii's signature (k unused).  Neither validates
-    anything, as the descent's inner loop needs.  Each sweeps the defects
-    through core.all_defects and takes max at q = inf, else power_form's
-    plain form, the hole check first at q < 0.  Where that does not apply
-    (or at the hole, IndicatorUndefined naming its triad), the defects go
-    to p_average itself, so every result is bit-identical to it.
+    fresh(logs) is (K_q, the signed triad residuals, the defects, their
+    q-mean); value_at(k, logs) is K_q alone, with moved_kii's signature (k
+    unused).  Neither validates anything, as the descent's inner loop needs.
+    fresh sweeps core.residuals once and takes the defects as their abs;
+    value_at sweeps core.all_defects.  Each takes max at q = inf, else
+    power_form's plain form, the hole check first at q < 0.  Where that does
+    not apply (or at the hole, IndicatorUndefined naming its triad), the
+    defects go to p_average itself, so every result is bit-identical to it.
     """
     if q == INF:
         def fresh(logs):
-            ds = all_defects(n, logs)
+            us = residuals(n, logs)
+            ds = tuple(map(abs, us))
             avg = max(ds)
-            return 1.0 - math.exp(-avg), ds, avg
+            return 1.0 - math.exp(-avg), us, ds, avg
 
         def value_at(k, logs):
             return 1.0 - math.exp(-max(all_defects(n, logs)))
@@ -181,7 +184,8 @@ def kernels(n: int, q: float):
     # fresh and value_at each take the plain form in their own body: one
     # more Python frame per value is measurable on small orders
     def fresh(logs):
-        ds = all_defects(n, logs)
+        us = residuals(n, logs)
+        ds = tuple(map(abs, us))
         # a nan first would hide a zero behind it from min: it falls back too
         if q > 0.0 or min(ds) >= DELTA_ZERO:
             try:
@@ -190,9 +194,9 @@ def kernels(n: int, q: float):
             except OverflowError:
                 avg = 0.0
             if avg != 0.0:
-                return 1.0 - math.exp(-avg), ds, avg
+                return 1.0 - math.exp(-avg), us, ds, avg
         avg = by_p_average(ds)
-        return 1.0 - math.exp(-avg), ds, avg
+        return 1.0 - math.exp(-avg), us, ds, avg
 
     def value_at(k, logs):
         ds = all_defects(n, logs)
@@ -217,7 +221,11 @@ def kernels(n: int, q: float):
 
 
 class Point(NamedTuple):
-    """An unvalidated triangle (a_ij if mult, else b_ij), its logs and kernels' fresh K_q."""
+    """An unvalidated triangle (a_ij if mult, else b_ij), its logs and kernels' fresh K_q.
+
+    residuals are the triads' signed u = b_ij + b_jk - b_ik in triad_slots
+    order, and defects their abs.
+    """
 
     n: int
     upper: tuple[float, ...]
@@ -225,6 +233,7 @@ class Point(NamedTuple):
     mult: bool
     q: float
     value: float
+    residuals: tuple[float, ...]
     defects: tuple[float, ...]
     mean: float
 

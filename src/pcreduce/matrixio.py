@@ -93,6 +93,9 @@ def parse_matrix_text(text: str):
         scheme = MULTIPLICATIVE
     if not data_lines:
         raise MatrixFileError("no matrix data")
+    if order is None and len(data_lines) > MAX_ORDER:
+        # a full grid has one row per line: reject its order before converting it
+        check_order(len(data_lines))
 
     rows = []
     for lineno, line in data_lines:

@@ -1,8 +1,8 @@
 """Independent reference computations the tests check the library against.
 
 None of these is part of pcreduce: the library evaluates every triad
-through core.all_defects, and these closed forms and constructions exist
-only to cross-check it.
+through core.residuals or core.all_defects, and these closed forms and
+constructions exist only to cross-check it.
 """
 
 import math
@@ -15,18 +15,31 @@ from pcreduce.core import (
     all_defects,
     check_order,
     log_upper,
+    triad,
+    triad_slots,
     upper_pairs,
+    upper_size,
 )
 from pcreduce.errors import (
     AntisymmetryViolation,
     BadDiagonal,
+    DegenerateDefect,
     IndicatorUndefined,
     NonPositiveEntry,
     OnConsistentLocus,
     ReciprocityViolation,
     ZeroWithNegativeExponent,
 )
+from pcreduce.gradients import DELTA_GRAD
 from pcreduce.indicators import DELTA_ZERO
+
+
+def outcome(f, *args):
+    """f's result, or its exception's class and fields; repr tells floats apart bit for bit."""
+    try:
+        return repr(f(*args))
+    except Exception as exc:  # the reference's exception is the expected outcome
+        return type(exc).__name__, repr(vars(exc))
 
 
 def kii3(x: float, y: float, z: float) -> float:
@@ -76,17 +89,54 @@ def instant_pv3_add(a: float, b: float, c: float) -> tuple[float, ...]:
     return (-s * e, s * e, -s * e)
 
 
+def reference_instant_pv_np(pt) -> tuple[float, ...]:
+    """The analytic direction with one signed residual and one copysign per triad.
+
+    The per-triad form of gradients.instant_pv_np: it takes each sign from
+    the Point's logs, not from its residuals, and the degenerate triad from
+    a min keyed by index.  The library's direction must equal it bit for bit.
+    """
+    n, logs, ds, big = pt.n, pt.logs, pt.defects, pt.mean
+    worst = min(range(len(ds)), key=lambda t: ds[t])
+    if ds[worst] < DELTA_GRAD:
+        if max(ds) < DELTA_GRAD:
+            raise OnConsistentLocus(
+                "all triad defects vanish; no descent direction exists"
+            )
+        raise DegenerateDefect(triad(n, worst), ds[worst])
+    scale = math.exp(-big) / len(ds)
+    if scale == 0.0:
+        return (0.0,) * upper_size(n)
+    grad = [0.0] * upper_size(n)
+    e = pt.q - 1.0
+    for (ij, jk, ik), d in zip(triad_slots(n), ds):
+        s = math.copysign(1.0, logs[ij] + logs[jk] - logs[ik])
+        w = scale * (d / big if e == 1.0 else (d / big) ** e)
+        grad[ij] += s * w
+        grad[jk] += s * w
+        grad[ik] -= s * w
+    if pt.mult:
+        return tuple(-g / a for g, a in zip(grad, pt.upper))
+    return tuple(-g for g in grad)
+
+
 # The indicator reference: K_p of log coordinates through the general power
 # mean, deciding its branches on every call.  The library's per-(n, q)
 # kernels fix those branches in advance and must match this bit for bit.
 # It takes the triads from combinations and their positions from
 # upper_index, so it checks the library's triad table instead of sharing it.
 
+def reference_residuals(n: int, logs) -> tuple[float, ...]:
+    """The signed residual b_ij + b_jk - b_ik of each triad (i,j,k), lexicographic."""
+    return tuple(logs[upper_index(n, i, j)] + logs[upper_index(n, j, k)]
+                 - logs[upper_index(n, i, k)]
+                 for i, j, k in combinations(range(1, n + 1), 3))
+
+
 def reference_kii_logs(n: int, logs, q: float) -> tuple[float, tuple[float, ...], float]:
     """(K_q, defects, q-mean) of log coordinates at a normalized q."""
     triads = list(combinations(range(1, n + 1), 3))
-    ds = tuple(abs(logs[upper_index(n, i, j)] + logs[upper_index(n, j, k)]
-                   - logs[upper_index(n, i, k)]) for i, j, k in triads)
+    ds = tuple(map(abs, reference_residuals(n, logs)))
     try:
         avg = reference_p_average(ds, q)
     except ZeroWithNegativeExponent:

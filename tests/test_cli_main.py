@@ -116,11 +116,11 @@ def test_any_edge_invocation_exits_cleanly(workdir, invocation):
     assert "nan" not in stdout
 
 
-@pytest.mark.parametrize("form", ["header", "grid"])
+@pytest.mark.parametrize("form", ["header", "grid", "tall_grid"])
 @pytest.mark.parametrize("argv", [["evaluate"], ["gradient"], ["reduce", "--h=0.1"]],
                          ids=lambda argv: argv[0])
 def test_order_above_max_exits_one_before_any_table(workdir, form, argv):
-    n = MAX_ORDER + 1
+    n = 300 if form == "tall_grid" else MAX_ORDER + 1
     path = workdir / f"order_{form}.txt"
     path.write_text(f"n={n}\n" if form == "header"
                     else "\n".join(" ".join(["1"] * n) for _ in range(n)) + "\n")

@@ -15,6 +15,7 @@ from pcreduce.core import (
     MultiplicativePCMatrix,
     all_defects,
     log_upper,
+    residuals,
     to_additive,
     to_multiplicative,
     triad,
@@ -292,6 +293,18 @@ class TestTriads:
     def test_consistent_triad_has_zero_defect(self):
         b = AdditivePCMatrix(3, (1.0, 3.0, 2.0))
         assert all_defects(3, b.upper) == (0.0,)
+
+    def test_worked_residuals_are_signed(self):
+        assert residuals(3, (1.0, 3.0, 2.5)) == (0.5,)
+        assert residuals(4, (1.0, 3.0, 0.0, 1.0, 2.0, 4.0)) == (-1.0, 3.0, 7.0, 3.0)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_defects_are_abs_of_residuals(self, data):
+        n = data.draw(st.integers(min_value=3, max_value=8))
+        logs = data.draw(st.lists(st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0])),
+                                  min_size=upper_size(n), max_size=upper_size(n)))
+        assert repr(all_defects(n, logs)) == repr(tuple(map(abs, residuals(n, logs))))
 
 
 class TestConsistency:

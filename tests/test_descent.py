@@ -336,10 +336,17 @@ class TestRunTrace:
             assert all(x > 0.0 for x in r.upper)
 
 
+#: the two triad sweeps: residuals for each fresh evaluation, all_defects
+#: for each bare K_p value
+SWEEPS = ("all_defects", "residuals")
+
+
 class TestRunCost:
     def test_one_evaluation_per_iteration(self, monkeypatch):
-        # a k-step analytic run at order 4 sweeps the defects once per
-        # iterate, never re-checks p and builds one matrix, the best
+        # a k-step analytic run at order 4 sweeps the triads once per
+        # iterate (the signed residuals), never re-checks p and builds one
+        # matrix, the best; its directions take their signs from the Point
+        # and sweep nothing
         k = 20
         config = cfg(gradient=ANALYTIC, p=2.0, l=None, max_iter=k,
                      eps=1e-9, stall_window=k + 1)
@@ -352,7 +359,7 @@ class TestRunCost:
             return wrapper
 
         for mod in (core, indicators, gradients, descent):
-            for name in ("all_defects", "normalize_exponent"):
+            for name in SWEEPS + ("normalize_exponent",):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         for cls in (MultiplicativePCMatrix, AdditivePCMatrix):
@@ -361,14 +368,18 @@ class TestRunCost:
         res = run(A4, config)
         assert res.stop_reason == STOP_MAX_ITER
         assert len(res.trace.records) == k + 1
-        assert calls.count("all_defects") == k + 1
+        assert sum(map(calls.count, SWEEPS)) == k + 1
         assert calls.count("normalize_exponent") == 0
         assert calls.count("matrix") == 1
+        pt = point_at(A4, 2.0)
+        calls.clear()
+        gradients.instant_pv_np(pt)
+        assert calls == []
 
     @pytest.mark.parametrize("p", [1.0, math.inf])
     def test_small_difference_run_skips_the_power_mean(self, monkeypatch, p):
         # below the incremental order each iterate and each of its 6 moved
-        # entries sweeps the defects once, and at p = 1 and inf the kernel's
+        # entries sweeps the triads once, and at p = 1 and inf the kernel's
         # mean is fixed in advance: the general power mean never runs
         k = 20
         config = cfg(p=p, max_iter=k, eps=1e-9, stall_window=k + 1)
@@ -381,13 +392,13 @@ class TestRunCost:
             return wrapper
 
         for mod in (core, indicators):
-            for name in ("all_defects", "p_average"):
+            for name in SWEEPS + ("p_average",):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         res = run(A4, config)
         assert res.stop_reason == STOP_MAX_ITER
         assert calls.count("p_average") == 0
-        assert calls.count("all_defects") == (k + 1) + 6 * k
+        assert sum(map(calls.count, SWEEPS)) == (k + 1) + 6 * k
 
     def test_difference_direction_sweeps_no_triads_above_crossover(self, monkeypatch):
         # at order 8 each of the 28 components updates the base point's
@@ -406,7 +417,7 @@ class TestRunCost:
             return wrapper
 
         for mod in (core, indicators):
-            for name in ("all_defects",):
+            for name in SWEEPS:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         v = gradients.difference_priority_vector(pt, 1e-3)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -27,9 +28,9 @@ from pcreduce.gradients import (
     instant_pv_np,
     select_direction,
 )
-from pcreduce.indicators import INCREMENTAL_MIN_ORDER, kii, point_at
+from pcreduce.indicators import INCREMENTAL_MIN_ORDER, evaluate, kii, point_at
 
-from oracles import instant_pv3_mult, upper_index
+from oracles import instant_pv3_mult, outcome, reference_instant_pv_np, upper_index
 
 logs = st.floats(min_value=-2.0, max_value=2.0,
                  allow_nan=False, allow_infinity=False)
@@ -63,6 +64,32 @@ def wide_log_matrices(draw):
     if draw(st.booleans()):
         return AdditivePCMatrix(n, tuple(bs))
     return mult_from_logs(n, bs)
+
+
+#: the exponents of instant_pv_np's pow-free q = 2, a pow on either side of 1,
+#: the hole side and one whose (d/D)^(p-1) under- or overflows
+DIRECTION_QS = (2.0, 0.5, 3.0, 3.7, -1.0, 628.0)
+
+#: logs with zero defects from exact sums, defects just under and over
+#: DELTA_GRAD from 5e-10 offsets, a defect past 745 whose e^(-D) underflows,
+#: sums that overflow to an infinite defect and, for the additive form
+#: (which evaluate takes unvalidated), inf and nan entries for nan defects
+SPECIAL_LOGS = (0.0, 1.0, -1.0, 2.0, 5e-10, -5e-10, 1.0 + 5e-10, 800.0, -800.0)
+SPECIAL_ADDITIVE = SPECIAL_LOGS + (1.7e308, -1.7e308, math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def direction_points(draw):
+    """(n, upper, mult, q) for evaluate: order 3 to 8, either form, any of DIRECTION_QS."""
+    n = draw(st.integers(min_value=3, max_value=8))
+    mult = draw(st.booleans())
+    q = draw(st.sampled_from(DIRECTION_QS))
+    bs = st.floats(min_value=-3.0, max_value=3.0)
+    if draw(st.booleans()):
+        bs = st.one_of(bs, st.sampled_from(SPECIAL_LOGS if mult else SPECIAL_ADDITIVE))
+    upper = draw(st.lists(bs, min_size=upper_size(n), max_size=upper_size(n)))
+    # e^b of |b| = 800 is out of range: the multiplicative form keeps b / 2
+    return n, tuple(math.exp(b / 2) for b in upper) if mult else tuple(upper), mult, q
 
 
 def lifted(n, head, seed):
@@ -220,6 +247,47 @@ class TestInstantPvNp:
         # the defect overflows: e^(-D) is 0 and (d/D)^(p-1) is nan or inf
         b = AdditivePCMatrix(3, (1e308, -1e308, 1e308))
         assert instant_pv_np(point_at(b, p)) == (0.0, 0.0, 0.0)
+
+    @given(direction_points())
+    @settings(max_examples=1500, deadline=None)
+    def test_matches_per_triad_reference_bit_for_bit(self, point):
+        try:
+            pt = evaluate(*point)
+        except IndicatorUndefined:  # the hole at q < 0: no Point to direct
+            return
+        assert outcome(instant_pv_np, pt) == outcome(reference_instant_pv_np, pt)
+
+    @pytest.mark.parametrize("n, upper, q", [
+        (3, (800.0, 0.0, 0.0), 2.0),
+        (4, (800.0, -800.0, 800.0, 800.0, -800.0, 800.0), 3.7),
+        (4, (1.7e308, 1.0, 0.5, 1.7e308, 2.0, 1.0), 2.0),
+        (4, (1.7e308, 1.0, 0.5, 1.7e308, 2.0, 1.0), -1.0),
+        (4, (math.nan, 1.0, 2.0, 0.5, 0.25, 1.0), 0.5),
+        (4, (1.0, 2.0, 0.5, 1.0 + 5e-10, 0.25, 1.0), 2.0),
+        (4, (1.0, 0.5, 0.25, 1.0, 2.0, 1.0), 628.0),
+        (4, (1.0, 2.0, 3.0, 1.0, 2.0, 1.0), 3.0),
+    ], ids=["underflow", "underflow_pow", "inf_defect", "inf_defect_hole_side",
+            "nan_defect", "sub_delta_grad", "zero_defect", "consistent"])
+    def test_matches_per_triad_reference_at_edges(self, n, upper, q):
+        pt = evaluate(n, upper, False, q)
+        assert outcome(instant_pv_np, pt) == outcome(reference_instant_pv_np, pt)
+
+    def test_python_calls_do_not_grow_with_the_order(self):
+        # the weights come from one comprehension and the scatter loop calls
+        # nothing: one call costs the same Python frames at n = 8 and 16
+        def calls(n):
+            rng = random.Random(n)
+            pt = point_at(mult_from_logs(n, [rng.uniform(-2.0, 2.0)
+                                             for _ in range(upper_size(n))]), 2.0)
+            events = []
+            sys.setprofile(lambda frame, event, arg: events.append(event))
+            try:
+                instant_pv_np(pt)
+            finally:
+                sys.setprofile(None)
+            return events.count("call")
+
+        assert calls(8) == calls(16)
 
     def test_five_by_five_smoke(self):
         rng = random.Random(5)

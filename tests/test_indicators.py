@@ -30,8 +30,10 @@ from oracles import (
     consistent_from_weights,
     kii3,
     kii3_min_form,
+    outcome,
     reference_kii_logs,
     reference_p_average,
+    reference_residuals,
 )
 
 A4 = MultiplicativePCMatrix(
@@ -273,17 +275,23 @@ kernel_entries = st.one_of(
 )
 
 
-def outcome(f, *args):
-    """f's result, or its exception's class and fields; repr tells floats apart bit for bit."""
-    try:
-        return repr(f(*args))
-    except Exception as exc:  # the reference's exception is the expected outcome
-        return type(exc).__name__, repr(vars(exc))
+def assert_fresh_matches_reference(fresh, n, logs, q):
+    """fresh(logs) is the reference's (K_q, defects, mean), or its exception, with its residuals."""
+    residuals = []
+
+    def less_residuals(logs):
+        value, us, ds, avg = fresh(logs)
+        residuals.append(us)
+        return value, ds, avg
+
+    assert outcome(less_residuals, logs) == outcome(reference_kii_logs, n, logs, q)
+    if residuals:
+        assert repr(residuals[0]) == repr(reference_residuals(n, logs))
 
 
 def assert_kernels_match_reference(n, logs, q):
-    assert outcome(kernels(n, q)[0], logs) == outcome(reference_kii_logs, n, logs, q)
-    value_at = kernels(n, q)[1]
+    fresh, value_at = kernels(n, q)
+    assert_fresh_matches_reference(fresh, n, logs, q)
     assert outcome(value_at, 0, logs) == outcome(lambda: reference_kii_logs(n, logs, q)[0])
 
 
@@ -298,8 +306,8 @@ class TestKernels:
                                          min_size=upper_size(n), max_size=upper_size(n))))
         logs = log_upper(upper, mult)
         assert_kernels_match_reference(n, logs, q)
-        assert (outcome(lambda: tuple(evaluate(n, upper, mult, q))[5:])
-                == outcome(reference_kii_logs, n, logs, q))
+        assert_fresh_matches_reference(lambda _: tuple(evaluate(n, upper, mult, q))[5:],
+                                       n, logs, q)
 
     @pytest.mark.parametrize("n, logs, q", [
         # defects 1e308, 1e308, 0, 0: fsum overflows

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -230,6 +231,20 @@ class TestParseMatrix:
         with pytest.raises(OrderTooLarge):
             parse_matrix_text(text)
         assert triad_slots.cache_info().currsize == before
+
+    def test_tall_grid_rejected_before_converting(self):
+        # a grid taller than MAX_ORDER ends at its row count, before any of
+        # its 90,000 tokens becomes a float (converting them peaks at 3.1 MB)
+        text = "\n".join(" ".join(["1"] * 300) for _ in range(300))
+        tracemalloc.start()
+        try:
+            with pytest.raises(OrderTooLarge) as err:
+                parse_matrix_text(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (err.value.n, err.value.limit) == (300, MAX_ORDER)
+        assert peak < 0.6e6
 
     def test_bad_order_value(self):
         with pytest.raises(MatrixFileError):
