@@ -125,7 +125,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    outcomes = run_all(outdir=args.outdir, echo=lambda line: print(line))
+    outcomes = run_all(outdir=args.outdir, echo=print)
     print()
     print(format_report(outcomes), end="")
     return 0

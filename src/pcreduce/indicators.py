@@ -130,7 +130,7 @@ def p_average(xs, p) -> float:
         avg = 0.0 if avg < _MEAN_FLOOR else avg ** e
     except OverflowError:
         avg = 0.0
-    if avg == 0.0 and max(xs) > 0.0:
+    if avg == 0.0 and not max(xs) <= 0.0:
         s = max(xs) if q > 0.0 else min(xs)
         if s == INF:
             return INF

@@ -223,12 +223,13 @@ def parse_trace_text(text: str) -> DescentResult:
     The inverse of format_trace up to what a file does not hold: every
     record's direction_norm is None and there are no clamp events.  The
     header must name the entries as format_trace does, iterate rows must
-    have ranks >= 0 in increasing order, every indicator must lie in [0, 1],
-    every iterate row and best must be a valid triangle of the header's
-    scheme, the stop reason must be one descent.run reports, best_indicator
-    and best come together, and best_iter is -1 without them and a rank >= 0
-    with them.  Any other text raises MatrixFileError naming the offending
-    line.
+    precede the summary block, whose rows come once each, and have ranks
+    >= 0 in increasing order, written as str(rank), every indicator must lie
+    in [0, 1], every iterate row and best must be a valid triangle of the
+    header's scheme, the stop reason must be one descent.run reports,
+    best_indicator and best come together, and best_iter is -1 without them
+    and a rank >= 0 with them.  Any other text raises MatrixFileError naming
+    the offending line.
     """
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines or not lines[0][1].startswith("iteration,indicator,"):
@@ -252,6 +253,8 @@ def parse_trace_text(text: str) -> DescentResult:
     where = {}
     for lineno, line in lines[1:]:
         key, *fields = line.split(",")
+        if key in summary:
+            raise MatrixFileError(f"repeated {key!r} row", lineno)
         width = 1 if key in SUMMARY_FIELDS else count if key == "best" else count + 1
         if len(fields) != width:
             raise MatrixFileError(
@@ -266,8 +269,10 @@ def parse_trace_text(text: str) -> DescentResult:
                 upper = tuple(map(float, fields[1:]))
                 check_entries(n, upper, scheme == MULTIPLICATIVE)
                 rank = int(key)
-                if rank <= (records[-1].iteration if records else -1):
-                    raise ValidationError(f"iterations must be >= 0 and increasing, got {rank}")
+                if summary:
+                    raise ValidationError("an iterate row follows the summary block")
+                if key != str(rank) or rank <= (records[-1].iteration if records else -1):
+                    raise ValidationError(f"iterations must be >= 0 and increasing, got {key}")
                 records.append(TraceRecord(rank, upper, _indicator(fields[0]), None))
                 continue
         except ValueError as exc:  # a ValidationError among them

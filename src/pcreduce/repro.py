@@ -6,7 +6,9 @@ multiplicative and additive forms) and a 4x4 exercised at p = inf, 1, 2,
 stall_window = 50 and max_iter = 60000.  Each run's best iterate is
 compared against the bundled reference values (best rank and matrix
 entries); the harness reports absolute deviations and never aborts on an
-error stop, it just records the stop reason.
+error stop, it just records the stop reason.  Every row has a best
+iterate, even after an error stop: only a start with a zero triad defect
+at p < 0 fails to evaluate, and the starts' least defects are 4, 4 and 1.
 
 Three reference rows are not reproduced, and the report shows their
 deviations rather than hiding them:
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import ADDITIVE, MATRIX_CLASSES, MULTIPLICATIVE
+from .core import ADDITIVE, MATRIX_CLASSES, MULTIPLICATIVE, upper_pairs
 from .descent import DescentConfig, DescentResult, run
 from .gradients import DIFFERENCE
 from .matrixio import upper_entry_names, write_trace_file
@@ -48,11 +50,6 @@ START4_MULT = (math.exp(-2.0), math.exp(3.0), 1.0, math.exp(1.0), 1.0, 1.0)
 #: the start triangle of each (order, scheme) in the table
 STARTS = {(3, MULTIPLICATIVE): START3_MULT, (3, ADDITIVE): START3_ADD,
           (4, MULTIPLICATIVE): START4_MULT}
-
-#: reference entry tuples use table label order a_1_2, a_1_3, a_2_3 for 3x3
-#: and a_1_2, a_1_3, a_2_3, a_1_4, a_2_4, a_3_4 for 4x4
-LABEL_ORDER_3 = (0, 1, 2)
-LABEL_ORDER_4 = (0, 1, 3, 2, 4, 5)
 
 
 @dataclass(frozen=True)
@@ -108,7 +105,9 @@ def start_matrix(row: ReproRow):
 
 
 def label_order(n: int) -> tuple[int, ...]:
-    return LABEL_ORDER_3 if n == 3 else LABEL_ORDER_4
+    """Storage positions in table label order, by column: a_1_2, a_1_3, a_2_3, a_1_4, ..."""
+    pairs = upper_pairs(n)
+    return tuple(sorted(range(len(pairs)), key=lambda k: pairs[k][::-1]))
 
 
 def entry_names(n: int, scheme: str) -> tuple[str, ...]:
@@ -121,9 +120,9 @@ def entry_names(n: int, scheme: str) -> tuple[str, ...]:
 class RowOutcome:
     row: ReproRow
     result: DescentResult
-    best_entries: tuple[float, ...] | None  # in table label order
-    entry_devs: tuple[float, ...] | None
-    iter_dev: int | None
+    best_entries: tuple[float, ...]  # in table label order
+    entry_devs: tuple[float, ...]
+    iter_dev: int
 
 
 def run_row(row: ReproRow) -> RowOutcome:
@@ -138,10 +137,7 @@ def run_row(row: ReproRow) -> RowOutcome:
         stall_window=HARNESS_STALL_WINDOW,
     )
     result = run(start_matrix(row), cfg)
-    if result.best_matrix is None:
-        return RowOutcome(row, result, None, None, None)
-    order = label_order(row.n)
-    best = tuple(result.best_matrix.upper[k] for k in order)
+    best = tuple(result.best_matrix.upper[k] for k in label_order(row.n))
     devs = tuple(abs(b - r) for b, r in zip(best, row.ref_entries))
     return RowOutcome(row, result, best, devs, abs(result.best_iter - row.ref_iter))
 
@@ -150,15 +146,10 @@ def format_report(outcomes) -> str:
     out = []
     for oc in outcomes:
         row = oc.row
-        p = "inf" if math.isinf(row.p) else f"{row.p:g}"
         out.append(
-            f"{row.label}  scheme={row.scheme} p={p} h={row.h:g} l={row.l:g} "
+            f"{row.label}  scheme={row.scheme} p={row.p:g} h={row.h:g} l={row.l:g} "
             f"stop={oc.result.stop_reason}"
         )
-        if oc.best_entries is None:
-            out.append("    no best iterate recorded")
-            out.append("")
-            continue
         names = entry_names(row.n, row.scheme)
         width = max(9, *(len(nm) for nm in names))
         out.append(
@@ -166,15 +157,9 @@ def format_report(outcomes) -> str:
             f"dev {oc.iter_dev}"
         )
         out.append("    " + "  ".join(nm.rjust(width) for nm in names))
-        out.append(
-            "    " + "  ".join(f"{x:{width}.6f}" for x in oc.best_entries) + "  best"
-        )
-        out.append(
-            "    " + "  ".join(f"{x:{width}.6f}" for x in row.ref_entries) + "  ref"
-        )
-        out.append(
-            "    " + "  ".join(f"{x:{width}.6f}" for x in oc.entry_devs) + "  dev"
-        )
+        for values, tag in ((oc.best_entries, "best"), (row.ref_entries, "ref"),
+                            (oc.entry_devs, "dev")):
+            out.append("    " + "  ".join(f"{x:{width}.6f}" for x in values) + "  " + tag)
         out.append("")
     return "\n".join(out) + ("\n" if out else "")
 
@@ -191,19 +176,14 @@ def write_summary_csv(path, outcomes) -> None:
         )
         for oc in outcomes:
             row = oc.row
-            if oc.best_entries is None:
-                best = ref = devs = maxdev = ""
-            else:
-                best = ";".join(repr(x) for x in oc.best_entries)
-                ref = ";".join(repr(x) for x in row.ref_entries)
-                devs = ";".join(repr(x) for x in oc.entry_devs)
-                maxdev = repr(max(oc.entry_devs))
             w.writerow(
                 [
                     row.label, row.scheme, repr(row.p), repr(row.h), repr(row.l),
-                    oc.result.stop_reason, oc.result.best_iter, row.ref_iter,
-                    "" if oc.iter_dev is None else oc.iter_dev,
-                    best, ref, devs, maxdev,
+                    oc.result.stop_reason, oc.result.best_iter, row.ref_iter, oc.iter_dev,
+                    ";".join(map(repr, oc.best_entries)),
+                    ";".join(map(repr, row.ref_entries)),
+                    ";".join(map(repr, oc.entry_devs)),
+                    repr(max(oc.entry_devs)),
                 ]
             )
 
@@ -224,10 +204,9 @@ def run_all(outdir=None, echo=None):
         if outdir is not None:
             write_trace_file(outdir / f"{row.label}.trace", oc.result)
         if echo is not None:
-            maxdev = "-" if oc.entry_devs is None else f"{max(oc.entry_devs):.6f}"
             echo(
                 f"{row.label}: stop={oc.result.stop_reason} "
-                f"best_iter={oc.result.best_iter} max_entry_dev={maxdev}"
+                f"best_iter={oc.result.best_iter} max_entry_dev={max(oc.entry_devs):.6f}"
             )
     if outdir is not None:
         write_summary_csv(outdir / "summary.csv", outcomes)

@@ -157,7 +157,7 @@ def reference_p_average(xs, p: float) -> float:
         avg = _reference_plain_mean(xs, p)
     except OverflowError:
         avg = 0.0
-    if avg == 0.0 and max(xs) > 0.0:
+    if avg == 0.0 and not max(xs) <= 0.0:
         s = max(xs) if p > 0.0 else min(xs)
         try:
             avg = s if s == math.inf else s * _reference_plain_mean([x / s for x in xs], p)

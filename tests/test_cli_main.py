@@ -141,6 +141,17 @@ def test_overflowing_mean_reads_one(workdir):
     assert call(["evaluate", str(path), "--p=-1e-6"]) == (0, "1.000000\n")
 
 
+def test_nan_defect_gives_nan_component(workdir):
+    # the quotient for b_1_3 moves that log to inf, so triad (1,2,3) reads
+    # inf - inf = nan ahead of a 1e308 defect: K_p and w_1_3 are nan
+    path = workdir / "nan_defect.txt"
+    path.write_text(matrix_text("additive", 4, (1e308, 1e308, 0.0, 1e308, 0.0, 0.0)))
+    code, out = call(["gradient", str(path), "--p", "2", "--kind", "difference",
+                      "--l", "1e308"])
+    assert code == 0
+    assert out.splitlines()[1] == "w_1_3 nan"
+
+
 def test_a_stray_value_error_is_not_reported_as_a_user_error(workdir, monkeypatch):
     # exit 1 is for rejected input (ValidationError) and OS errors; any other
     # ValueError is a fault of the program and propagates

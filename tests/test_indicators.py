@@ -129,6 +129,12 @@ class TestPAverage:
         # for p < 0 one finite value keeps the mean finite
         assert p_average([math.inf, 1.0], -1.0) == 2.0
 
+    def test_nan_value_gives_nan_mean_in_either_order(self):
+        # the plain terms overflow, so the mean falls back to its scaled
+        # form, also when max() returns the nan that comes first
+        assert math.isnan(p_average([math.nan, 1e200], 2.0))
+        assert math.isnan(p_average([1e200, math.nan], 2.0))
+
     def test_max(self):
         assert p_average((1.0, 5.0, 2.0), math.inf) == 5.0
 

@@ -209,8 +209,10 @@ class TestParseMatrix:
         assert err.value.line == 1
 
     def test_duplicate_header(self):
-        with pytest.raises(MatrixFileError):
-            parse_matrix_text("n=3\nn=4\n2 4 2\n")
+        for text in ("n=3\nn=4\n2 4 2\n", "mode=additive\nmode=additive\n2 4 2\n"):
+            with pytest.raises(MatrixFileError) as err:
+                parse_matrix_text(text)
+            assert err.value.line == 2
 
     def test_unknown_header(self):
         with pytest.raises(MatrixFileError):
@@ -438,6 +440,9 @@ class TestTraceFiles:
         (TRACE_HEAD + "1,-0.5,1,2,3\nstop_reason,stalled\nbest_iter,-1\n", 3),
         (TRACE_HEAD + "stop_reason,stalled\nbest_iter,0\nbest_indicator,inf\n"
          "best,1,2,3\n", 5),
+        (TRACE_HEAD + "stop_reason,converged\nstop_reason,max_iter\nbest_iter,-1\n", 4),
+        (TRACE_HEAD + "stop_reason,stalled\n1,0.5,1,2,3\nbest_iter,-1\n", 4),
+        (TRACE_HEAD + "1_0,0.5,1,2,3\nstop_reason,stalled\nbest_iter,-1\n", 3),
         # the order-(MAX_ORDER + 1) triangle, in a trace without a best row
         ("iteration,indicator," + ",".join(f"a_{i}_{j}" for i, j in upper_pairs(MAX_ORDER + 1))
          + "\nstop_reason,stalled\nbest_iter,-1\n", 1),
@@ -448,7 +453,8 @@ class TestTraceFiles:
             "best_iter_without_best", "best_with_best_iter_minus_one",
             "best_with_negative_best_iter", "negative_iteration", "repeated_iteration",
             "decreasing_iteration", "nan_indicator", "indicator_above_one",
-            "negative_indicator", "infinite_best_indicator", "order_above_max"])
+            "negative_indicator", "infinite_best_indicator", "repeated_summary_row",
+            "iterate_after_summary", "rank_not_as_written", "order_above_max"])
     def test_malformed_trace_names_line(self, text, line):
         with pytest.raises(MatrixFileError) as err:
             parse_trace_text(text)

@@ -2,7 +2,8 @@ import csv
 import hashlib
 import math
 
-from pcreduce.core import AdditivePCMatrix, MultiplicativePCMatrix
+from pcreduce.core import AdditivePCMatrix, MultiplicativePCMatrix, upper_pairs
+from pcreduce.indicators import point_at
 from pcreduce.repro import (
     REFERENCE_RUNS,
     entry_names,
@@ -44,15 +45,27 @@ class TestReferenceTable:
         m4 = start_matrix(REFERENCE_RUNS[7])
         assert m4.n == 4
 
+    def test_every_start_evaluates_at_its_p(self):
+        # so every run has iterate 0, and with it a best iterate
+        for row in REFERENCE_RUNS:
+            point_at(start_matrix(row), row.p)
+
     def test_label_order_permutes_storage(self):
         assert sorted(label_order(4)) == [0, 1, 2, 3, 4, 5]
         assert label_order(4) == (0, 1, 3, 2, 4, 5)
         assert label_order(3) == (0, 1, 2)
+        for n in (5, 6):  # column order: by j, then by i
+            pairs = upper_pairs(n)
+            assert sorted(label_order(n)) == list(range(len(pairs)))
+            assert [pairs[k] for k in label_order(n)] == sorted(pairs, key=lambda ij: ij[::-1])
 
     def test_entry_names_follow_table_order(self):
         assert entry_names(4, "multiplicative") == (
             "a_1_2", "a_1_3", "a_2_3", "a_1_4", "a_2_4", "a_3_4")
         assert entry_names(3, "additive") == ("b_1_2", "b_1_3", "b_2_3")
+        assert entry_names(5, "additive")[6:] == ("b_1_5", "b_2_5", "b_3_5", "b_4_5")
+        assert entry_names(6, "multiplicative")[10:] == (
+            "a_1_6", "a_2_6", "a_3_6", "a_4_6", "a_5_6")
 
 
 class TestRunRow:
