@@ -9,7 +9,8 @@ Subcommands:
 Exit codes: 0 success, 1 argument/file/validation problems, 2 indicator or
 descent domain errors (including runs stopping on indicator_undefined or
 positivity_failure).  Values are printed with six decimals, decimal point
-always a dot.
+always a dot, except where six decimals would show a nonzero value as zero
+or the value's magnitude is 1e15 or more: those print as repr(x).
 """
 
 from __future__ import annotations
@@ -47,6 +48,14 @@ class Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def format_value(x: float) -> str:
+    """x with six decimals, or repr(x) where those would read a nonzero x as zero or |x| >= 1e15."""
+    text = f"{x:.6f}"
+    if (x != 0.0 and float(text) == 0.0) or abs(x) >= 1e15:
+        return repr(x)
+    return text
 
 
 def build_parser() -> Parser:
@@ -90,7 +99,7 @@ def build_parser() -> Parser:
 
 def cmd_evaluate(args) -> int:
     m = read_matrix_file(args.matrix)
-    print(f"{kii(m, args.p):.6f}")
+    print(format_value(kii(m, args.p)))
     return 0
 
 
@@ -99,7 +108,7 @@ def cmd_gradient(args) -> int:
     pt = point_at(m, args.p)
     direction = select_direction(m.n, pt.q, args.kind, args.l)
     for (i, j), c in zip(upper_pairs(m.n), direction(pt)):
-        print(f"w_{i}_{j} {c:.6f}")
+        print(f"w_{i}_{j} {format_value(c)}")
     return 0
 
 
@@ -111,10 +120,10 @@ def cmd_reduce(args) -> int:
     print(f"stop_reason {result.stop_reason}")
     print(f"best_iter {result.best_iter}")
     if result.best_matrix is not None:
-        print(f"best_indicator {result.best_indicator:.6f}")
+        print(f"best_indicator {format_value(result.best_indicator)}")
         names = upper_entry_names(result.n, result.scheme)
         for name, x in zip(names, result.best_matrix.upper):
-            print(f"{name} {x:.6f}")
+            print(f"{name} {format_value(x)}")
     if args.trace is not None:
         write_trace_file(args.trace, result)
     if args.out is not None and result.best_matrix is not None:
@@ -144,7 +153,3 @@ def main(argv=None) -> int:
     except (ValidationError, OSError, EvaluationError) as exc:
         print(f"pcreduce: error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, EvaluationError) else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

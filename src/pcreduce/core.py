@@ -38,21 +38,28 @@ MULTIPLICATIVE = "multiplicative"
 ADDITIVE = "additive"
 
 
-def upper_size(n: int) -> int:
-    return n * (n - 1) // 2
-
-
-@lru_cache(maxsize=None)
-def upper_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """All (i,j) with i < j, in storage order."""
-    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-
-
 #: the largest accepted order.  Both triad tables (triad_slots and
 #: indicators._pair_triads) hold about 157 B per triad, 25 MB for the
 #: C(100, 3) triads here, and one descent iteration sweeps every triad at
 #: least once; README gives the sizes and times behind the bound
 MAX_ORDER = 100
+
+#: how many orders' tables each per-order cache (upper_pairs, triad_slots,
+#: indicators._pair_triads) keeps, dropping the least recently used: all of
+#: 3..MAX_ORDER would take about 640 MB.  repro uses orders 3 and 4, and no
+#: benchmark workload more than 4 orders in a process (16-24, 24-32), so
+#: none drops a table it still uses
+CACHED_ORDERS = 8
+
+
+def upper_size(n: int) -> int:
+    return n * (n - 1) // 2
+
+
+@lru_cache(maxsize=CACHED_ORDERS)
+def upper_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """All (i,j) with i < j, in storage order."""
+    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
 def check_order(n: int) -> None:
@@ -142,7 +149,7 @@ def to_multiplicative(b: AdditivePCMatrix) -> MultiplicativePCMatrix:
     return MultiplicativePCMatrix(b.n, tuple(upper))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_ORDERS)
 def triad_slots(n: int) -> tuple[tuple[int, int, int], ...]:
     """The positions (ij, jk, ik) of each triad (i,j,k)'s (i,j), (j,k), (i,k) entries.
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -80,10 +81,15 @@ class DescentConfig:
         # K_p < 1, so an eps of 1 or more would stop every run at iterate 0
         if not (0.0 < self.eps < 1.0):
             raise ValidationError(f"eps must be in (0, 1), got {self.eps!r}")
-        if self.max_iter < 1:
-            raise ValidationError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if self.stall_window < 1:
-            raise ValidationError(f"stall_window must be >= 1, got {self.stall_window!r}")
+        # a float limit (NaN above all) would let descend run past both stops
+        for name in ("max_iter", "stall_window"):
+            limit = getattr(self, name)
+            try:
+                operator.index(limit)
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer, got {limit!r}") from None
+            if limit < 1:
+                raise ValidationError(f"{name} must be >= 1, got {limit!r}")
 
 
 class TraceRecord(NamedTuple):

@@ -7,9 +7,29 @@ inputs (indicator holes for p < 0, gradients requested where none exists).
 The CLI maps the former to exit code 1 and the latter to exit code 2.
 """
 
+from inspect import Parameter, Signature
+
 
 class PCReduceError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    A class that declares ``fields``, the names of its details, and
+    ``message``, a ``str.format`` template over them, takes those fields
+    positionally or by name, keeps each as the attribute of that name and
+    carries the formatted message as its one argument.  A class without
+    ``fields`` takes a free message, as ``Exception`` does.
+    """
+
+    fields: tuple[str, ...] = ()
+    message: str
+
+    def __init__(self, *args, **kwargs):
+        if self.fields:
+            names = [Parameter(f, Parameter.POSITIONAL_OR_KEYWORD) for f in self.fields]
+            values = Signature(names).bind(*args, **kwargs).arguments
+            vars(self).update(values)
+            args, kwargs = (self.message.format_map(values),), {}
+        super().__init__(*args, **kwargs)
 
 
 class ValidationError(PCReduceError, ValueError):
@@ -21,62 +41,48 @@ class EvaluationError(PCReduceError):
 
 
 class OrderTooSmall(ValidationError):
-    def __init__(self, n):
-        self.n = n
-        super().__init__(f"matrix order must be >= 3, got {n}")
+    fields = ("n",)
+    message = "matrix order must be >= 3, got {n}"
 
 
 class OrderTooLarge(ValidationError):
-    def __init__(self, n, limit):
-        self.n, self.limit = n, limit
-        super().__init__(f"matrix order must be <= {limit}, got {n}")
+    fields = ("n", "limit")
+    message = "matrix order must be <= {limit}, got {n}"
 
 
 class NonPositiveEntry(ValidationError):
-    def __init__(self, i, j, value):
-        self.i, self.j, self.value = i, j, value
-        super().__init__(f"entry ({i},{j}) must be > 0, got {value!r}")
+    fields = ("i", "j", "value")
+    message = "entry ({i},{j}) must be > 0, got {value!r}"
 
 
 class NonFiniteEntry(ValidationError):
-    def __init__(self, i, j, value):
-        self.i, self.j, self.value = i, j, value
-        super().__init__(f"additive entry ({i},{j}) must be finite, got {value!r}")
+    fields = ("i", "j", "value")
+    message = "additive entry ({i},{j}) must be finite, got {value!r}"
 
 
 class EntryOverflow(ValidationError):
-    def __init__(self, i, j, value):
-        self.i, self.j, self.value = i, j, value
-        super().__init__(
-            f"additive entry ({i},{j}) = {value!r} has no multiplicative image: "
-            f"exp overflows or underflows"
-        )
+    fields = ("i", "j", "value")
+    message = ("additive entry ({i},{j}) = {value!r} has no multiplicative image: "
+               "exp overflows or underflows")
 
 
 class BadDiagonal(ValidationError):
     """A full grid's diagonal entry is not the form's identity, 1 or 0."""
 
-    def __init__(self, i, value, expected):
-        self.i, self.value, self.expected = i, value, expected
-        super().__init__(f"diagonal entry ({i},{i}) must be {expected}, got {value!r}")
+    fields = ("i", "value", "expected")
+    message = "diagonal entry ({i},{i}) must be {expected}, got {value!r}"
 
 
 class ReciprocityViolation(ValidationError):
-    def __init__(self, i, j, residual):
-        self.i, self.j, self.residual = i, j, residual
-        super().__init__(
-            f"entries ({i},{j}) and ({j},{i}) are not reciprocal: "
-            f"|a_ij * a_ji - 1| = {residual:.3e}"
-        )
+    fields = ("i", "j", "residual")
+    message = ("entries ({i},{j}) and ({j},{i}) are not reciprocal: "
+               "|a_ij * a_ji - 1| = {residual:.3e}")
 
 
 class AntisymmetryViolation(ValidationError):
-    def __init__(self, i, j, residual):
-        self.i, self.j, self.residual = i, j, residual
-        super().__init__(
-            f"entries ({i},{j}) and ({j},{i}) are not antisymmetric: "
-            f"|b_ij + b_ji| = {residual:.3e}"
-        )
+    fields = ("i", "j", "residual")
+    message = ("entries ({i},{j}) and ({j},{i}) are not antisymmetric: "
+               "|b_ij + b_ji| = {residual:.3e}")
 
 
 class InvalidExponent(ValidationError):
@@ -95,29 +101,21 @@ class MatrixFileError(ValidationError):
 
 
 class ZeroWithNegativeExponent(EvaluationError):
-    def __init__(self, value):
-        self.value = value
-        super().__init__(
-            f"p-average with p < 0 undefined near zero: got value {value!r}"
-        )
+    fields = ("value",)
+    message = "p-average with p < 0 undefined near zero: got value {value!r}"
 
 
 class IndicatorUndefined(EvaluationError):
-    def __init__(self, p, triad, defect):
-        self.p, self.triad, self.defect = p, triad, defect
-        super().__init__(
-            f"indicator undefined for p = {p}: triad {tuple(triad)} has defect "
-            f"{defect:.3e}, inside the consistent hole"
-        )
+    # every caller names the triad by core.triad's tuple, which {triad} prints
+    fields = ("p", "triad", "defect")
+    message = ("indicator undefined for p = {p}: triad {triad} has defect "
+               "{defect:.3e}, inside the consistent hole")
 
 
 class NonSmoothExponent(EvaluationError):
-    def __init__(self, p):
-        self.p = p
-        super().__init__(
-            f"no analytic gradient for p = {p}: indicator is not C^1 there "
-            f"(use the difference gradient)"
-        )
+    fields = ("p",)
+    message = ("no analytic gradient for p = {p}: indicator is not C^1 there "
+               "(use the difference gradient)")
 
 
 class OnConsistentLocus(EvaluationError):
@@ -125,18 +123,12 @@ class OnConsistentLocus(EvaluationError):
 
 
 class DegenerateDefect(EvaluationError):
-    def __init__(self, triad, defect):
-        self.triad, self.defect = triad, defect
-        super().__init__(
-            f"triad {tuple(triad)} has near-zero defect {defect:.3e}; "
-            f"analytic gradient is unstable there"
-        )
+    fields = ("triad", "defect")
+    message = ("triad {triad} has near-zero defect {defect:.3e}; "
+               "analytic gradient is unstable there")
 
 
 class PositivityFailure(EvaluationError):
-    def __init__(self, i, j, entry, step, halvings):
-        self.i, self.j, self.entry, self.step, self.halvings = i, j, entry, step, halvings
-        super().__init__(
-            f"step at entry ({i},{j}) cannot preserve positivity: "
-            f"entry {entry:.3e}, raw step {step:.3e} after {halvings} halvings"
-        )
+    fields = ("i", "j", "entry", "step", "halvings")
+    message = ("step at entry ({i},{j}) cannot preserve positivity: "
+               "entry {entry:.3e}, raw step {step:.3e} after {halvings} halvings")

@@ -39,6 +39,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from .core import (
+    CACHED_ORDERS,
     MULTIPLICATIVE,
     AdditivePCMatrix,
     MultiplicativePCMatrix,
@@ -306,7 +307,7 @@ def moved_kii(pt: Point):
     return moved_mean
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_ORDERS)
 def _pair_triads(n: int):
     """Per upper position k, (ts, rows): the triads t that contain k and their own table rows."""
     slots, ts = triad_slots(n), [[] for _ in range(upper_size(n))]

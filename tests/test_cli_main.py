@@ -141,6 +141,25 @@ def test_overflowing_mean_reads_one(workdir):
     assert call(["evaluate", str(path), "--p=-1e-6"]) == (0, "1.000000\n")
 
 
+def test_a_nonzero_entry_never_prints_as_zero(workdir):
+    # six decimals would print the first entry, about 1.015e-07, as 0.000000
+    path = workdir / "tiny_entry.txt"
+    path.write_text("n=3\n1e-7 2 3\n")
+    code, out = call(["reduce", str(path), "--h", "1e-9", "--max-iter", "1"])
+    assert code == 0
+    assert out.splitlines()[3] == "a_1_2 1.0150000000000006e-07"
+
+
+@pytest.mark.parametrize("x, text", [(0.25, "0.250000"), (0.0, "0.000000"),
+                                     (-0.0, "-0.000000"), (4e-7, "4e-07"),
+                                     (-1e-300, "-1e-300"), (6e-7, "0.000001"),
+                                     (1e15, "1000000000000000.0"), (-1e308, "-1e+308"),
+                                     (999999999999999.9, "999999999999999.875000"),
+                                     (float("inf"), "inf"), (float("nan"), "nan")])
+def test_values_print_with_six_decimals_unless_those_mislead(x, text):
+    assert cli.format_value(x) == text
+
+
 def test_nan_defect_gives_nan_component(workdir):
     # the quotient for b_1_3 moves that log to inf, so triad (1,2,3) reads
     # inf - inf = nan ahead of a 1e308 defect: K_p and w_1_3 are nan

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from pcreduce.core import (
     ADDITIVE,
+    CACHED_ORDERS,
     MATRIX_CLASSES,
     MAX_ORDER,
     MULTIPLICATIVE,
@@ -272,6 +273,15 @@ class TestTriads:
             for cache in caches:
                 cache.cache_clear()
         assert size <= 13.4e6
+
+    def test_table_caches_keep_only_the_latest_orders(self):
+        # all of 3..MAX_ORDER would take about 640 MB: each per-order cache
+        # keeps the tables of the CACHED_ORDERS orders used last
+        caches = (upper_pairs, triad_slots, _pair_triads)
+        for n in range(3, 31):
+            for cache in caches:
+                cache(n)
+        assert [cache.cache_info().currsize for cache in caches] == [CACHED_ORDERS] * 3
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_rejects_order_below_three(self, n):

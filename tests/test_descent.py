@@ -69,6 +69,13 @@ class TestConfig:
                                      {"eps": 0.0},
                                      {"max_iter": 0},
                                      {"stall_window": 0},
+                                     {"max_iter": math.nan},
+                                     {"max_iter": 2.5},
+                                     {"max_iter": 10.0},
+                                     {"max_iter": "10"},
+                                     {"stall_window": math.nan},
+                                     {"stall_window": 50.0},
+                                     {"stall_window": None},
                                      {"eps": 1.0},
                                      {"eps": 700.0},
                                      {"eps": math.inf},

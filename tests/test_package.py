@@ -82,3 +82,16 @@ def test_only_core_enumerates_triads():
             elif isinstance(node, ast.Attribute) and node.attr == "combinations":
                 found.append(f"{path.name}: .combinations")
     assert found == []
+
+
+def test_every_cache_is_bounded():
+    # a cache keyed by the order, unbounded, keeps every order's tables for
+    # the life of the process: each cache names a finite maxsize
+    found = []
+    for path in sorted(Path(pcreduce.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            for dec in getattr(node, "decorator_list", ()):
+                text = ast.unparse(dec)
+                if text.endswith("cache") or "cache(None" in text or "maxsize=None" in text:
+                    found.append(f"{path.name}: {node.name} {text}")
+    assert found == []
