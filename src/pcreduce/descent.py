@@ -8,7 +8,12 @@ no positivity issue exists.  w_n is the selected priority direction at the
 current iterate: analytic (instant) or forward-difference.
 
 descend runs the iteration and yields each iterate it records; run keeps
-them all.  The iteration stops on the first of
+them all, as flat columns rather than one TraceRecord each: an array of the
+upper triangles, row-major, and one column each of iteration numbers,
+indicators and direction norms.  A trace's records is a TraceRecords, a
+read-only sequence that builds a TraceRecord only when one is read and
+otherwise behaves as the tuple of them (len, indices, slices, ==, hash).
+The iteration stops on the first of
   converged            indicator below eps,
   stalled              no improvement of the running minimum by at least
                        1e-12 for stall_window consecutive iterations,
@@ -27,6 +32,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -106,10 +113,111 @@ class ClampEvent(NamedTuple):
     halvings: int
 
 
+#: the largest iteration number a trace holds, its column being array("q")
+MAX_ITERATION = 2**63 - 1
+
+
+class TraceRecords(Sequence):
+    """A trace's records, stored as columns; reading one builds its TraceRecord.
+
+    One array holds every record's upper triangle, width floats each, in
+    row-major order; one column each holds the iteration numbers, the
+    indicators and the direction norms, and a flag per record tells a norm
+    of None from a float.  It compares equal to, and hashes as, the tuple
+    of its records.
+    """
+
+    __slots__ = ("_width", "_iterations", "_uppers", "_indicators", "_norms", "_normed",
+                 "_hash")
+
+    def __init__(self, records=()):
+        self._iterations = array("q")
+        self._uppers = array("d")
+        self._indicators = array("d")
+        self._norms = array("d")  # 0.0 where normed is 0
+        self._normed = bytearray()
+        put_iteration, put_upper = self._iterations.append, self._uppers.fromlist
+        put_indicator, put_norm, put_normed = (
+            self._indicators.append, self._norms.append, self._normed.append)
+        width = None
+        for it, upper, indicator, norm in records:
+            if width is None:
+                width = len(upper)
+            elif len(upper) != width:
+                raise ValidationError(f"trace record {it} has {len(upper)} entries, not {width}")
+            put_iteration(it)
+            put_upper(list(upper))  # twice as fast as extending by the tuple
+            put_indicator(indicator)
+            if norm is None:
+                put_norm(0.0)
+                put_normed(0)
+            else:
+                put_norm(norm)
+                put_normed(1)
+        self._width = width or 0
+
+    def rows(self):
+        """Yield each record's (iteration, indicator, entries of its upper triangle).
+
+        The entries are one pass over the upper column, so read each row's
+        before taking the next row.
+        """
+        w, entries = self._width, iter(self._uppers)
+        for it, indicator in zip(self._iterations, self._indicators):
+            yield it, indicator, itertools.islice(entries, w)
+
+    def __len__(self) -> int:
+        return len(self._iterations)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(*k.indices(len(self)))))
+        k = operator.index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("trace record index out of range")
+        w = self._width
+        return TraceRecord(self._iterations[k], tuple(self._uppers[k * w:(k + 1) * w]),
+                           self._indicators[k], self._norms[k] if self._normed[k] else None)
+
+    def __iter__(self):
+        for (it, indicator, upper), norm, normed in zip(self.rows(), self._norms, self._normed):
+            yield TraceRecord(it, tuple(upper), indicator, norm if normed else None)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if isinstance(other, (tuple, TraceRecords)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # kept: each read builds new floats, and a NaN hashes by its object
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(tuple(self))
+            return self._hash
+
+    def __getstate__(self):
+        # no cached hash: None's and a NaN's hash differ from process to process
+        return None, {name: getattr(self, name) for name in self.__slots__ if name != "_hash"}
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class IterationTrace:
-    records: tuple[TraceRecord, ...]
+    """A run's records (a TraceRecords, built from any iterable of them) and clamps."""
+
+    records: TraceRecords
     clamp_events: tuple[ClampEvent, ...] = ()
+
+    def __post_init__(self):
+        if not isinstance(self.records, TraceRecords):
+            object.__setattr__(self, "records", TraceRecords(self.records))
 
 
 @dataclass(frozen=True)
@@ -225,19 +333,26 @@ def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> De
     """Descend from m0 under cfg and keep the record; every stop returns a DescentResult.
 
     m0 is converted to cfg.scheme's form once (EntryOverflow for an additive
-    entry whose exp is no positive normal float).  best_matrix, the first
-    record with the least indicator, is the one matrix a run builds.
+    entry whose exp is no positive normal float).  Each record's fields go
+    straight to the trace's columns.  best_matrix, the first record with the
+    least indicator, is the one matrix a run builds.
     """
     convert = to_additive if cfg.scheme == ADDITIVE else to_multiplicative
     mat = m0 if m0.scheme == cfg.scheme else convert(m0)
-    records: list[TraceRecord] = []
     clamps: list[ClampEvent] = []
-    for record, events, stop in descend(mat, cfg):
-        if record is not None:
-            records.append(record)
-        clamps.extend(events)
-    # min keeps the first of equal keys: the first attainment
-    best = min(records, key=lambda r: r.indicator, default=None)
+    best = stop = None
+
+    def recorded():
+        nonlocal best, stop
+        for record, events, stop in descend(mat, cfg):
+            if record is not None:
+                # only a strictly smaller indicator moves it: the first attainment
+                if best is None or record.indicator < best.indicator:
+                    best = record
+                yield record
+            clamps.extend(events)
+
+    records = TraceRecords(recorded())
     return DescentResult(
         n=mat.n,
         scheme=cfg.scheme,
@@ -245,5 +360,5 @@ def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> De
         best_matrix=None if best is None else mat.replace_upper(best.upper),
         best_indicator=None if best is None else best.indicator,
         stop_reason=stop,
-        trace=IterationTrace(tuple(records), tuple(clamps)),
+        trace=IterationTrace(records, tuple(clamps)),
     )

@@ -16,8 +16,9 @@ class PCReduceError(Exception):
     A class that declares ``fields``, the names of its details, and
     ``message``, a ``str.format`` template over them, takes those fields
     positionally or by name, keeps each as the attribute of that name and
-    carries the formatted message as its one argument.  A class without
-    ``fields`` takes a free message, as ``Exception`` does.
+    carries the formatted message as its one argument, and pickle and copy
+    rebuild it from those fields.  A class without ``fields`` takes a free
+    message, as ``Exception`` does.
     """
 
     fields: tuple[str, ...] = ()
@@ -30,6 +31,12 @@ class PCReduceError(Exception):
             vars(self).update(values)
             args, kwargs = (self.message.format_map(values),), {}
         super().__init__(*args, **kwargs)
+
+    def __reduce__(self):
+        # Exception's own would pass the formatted message back as the first field
+        if not self.fields:
+            return super().__reduce__()
+        return type(self), tuple(getattr(self, name) for name in self.fields)
 
 
 class ValidationError(PCReduceError, ValueError):

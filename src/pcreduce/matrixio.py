@@ -35,6 +35,7 @@ from .core import (
     upper_size,
 )
 from .descent import (
+    MAX_ITERATION,
     STOP_REASONS,
     DescentResult,
     IterationTrace,
@@ -181,6 +182,21 @@ def upper_entry_names(n: int, scheme: str) -> tuple[str, ...]:
     return tuple(f"{prefix}_{i}_{j}" for i, j in upper_pairs(n))
 
 
+def _trace_lines(result: DescentResult):
+    """The lines of result's trace file, each ending in a newline.
+
+    The rows are read from the trace's columns, not record by record.
+    """
+    yield "iteration,indicator," + ",".join(upper_entry_names(result.n, result.scheme)) + "\n"
+    for it, indicator, upper in result.trace.records.rows():
+        yield f"{it},{indicator!r},{','.join(map(repr, upper))}\n"
+    yield f"stop_reason,{result.stop_reason}\n"
+    yield f"best_iter,{result.best_iter}\n"
+    if result.best_matrix is not None:
+        yield f"best_indicator,{result.best_indicator!r}\n"
+        yield "best," + ",".join(map(repr, result.best_matrix.upper)) + "\n"
+
+
 def format_trace(result: DescentResult) -> str:
     """Render a descent result as a trace file, the text form of the run.
 
@@ -189,20 +205,13 @@ def format_trace(result: DescentResult) -> str:
     the stop reason and the best iterate.  Direction norms and clamp events
     stay on the in-memory trace only.
     """
-    out = ["iteration,indicator," + ",".join(upper_entry_names(result.n, result.scheme))]
-    for rec in result.trace.records:
-        out.append(f"{rec.iteration},{rec.indicator!r},{','.join(map(repr, rec.upper))}")
-    out.append(f"stop_reason,{result.stop_reason}")
-    out.append(f"best_iter,{result.best_iter}")
-    if result.best_matrix is not None:
-        out.append(f"best_indicator,{repr(result.best_indicator)}")
-        out.append("best," + ",".join(repr(x) for x in result.best_matrix.upper))
-    return "\n".join(out) + "\n"
+    return "".join(_trace_lines(result))
 
 
 def write_trace_file(path, result: DescentResult) -> None:
+    """Write format_trace(result) to path line by line, never as one string."""
     with open(path, "w", encoding="utf-8") as f:
-        f.write(format_trace(result))
+        f.writelines(_trace_lines(result))
 
 
 def _indicator(text: str) -> float:
@@ -273,6 +282,8 @@ def parse_trace_text(text: str) -> DescentResult:
                     raise ValidationError("an iterate row follows the summary block")
                 if key != str(rank) or rank <= (records[-1].iteration if records else -1):
                     raise ValidationError(f"iterations must be >= 0 and increasing, got {key}")
+                if rank > MAX_ITERATION:
+                    raise ValidationError(f"iteration {key} exceeds {MAX_ITERATION}")
                 records.append(TraceRecord(rank, upper, _indicator(fields[0]), None))
                 continue
         except ValueError as exc:  # a ValidationError among them

@@ -1,5 +1,9 @@
+import dataclasses
+import gc
 import math
+import pickle
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,6 +24,8 @@ from pcreduce.descent import (
     STOP_STALLED,
     STOP_UNDEFINED,
     DescentConfig,
+    IterationTrace,
+    TraceRecord,
     run,
     step_additive,
     step_multiplicative,
@@ -38,6 +44,7 @@ from pcreduce.gradients import (
     select_direction,
 )
 from pcreduce.indicators import kii, point_at
+from pcreduce.matrixio import format_trace, parse_trace_text
 
 from oracles import instant_pv3_mult
 
@@ -341,6 +348,114 @@ class TestRunTrace:
                    for ev in res.trace.clamp_events)
         for r in res.trace.records:
             assert all(x > 0.0 for x in r.upper)
+
+
+class TestTraceRecords:
+    """A trace's records behave as the tuple of TraceRecords they store."""
+
+    @pytest.fixture(scope="class")
+    def res(self):
+        return run(A4, cfg(p=2.0, h=0.1, max_iter=40))
+
+    def test_indices_slices_and_iteration_match_the_tuple(self, res):
+        recs = res.trace.records
+        records = tuple(recs)
+        assert len(recs) == len(records) == 41
+        assert all(type(r) is TraceRecord for r in records)
+        for k in (0, 7, 40, -1, -41):
+            assert recs[k] == records[k]
+        for k in (41, -42):
+            with pytest.raises(IndexError):
+                recs[k]
+        for cut in (slice(None), slice(3, 9), slice(None, None, -4), slice(-5, None),
+                    slice(50, 60)):
+            assert recs[cut] == records[cut]
+        assert list(reversed(recs)) == list(reversed(records))
+        assert recs.index(records[5]) == 5 and records[5] in recs
+
+    def test_equality_and_hash_agree_with_the_tuple(self, res):
+        recs = res.trace.records
+        records = tuple(recs)
+        assert recs == records and records == recs
+        assert not recs != records
+        assert recs != records[:-1] and records[:-1] != recs
+        assert recs != list(records)
+        assert hash(recs) == hash(records)
+        assert IterationTrace(records) == IterationTrace(recs)
+
+    def test_a_direction_norm_of_none_is_not_nan(self):
+        upper = (1.0, 2.0, 3.0)
+        with_none = IterationTrace([TraceRecord(0, upper, 0.5, None)]).records
+        with_nan = IterationTrace([TraceRecord(0, upper, 0.5, math.nan)]).records
+        assert with_none[0].direction_norm is None
+        assert math.isnan(with_nan[0].direction_norm)
+        assert with_none != with_nan and with_nan != with_none
+
+    def test_an_empty_run_has_no_records(self):
+        hole = MultiplicativePCMatrix(3, (2.0, 4.0, 2.0))
+        res = run(hole, cfg(p=-1.0))
+        assert res.trace.records == () and () == res.trace.records
+        assert len(res.trace.records) == 0 and list(res.trace.records) == []
+
+    def test_a_result_equals_itself_with_a_nan_field(self, res):
+        nan = TraceRecord(0, (math.nan,) * 6, math.nan, math.nan)
+        odd = dataclasses.replace(res, trace=IterationTrace([nan]))
+        assert odd == odd and odd.trace.records == odd.trace.records
+        assert hash(odd) == hash(odd)
+
+    def test_rows_give_each_record_but_its_norm(self, res):
+        recs = res.trace.records
+        assert [(it, indicator, tuple(upper)) for it, indicator, upper in recs.rows()] == [
+            (r.iteration, r.indicator, r.upper) for r in recs]
+
+    def test_records_are_read_only(self, res):
+        recs = res.trace.records
+        with pytest.raises(TypeError):
+            recs[0] = recs[1]
+        with pytest.raises(AttributeError):
+            recs.extra = 1
+
+    def test_records_share_one_width(self):
+        with pytest.raises(ValidationError):
+            IterationTrace([TraceRecord(0, (1.0, 2.0, 3.0), 0.5, None),
+                            TraceRecord(1, (1.0,) * 6, 0.5, None)])
+
+    def test_a_trace_file_reads_back_as_written(self, res):
+        back = parse_trace_text(format_trace(res))
+        assert back.trace.records == tuple(
+            r._replace(direction_norm=None) for r in res.trace.records)
+        assert back == dataclasses.replace(res, trace=IterationTrace(back.trace.records))
+
+    def test_a_result_survives_pickle(self, res):
+        back = pickle.loads(pickle.dumps(res))
+        assert back == res and back.trace.records == tuple(res.trace.records)
+
+
+def retained_bytes(m, count):
+    """Bytes that tracemalloc sees held after a run of count iterates from m."""
+    c = cfg(p=2.0, h=1e-9, gradient=ANALYTIC, l=None, eps=1e-300,
+            max_iter=count - 1, stall_window=10**9)
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    res = run(m, c)
+    gc.collect()
+    held = tracemalloc.get_traced_memory()[0] - before
+    assert len(res.trace.records) == count
+    return held
+
+
+@pytest.mark.parametrize("m", [A3, A4], ids=["n3", "n4"])
+def test_a_record_retains_only_its_floats(m):
+    # the slope between two run lengths cancels what every run holds
+    # whatever its length, such as the interpreter's free lists
+    floats = core.upper_size(m.n) + 3  # the triangle, indicator, iteration, norm
+    tracemalloc.start()
+    try:
+        retained_bytes(m, 10)  # builds the order's tables
+        per_record = (retained_bytes(m, 20000) - retained_bytes(m, 2000)) / 18000
+    finally:
+        tracemalloc.stop()
+    assert per_record <= 8 * floats * 1.25
 
 
 #: the two triad sweeps: residuals for each fresh evaluation, all_defects

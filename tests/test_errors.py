@@ -1,9 +1,12 @@
 """The library's exceptions: their branches, attributes and messages."""
 
+import copy
 import math
+import pickle
 
 import pytest
 
+import pcreduce
 from pcreduce.errors import (
     AntisymmetryViolation,
     BadDiagonal,
@@ -114,3 +117,22 @@ def test_fields_name_every_detail_of_a_declared_error():
 def test_an_error_without_fields_takes_a_free_message():
     assert ValidationError("unknown scheme 'x'").args == ("unknown scheme 'x'",)
     assert EvaluationError().args == ()
+
+
+@pytest.mark.parametrize("build", [pickle.loads, copy.copy], ids=["pickle", "copy"])
+def test_a_declared_error_survives_pickle_and_copy(build):
+    declared = [cls for cls in map(vars(pcreduce).get, pcreduce.__all__)
+                if isinstance(cls, type) and issubclass(cls, PCReduceError) and cls.fields]
+    assert len(declared) == 13
+    for cls in declared:
+        exc = cls(*[(k, k + 1) if name == "triad" else k + 2
+                    for k, name in enumerate(cls.fields)])
+        back = build(pickle.dumps(exc) if build is pickle.loads else exc)
+        assert type(back) is cls
+        assert str(back) == str(exc) and back.args == exc.args
+        assert [getattr(back, f) for f in cls.fields] == [getattr(exc, f) for f in cls.fields]
+
+
+def test_an_error_with_a_free_message_pickles_as_an_exception_does():
+    back = pickle.loads(pickle.dumps(MatrixFileError("no data", 7)))
+    assert (type(back), str(back), back.line) == (MatrixFileError, "line 7: no data", 7)

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pcreduce import matrixio
 from pcreduce.core import (
     MAX_ORDER,
     AdditivePCMatrix,
@@ -381,6 +382,14 @@ class TestTraceFiles:
         write_trace_file(path, result)
         assert read_trace_file(path) == as_written(result)
 
+    def test_file_is_written_line_by_line_as_format_trace_renders_it(
+            self, result, tmp_path, monkeypatch):
+        text = format_trace(result)
+        monkeypatch.setattr(matrixio, "format_trace", None)  # never the whole string
+        path = tmp_path / "run.trace"
+        write_trace_file(path, result)
+        assert path.read_bytes() == text.encode()
+
     @given(descent_runs())
     @example((MULTIPLICATIVE, -1.0, 4, HOLE4, 0.1))
     @example((ADDITIVE, -1.0, 4, HOLE4, 0.1))
@@ -443,6 +452,7 @@ class TestTraceFiles:
         (TRACE_HEAD + "stop_reason,converged\nstop_reason,max_iter\nbest_iter,-1\n", 4),
         (TRACE_HEAD + "stop_reason,stalled\n1,0.5,1,2,3\nbest_iter,-1\n", 4),
         (TRACE_HEAD + "1_0,0.5,1,2,3\nstop_reason,stalled\nbest_iter,-1\n", 3),
+        (TRACE_HEAD + f"{2**63},0.5,1,2,3\nstop_reason,stalled\nbest_iter,-1\n", 3),
         # the order-(MAX_ORDER + 1) triangle, in a trace without a best row
         ("iteration,indicator," + ",".join(f"a_{i}_{j}" for i, j in upper_pairs(MAX_ORDER + 1))
          + "\nstop_reason,stalled\nbest_iter,-1\n", 1),
@@ -454,7 +464,8 @@ class TestTraceFiles:
             "best_with_negative_best_iter", "negative_iteration", "repeated_iteration",
             "decreasing_iteration", "nan_indicator", "indicator_above_one",
             "negative_indicator", "infinite_best_indicator", "repeated_summary_row",
-            "iterate_after_summary", "rank_not_as_written", "order_above_max"])
+            "iterate_after_summary", "rank_not_as_written", "rank_above_int64",
+            "order_above_max"])
     def test_malformed_trace_names_line(self, text, line):
         with pytest.raises(MatrixFileError) as err:
             parse_trace_text(text)
