@@ -51,7 +51,6 @@ from .gradients import difference_priority_vector, instant_pv_np, select_directi
 from .indicators import kii, p_average, point_at
 from .matrixio import (
     format_matrix,
-    format_trace,
     parse_matrix_text,
     parse_trace_text,
     read_matrix_file,
@@ -94,7 +93,6 @@ __all__ = [
     "all_defects",
     "difference_priority_vector",
     "format_matrix",
-    "format_trace",
     "instant_pv_np",
     "kii",
     "log_upper",

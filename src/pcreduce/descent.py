@@ -12,7 +12,8 @@ them all, as flat columns rather than one TraceRecord each: an array of the
 upper triangles, row-major, and one column each of iteration numbers,
 indicators and direction norms.  A trace's records is a TraceRecords, a
 read-only sequence that builds a TraceRecord only when one is read and
-otherwise behaves as the tuple of them (len, indices, slices, ==, hash).
+otherwise behaves as the tuple of them (len, indices, slices, ==); it is
+not hashable, and so neither is a trace or a result.
 The iteration stops on the first of
   converged            indicator below eps,
   stalled              no improvement of the running minimum by at least
@@ -123,12 +124,11 @@ class TraceRecords(Sequence):
     One array holds every record's upper triangle, width floats each, in
     row-major order; one column each holds the iteration numbers, the
     indicators and the direction norms, and a flag per record tells a norm
-    of None from a float.  It compares equal to, and hashes as, the tuple
-    of its records.
+    of None from a float.  It compares equal to the tuple of its records,
+    and, like a list, it is not hashable.
     """
 
-    __slots__ = ("_width", "_iterations", "_uppers", "_indicators", "_norms", "_normed",
-                 "_hash")
+    __slots__ = ("_width", "_iterations", "_uppers", "_indicators", "_norms", "_normed")
 
     def __init__(self, records=()):
         self._iterations = array("q")
@@ -191,18 +191,6 @@ class TraceRecords(Sequence):
         if isinstance(other, (tuple, TraceRecords)):
             return tuple(self) == tuple(other)
         return NotImplemented
-
-    def __hash__(self) -> int:
-        # kept: each read builds new floats, and a NaN hashes by its object
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = hash(tuple(self))
-            return self._hash
-
-    def __getstate__(self):
-        # no cached hash: None's and a NaN's hash differ from process to process
-        return None, {name: getattr(self, name) for name in self.__slots__ if name != "_hash"}
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({tuple(self)!r})"

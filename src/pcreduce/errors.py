@@ -93,9 +93,8 @@ class AntisymmetryViolation(ValidationError):
 
 
 class InvalidExponent(ValidationError):
-    def __init__(self, p, reason="p = 0 degenerates the indicator to a constant"):
-        self.p = p
-        super().__init__(f"invalid exponent p = {p!r}: {reason}")
+    fields = ("p", "reason")
+    message = "invalid exponent p = {p!r}: {reason}"
 
 
 class MatrixFileError(ValidationError):

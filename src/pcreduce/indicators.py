@@ -76,7 +76,7 @@ def normalize_exponent(p) -> float:
     if math.isnan(q):
         raise InvalidExponent(p, "NaN is not an exponent")
     if q == 0.0:
-        raise InvalidExponent(p)
+        raise InvalidExponent(p, "p = 0 degenerates the indicator to a constant")
     if q == -INF:
         raise InvalidExponent(p, "only +infinity is supported")
     if abs(q) < P_MIN:

@@ -39,7 +39,6 @@ from .descent import (
     STOP_REASONS,
     DescentResult,
     IterationTrace,
-    TraceRecord,
 )
 from .errors import (
     AntisymmetryViolation,
@@ -197,19 +196,14 @@ def _trace_lines(result: DescentResult):
         yield "best," + ",".join(map(repr, result.best_matrix.upper)) + "\n"
 
 
-def format_trace(result: DescentResult) -> str:
-    """Render a descent result as a trace file, the text form of the run.
+def write_trace_file(path, result: DescentResult) -> None:
+    """Write result's trace file to path, the text form of the run, line by line.
 
     The header names the entries of result.n in result.scheme's prefix, the
     rows carry each iterate and its indicator, and the summary block carries
     the stop reason and the best iterate.  Direction norms and clamp events
     stay on the in-memory trace only.
     """
-    return "".join(_trace_lines(result))
-
-
-def write_trace_file(path, result: DescentResult) -> None:
-    """Write format_trace(result) to path line by line, never as one string."""
     with open(path, "w", encoding="utf-8") as f:
         f.writelines(_trace_lines(result))
 
@@ -229,9 +223,9 @@ SUMMARY_FIELDS = {"stop_reason": str, "best_iter": int, "best_indicator": _indic
 def parse_trace_text(text: str) -> DescentResult:
     """Read a trace file back as the DescentResult it was written from.
 
-    The inverse of format_trace up to what a file does not hold: every
+    The inverse of write_trace_file up to what a file does not hold: every
     record's direction_norm is None and there are no clamp events.  The
-    header must name the entries as format_trace does, iterate rows must
+    header must name the entries as write_trace_file does, iterate rows must
     precede the summary block, whose rows come once each, and have ranks
     >= 0 in increasing order, written as str(rank), every indicator must lie
     in [0, 1], every iterate row and best must be a valid triangle of the
@@ -240,10 +234,10 @@ def parse_trace_text(text: str) -> DescentResult:
     and a rank >= 0 with them.  Any other text raises MatrixFileError naming
     the offending line.
     """
-    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines or not lines[0][1].startswith("iteration,indicator,"):
-        raise MatrixFileError("not a trace file", lines[0][0] if lines else 1)
-    header_no, header = lines[0]
+    lines = ((k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip())
+    header_no, header = next(lines, (1, ""))
+    if not header.startswith("iteration,indicator,"):
+        raise MatrixFileError("not a trace file", header_no)
     names = header.split(",")[2:]
     count = len(names)
     n = (1 + isqrt(1 + 8 * count)) // 2  # the inverse of upper_size
@@ -256,11 +250,29 @@ def parse_trace_text(text: str) -> DescentResult:
         raise MatrixFileError(
             "entry columns must be " + ",".join(upper_entry_names(n, scheme)), header_no
         )
-
-    records = []
     summary = {}
+    trace = IterationTrace(_trace_rows(lines, header_no, n, scheme, summary))
+    return DescentResult(
+        n=n,
+        scheme=scheme,
+        best_iter=summary["best_iter"],
+        best_matrix=summary.get("best"),
+        best_indicator=summary.get("best_indicator"),
+        stop_reason=summary["stop_reason"],
+        trace=trace,
+    )
+
+
+def _trace_rows(lines, lineno, n, scheme, summary):
+    """Yield the records of a trace's iterate rows; the summary block fills summary.
+
+    lines are the (line number, line) pairs after the header, on line
+    lineno.  Once they are read, the summary block is checked as a whole.
+    """
+    count = upper_size(n)
+    last = -1  # the previous iterate row's rank
     where = {}
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         key, *fields = line.split(",")
         if key in summary:
             raise MatrixFileError(f"repeated {key!r} row", lineno)
@@ -280,11 +292,12 @@ def parse_trace_text(text: str) -> DescentResult:
                 rank = int(key)
                 if summary:
                     raise ValidationError("an iterate row follows the summary block")
-                if key != str(rank) or rank <= (records[-1].iteration if records else -1):
+                if key != str(rank) or rank <= last:
                     raise ValidationError(f"iterations must be >= 0 and increasing, got {key}")
                 if rank > MAX_ITERATION:
                     raise ValidationError(f"iteration {key} exceeds {MAX_ITERATION}")
-                records.append(TraceRecord(rank, upper, _indicator(fields[0]), None))
+                last = rank
+                yield rank, upper, _indicator(fields[0]), None
                 continue
         except ValueError as exc:  # a ValidationError among them
             raise MatrixFileError(f"bad trace row {line!r}: {exc}", lineno) from None
@@ -292,7 +305,7 @@ def parse_trace_text(text: str) -> DescentResult:
         if key == "stop_reason" and summary[key] not in STOP_REASONS:
             raise MatrixFileError(f"unknown stop reason {summary[key]!r}", lineno)
     if "stop_reason" not in summary or "best_iter" not in summary:
-        raise MatrixFileError("trace file is missing its summary block", lines[-1][0])
+        raise MatrixFileError("trace file is missing its summary block", lineno)
     lone = [where[key] for key in ("best", "best_indicator") if key in summary]
     if len(lone) == 1:
         raise MatrixFileError("best and best_indicator come only together", lone[0])
@@ -300,15 +313,6 @@ def parse_trace_text(text: str) -> DescentResult:
     if not (best_iter >= 0 if "best" in summary else best_iter == -1):
         raise MatrixFileError(
             "best_iter is -1 exactly when best is absent", where["best_iter"])
-    return DescentResult(
-        n=n,
-        scheme=scheme,
-        best_iter=best_iter,
-        best_matrix=summary.get("best"),
-        best_indicator=summary.get("best_indicator"),
-        stop_reason=summary["stop_reason"],
-        trace=IterationTrace(tuple(records)),
-    )
 
 
 def read_trace_file(path) -> DescentResult:

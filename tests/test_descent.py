@@ -6,6 +6,7 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcreduce import core, descent, gradients, indicators
 from pcreduce.core import (
@@ -14,6 +15,8 @@ from pcreduce.core import (
     all_defects,
     log_upper,
     to_additive,
+    upper_pairs,
+    upper_size,
 )
 from pcreduce.descent import (
     ADDITIVE,
@@ -44,7 +47,7 @@ from pcreduce.gradients import (
     select_direction,
 )
 from pcreduce.indicators import kii, point_at
-from pcreduce.matrixio import format_trace, parse_trace_text
+from pcreduce.matrixio import read_trace_file, write_trace_file
 
 from oracles import instant_pv3_mult
 
@@ -373,14 +376,16 @@ class TestTraceRecords:
         assert list(reversed(recs)) == list(reversed(records))
         assert recs.index(records[5]) == 5 and records[5] in recs
 
-    def test_equality_and_hash_agree_with_the_tuple(self, res):
+    def test_equality_agrees_with_the_tuple_and_hash_raises(self, res):
         recs = res.trace.records
         records = tuple(recs)
         assert recs == records and records == recs
         assert not recs != records
         assert recs != records[:-1] and records[:-1] != recs
         assert recs != list(records)
-        assert hash(recs) == hash(records)
+        for unhashable in (recs, res.trace, res):
+            with pytest.raises(TypeError):
+                hash(unhashable)
         assert IterationTrace(records) == IterationTrace(recs)
 
     def test_a_direction_norm_of_none_is_not_nan(self):
@@ -401,7 +406,8 @@ class TestTraceRecords:
         nan = TraceRecord(0, (math.nan,) * 6, math.nan, math.nan)
         odd = dataclasses.replace(res, trace=IterationTrace([nan]))
         assert odd == odd and odd.trace.records == odd.trace.records
-        assert hash(odd) == hash(odd)
+        with pytest.raises(TypeError):
+            hash(odd)
 
     def test_rows_give_each_record_but_its_norm(self, res):
         recs = res.trace.records
@@ -420,8 +426,9 @@ class TestTraceRecords:
             IterationTrace([TraceRecord(0, (1.0, 2.0, 3.0), 0.5, None),
                             TraceRecord(1, (1.0,) * 6, 0.5, None)])
 
-    def test_a_trace_file_reads_back_as_written(self, res):
-        back = parse_trace_text(format_trace(res))
+    def test_a_trace_file_reads_back_as_written(self, res, tmp_path):
+        write_trace_file(tmp_path / "run.trace", res)
+        back = read_trace_file(tmp_path / "run.trace")
         assert back.trace.records == tuple(
             r._replace(direction_norm=None) for r in res.trace.records)
         assert back == dataclasses.replace(res, trace=IterationTrace(back.trace.records))
@@ -567,6 +574,71 @@ class TestSchemeEquivalence:
         ra = run(A4, cfg(p=2.0, scheme=ADDITIVE, h=0.01))
         assert kii(rm.best_matrix, 2.0) < 0.3 * start
         assert kii(ra.best_matrix, 2.0) < 0.3 * start
+
+
+def row_means(n, b):
+    """The row means w of the antisymmetric matrix with upper triangle b."""
+    sums = [0.0] * n
+    for (i, j), x in zip(upper_pairs(n), b):
+        sums[i - 1] += x
+        sums[j - 1] -= x
+    return [s / n for s in sums]
+
+
+def off_consistent(n, b):
+    """b - Pb: b less its projection w_i - w_j onto the consistent matrices."""
+    w = row_means(n, b)
+    return [x - (w[i - 1] - w[j - 1]) for (i, j), x in zip(upper_pairs(n), b)]
+
+
+def additive_analytic(n, b0, p, h):
+    """The records of a 50-step additive analytic run from b0 that no stall ends."""
+    res = run(AdditivePCMatrix(n, tuple(b0)), cfg(
+        p=p, h=h, scheme=ADDITIVE, gradient=ANALYTIC, l=None, eps=1e-300,
+        max_iter=50, stall_window=10**9))
+    return res.trace.records
+
+
+@st.composite
+def additive_starts(draw):
+    """(n, b0, p, h): an order in 3..12, its start logs, a smooth p of either sign, a step."""
+    n = draw(st.integers(min_value=3, max_value=12))
+    b0 = draw(st.lists(st.floats(min_value=-4.0, max_value=4.0),
+                       min_size=upper_size(n), max_size=upper_size(n)))
+    p = draw(st.one_of(st.floats(min_value=-4.0, max_value=-0.25),
+                       st.floats(min_value=0.25, max_value=0.75),
+                       st.floats(min_value=1.25, max_value=4.0)))
+    return n, b0, p, draw(st.sampled_from([0.01, 0.1, 0.5, 1.0]))
+
+
+class TestAdditiveInvariants:
+    """The gradient of K_p lies in the range of T^T, orthogonal to the
+    consistent matrices, so an additive analytic step never moves Pb."""
+
+    @given(additive_starts())
+    @settings(max_examples=100, deadline=None)
+    def test_row_means_stay_put(self, case):
+        n, b0, p, h = case
+        w0 = row_means(n, b0)
+        bound = 1e-12 * max(1.0, *map(abs, b0))
+        for rec in additive_analytic(n, b0, p, h):
+            assert max(abs(a - b) for a, b in zip(row_means(n, rec.upper), w0)) <= bound
+
+    @pytest.mark.parametrize("n", [3, 5, 10, 20, 30, 40])
+    def test_p_two_moves_along_a_straight_line(self, n):
+        # sum_t u_t^2 = n * ||b - Pb||^2: the iterates keep b - Pb parallel to b0 - Pb0
+        rng = random.Random(n)
+        b0 = [rng.uniform(-2.0, 2.0) for _ in range(upper_size(n))]
+        r0 = off_consistent(n, b0)
+        norm2 = math.fsum(x * x for x in r0)
+        records = additive_analytic(n, b0, 2.0, 1.0)
+        assert len(records) == 51
+        for rec in records:
+            r = off_consistent(n, rec.upper)
+            c = math.fsum(x * y for x, y in zip(r, r0)) / norm2
+            off = math.sqrt(math.fsum((x - c * y) ** 2 for x, y in zip(r, r0)))
+            assert off <= 1e-12 * math.sqrt(norm2)
+        assert c < 0.99  # the last iterate has moved along the line
 
 
 class TestDescentProgress:

@@ -29,6 +29,10 @@ from pcreduce.errors import (
     ZeroWithNegativeExponent,
 )
 
+#: every library error class the package exports
+EXPORTED_ERRORS = [cls for cls in map(vars(pcreduce).get, pcreduce.__all__)
+                   if isinstance(cls, type) and issubclass(cls, PCReduceError)]
+
 # (error, its branch, its attributes, str(error)): every class built once
 CASES = [
     (OrderTooSmall(2), ValidationError, {"n": 2},
@@ -50,9 +54,11 @@ CASES = [
     (AntisymmetryViolation(3, 4, 1.5), ValidationError,
      {"i": 3, "j": 4, "residual": 1.5},
      "entries (3,4) and (4,3) are not antisymmetric: |b_ij + b_ji| = 1.500e+00"),
-    (InvalidExponent(0.0), ValidationError, {"p": 0.0},
+    (InvalidExponent(0.0, "p = 0 degenerates the indicator to a constant"), ValidationError,
+     {"p": 0.0, "reason": "p = 0 degenerates the indicator to a constant"},
      "invalid exponent p = 0.0: p = 0 degenerates the indicator to a constant"),
-    (InvalidExponent(math.nan, "NaN is not an exponent"), ValidationError, {},
+    (InvalidExponent(math.nan, "NaN is not an exponent"), ValidationError,
+     {"p": math.nan, "reason": "NaN is not an exponent"},  # the same nan object
      "invalid exponent p = nan: NaN is not an exponent"),
     (MatrixFileError("no data", 7), ValidationError, {"line": 7},
      "line 7: no data"),
@@ -108,10 +114,16 @@ def test_a_missing_or_unknown_field_is_a_type_error(build):
 def test_fields_name_every_detail_of_a_declared_error():
     # a stopped run's detail is {name: getattr(exc, name) for name in exc.fields}
     declared = [(exc, attributes) for exc, _, attributes, _ in CASES if exc.fields]
-    assert len({type(exc) for exc, _ in declared}) == 13
+    assert len({type(exc) for exc, _ in declared}) == 14
     for exc, attributes in declared:
         assert {name: getattr(exc, name) for name in exc.fields} == attributes
         assert "__init__" not in vars(type(exc))
+
+
+def test_only_the_base_and_matrix_file_errors_write_a_constructor():
+    # any other error declares fields and a message and takes the base constructor
+    written = {cls for cls in EXPORTED_ERRORS if "__init__" in vars(cls)}
+    assert written == {PCReduceError, MatrixFileError}
 
 
 def test_an_error_without_fields_takes_a_free_message():
@@ -121,9 +133,8 @@ def test_an_error_without_fields_takes_a_free_message():
 
 @pytest.mark.parametrize("build", [pickle.loads, copy.copy], ids=["pickle", "copy"])
 def test_a_declared_error_survives_pickle_and_copy(build):
-    declared = [cls for cls in map(vars(pcreduce).get, pcreduce.__all__)
-                if isinstance(cls, type) and issubclass(cls, PCReduceError) and cls.fields]
-    assert len(declared) == 13
+    declared = [cls for cls in EXPORTED_ERRORS if cls.fields]
+    assert len(declared) == 14
     for cls in declared:
         exc = cls(*[(k, k + 1) if name == "triad" else k + 2
                     for k, name in enumerate(cls.fields)])

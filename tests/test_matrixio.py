@@ -5,7 +5,6 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pcreduce import matrixio
 from pcreduce.core import (
     MAX_ORDER,
     AdditivePCMatrix,
@@ -34,7 +33,6 @@ from pcreduce.errors import (
 )
 from pcreduce.matrixio import (
     format_matrix,
-    format_trace,
     parse_matrix_text,
     parse_trace_text,
     read_matrix_file,
@@ -42,6 +40,7 @@ from pcreduce.matrixio import (
     write_matrix_file,
     write_trace_file,
 )
+from pcreduce.repro import REFERENCE_RUNS, run_row
 
 from oracles import grid_text, validate_additive, validate_multiplicative
 
@@ -94,7 +93,7 @@ def trace_texts(draw):
 
 @st.composite
 def well_formed_traces(draw):
-    """Trace text laid out as format_trace writes it, with any rows and summary.
+    """Trace text laid out as write_trace_file writes it, with any rows and summary.
 
     Entries are valid for the header's scheme (positive for a_, finite for
     b_), indicators lie in [0, 1], and best_iter is -1 exactly when there is
@@ -324,6 +323,19 @@ class TestMatrixRoundTrip:
 
 
 @pytest.fixture(scope="module")
+def trace_dir(tmp_path_factory):
+    """One directory for the trace files that Hypothesis examples write."""
+    return tmp_path_factory.mktemp("traces")
+
+
+def trace_text(result, directory):
+    """The text of result's trace file, written by write_trace_file into directory."""
+    path = directory / "run.trace"
+    write_trace_file(path, result)
+    return path.read_text(encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
 def result():
     cfg = DescentConfig(p=1.0, h=0.1, gradient="difference", l=1e-3,
                         eps=1e-3, max_iter=60000, stall_window=50)
@@ -353,26 +365,26 @@ def descent_runs(draw):
 
 
 class TestTraceFiles:
-    def test_header_and_row_shape(self, result):
-        text = format_trace(result)
+    def test_header_and_row_shape(self, result, tmp_path):
+        text = trace_text(result, tmp_path)
         lines = text.splitlines()
         assert lines[0] == "iteration,indicator,a_1_2,a_1_3,a_2_3"
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[2]) == A3.upper[0]
 
-    def test_additive_prefix(self):
+    def test_additive_prefix(self, tmp_path):
         res = run(A3, DescentConfig(p=1.0, h=0.1, scheme=ADDITIVE, max_iter=5))
-        text = format_trace(res)
+        text = trace_text(res, tmp_path)
         assert text.splitlines()[0] == "iteration,indicator,b_1_2,b_1_3,b_2_3"
 
-    def test_summary_block(self, result):
-        text = format_trace(result)
+    def test_summary_block(self, result, tmp_path):
+        text = trace_text(result, tmp_path)
         assert f"stop_reason,{result.stop_reason}" in text
         assert f"best_iter,{result.best_iter}" in text
 
-    def test_round_trip_is_exact(self, result):
-        data = parse_trace_text(format_trace(result))
+    def test_round_trip_is_exact(self, result, tmp_path):
+        data = parse_trace_text(trace_text(result, tmp_path))
         assert data.n == 3
         assert data.scheme == MULTIPLICATIVE
         assert data == as_written(result)
@@ -382,23 +394,29 @@ class TestTraceFiles:
         write_trace_file(path, result)
         assert read_trace_file(path) == as_written(result)
 
-    def test_file_is_written_line_by_line_as_format_trace_renders_it(
-            self, result, tmp_path, monkeypatch):
-        text = format_trace(result)
-        monkeypatch.setattr(matrixio, "format_trace", None)  # never the whole string
-        path = tmp_path / "run.trace"
-        write_trace_file(path, result)
-        assert path.read_bytes() == text.encode()
+    def test_a_long_trace_reads_in_a_small_multiple_of_its_size(self, tmp_path):
+        # row 03's 22,725 iterates: 1.83 MB of text, peaking near 3.3 times that
+        res = run_row(REFERENCE_RUNS[2]).result
+        path = tmp_path / "03.trace"
+        write_trace_file(path, res)
+        tracemalloc.start()
+        try:
+            back = read_trace_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back == as_written(res)
+        assert peak < 4 * path.stat().st_size
 
     @given(descent_runs())
     @example((MULTIPLICATIVE, -1.0, 4, HOLE4, 0.1))
     @example((ADDITIVE, -1.0, 4, HOLE4, 0.1))
     @settings(max_examples=120, deadline=None)
-    def test_real_runs_read_back_as_written(self, case):
+    def test_real_runs_read_back_as_written(self, trace_dir, case):
         scheme, p, n, logs, h = case
         res = run(AdditivePCMatrix(n, logs), DescentConfig(
             p=p, h=h, scheme=scheme, max_iter=30, stall_window=10))
-        assert parse_trace_text(format_trace(res)) == as_written(res)
+        assert parse_trace_text(trace_text(res, trace_dir)) == as_written(res)
 
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
         path = tmp_path / "run.trace"
@@ -473,7 +491,7 @@ class TestTraceFiles:
 
     @given(st.one_of(st.text(), trace_texts(), well_formed_traces()))
     @settings(max_examples=500)
-    def test_any_text_gives_trace_or_file_error(self, text):
+    def test_any_text_gives_trace_or_file_error(self, trace_dir, text):
         try:
             data = parse_trace_text(text)
         except MatrixFileError:
@@ -484,5 +502,5 @@ class TestTraceFiles:
         assert all(len(rec.upper) == upper_size(data.n) for rec in data.trace.records)
         assert data.trace.clamp_events == ()
         # format then parse is the identity on what parse returns
-        written = format_trace(data)
-        assert format_trace(parse_trace_text(written)) == written
+        written = trace_text(data, trace_dir)
+        assert trace_text(parse_trace_text(written), trace_dir) == written
