@@ -52,7 +52,6 @@ from .indicators import kii, p_average, point_at
 from .matrixio import (
     format_matrix,
     parse_matrix_text,
-    parse_trace_text,
     read_matrix_file,
     read_trace_file,
     write_matrix_file,
@@ -98,7 +97,6 @@ __all__ = [
     "log_upper",
     "p_average",
     "parse_matrix_text",
-    "parse_trace_text",
     "point_at",
     "read_matrix_file",
     "read_trace_file",

@@ -19,6 +19,7 @@ MAX_ORDER first.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -63,6 +64,10 @@ def upper_pairs(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def check_order(n: int) -> None:
+    try:
+        operator.index(n)  # a float order would reach range() in the triad table
+    except TypeError:
+        raise ValidationError(f"matrix order must be an integer, got {n!r}") from None
     if n < 3:
         raise OrderTooSmall(n)
     if n > MAX_ORDER:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -84,7 +85,7 @@ class DescentConfig:
             raise ValidationError(f"unknown scheme {self.scheme!r}")
         # the kind and l; the smoothness of p needs the order, which descend has
         select_direction(3, self.p, self.gradient, self.l)
-        if not (0.0 < self.h < math.inf):
+        if not (0.0 < self.h <= sys.float_info.max):  # an int may compare below inf
             raise ValidationError(f"step h must be in (0, inf), got {self.h!r}")
         # K_p < 1, so an eps of 1 or more would stop every run at iterate 0
         if not (0.0 < self.eps < 1.0):

@@ -18,6 +18,7 @@ indicators.moved_kii, which owns the arithmetic of K_p.
 from __future__ import annotations
 
 import math
+import sys
 from math import copysign
 
 from .core import triad, triad_slots, upper_size
@@ -106,7 +107,7 @@ def select_direction(n: int, p: float, gradient: str, l: float | None = None):
     evaluated at p to its direction, a tuple in upper-triangle storage order.
     """
     if gradient == DIFFERENCE:
-        if l is None or not (0.0 < l < math.inf):
+        if l is None or not (0.0 < l <= sys.float_info.max):
             raise ValidationError(
                 f"difference gradient needs an increment l in (0, inf), got {l!r}")
         return lambda pt: difference_priority_vector(pt, l)

@@ -72,7 +72,10 @@ def normalize_exponent(p) -> float:
     """Coerce p to float, rejecting 0, |p| < P_MIN, NaN and -inf; inf means max."""
     if isinstance(p, str):
         raise InvalidExponent(p, "exponent must be numeric (or math.inf)")
-    q = float(p)
+    try:
+        q = float(p)
+    except OverflowError:  # an int beyond float range
+        raise InvalidExponent(p, "exponent is beyond float range") from None
     if math.isnan(q):
         raise InvalidExponent(p, "NaN is not an exponent")
     if q == 0.0:

@@ -220,8 +220,8 @@ def _indicator(text: str) -> float:
 SUMMARY_FIELDS = {"stop_reason": str, "best_iter": int, "best_indicator": _indicator}
 
 
-def parse_trace_text(text: str) -> DescentResult:
-    """Read a trace file back as the DescentResult it was written from.
+def read_trace_file(path) -> DescentResult:
+    """Read a trace file back as the DescentResult it was written from, line by line.
 
     The inverse of write_trace_file up to what a file does not hold: every
     record's direction_norm is None and there are no clamp events.  The
@@ -232,26 +232,28 @@ def parse_trace_text(text: str) -> DescentResult:
     header's scheme, the stop reason must be one descent.run reports,
     best_indicator and best come together, and best_iter is -1 without them
     and a rank >= 0 with them.  Any other text raises MatrixFileError naming
-    the offending line.
+    the offending line.  A bad byte reads as U+FFFD, and a line ends at LF,
+    CRLF or CR.
     """
-    lines = ((k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip())
-    header_no, header = next(lines, (1, ""))
-    if not header.startswith("iteration,indicator,"):
-        raise MatrixFileError("not a trace file", header_no)
-    names = header.split(",")[2:]
-    count = len(names)
-    n = (1 + isqrt(1 + 8 * count)) // 2  # the inverse of upper_size
-    if not 3 <= n <= MAX_ORDER or upper_size(n) != count:
-        raise MatrixFileError(
-            f"{count} entry columns fit no matrix order in [3, {MAX_ORDER}]", header_no
-        )
-    scheme = ADDITIVE if names[0].startswith("b_") else MULTIPLICATIVE
-    if tuple(names) != upper_entry_names(n, scheme):
-        raise MatrixFileError(
-            "entry columns must be " + ",".join(upper_entry_names(n, scheme)), header_no
-        )
-    summary = {}
-    trace = IterationTrace(_trace_rows(lines, header_no, n, scheme, summary))
+    with open(path, encoding="utf-8", errors="replace") as f:
+        lines = ((k, ln.rstrip("\n")) for k, ln in enumerate(f, start=1) if ln.strip())
+        header_no, header = next(lines, (1, ""))
+        if not header.startswith("iteration,indicator,"):
+            raise MatrixFileError("not a trace file", header_no)
+        names = header.split(",")[2:]
+        count = len(names)
+        n = (1 + isqrt(1 + 8 * count)) // 2  # the inverse of upper_size
+        if not 3 <= n <= MAX_ORDER or upper_size(n) != count:
+            raise MatrixFileError(
+                f"{count} entry columns fit no matrix order in [3, {MAX_ORDER}]", header_no
+            )
+        scheme = ADDITIVE if names[0].startswith("b_") else MULTIPLICATIVE
+        if tuple(names) != upper_entry_names(n, scheme):
+            raise MatrixFileError(
+                "entry columns must be " + ",".join(upper_entry_names(n, scheme)), header_no
+            )
+        summary = {}
+        trace = IterationTrace(_trace_rows(lines, header_no, n, scheme, summary))
     return DescentResult(
         n=n,
         scheme=scheme,
@@ -313,8 +315,3 @@ def _trace_rows(lines, lineno, n, scheme, summary):
     if not (best_iter >= 0 if "best" in summary else best_iter == -1):
         raise MatrixFileError(
             "best_iter is -1 exactly when best is absent", where["best_iter"])
-
-
-def read_trace_file(path) -> DescentResult:
-    with open(path, encoding="utf-8", errors="replace") as f:  # a bad byte reads as U+FFFD
-        return parse_trace_text(f.read())

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from pcreduce import __file__ as PACKAGE_INIT
-from pcreduce.matrixio import parse_trace_text, read_matrix_file
+from pcreduce.matrixio import read_matrix_file, read_trace_file
 
 #: source root of the package under test; the subprocess imports it first
 SRC = str(Path(PACKAGE_INIT).resolve().parent.parent)
@@ -152,7 +152,7 @@ class TestReduce:
         assert abs(float(lines["a_1_2"]) - 4.045) < 0.05
         assert abs(float(lines["a_1_3"]) - 19.676) < 0.05
         assert abs(float(lines["a_2_3"]) - 4.867) < 0.05
-        data = parse_trace_text(trace.read_text())
+        data = read_trace_file(trace)
         assert data.stop_reason == "converged"
         assert int(lines["best_iter"]) == data.best_iter
         best = read_matrix_file(out)

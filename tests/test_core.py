@@ -121,6 +121,13 @@ class TestMultiplicativeMatrix:
             MultiplicativePCMatrix(2, (2.0,))
 
     @pytest.mark.parametrize("cls", [MultiplicativePCMatrix, AdditivePCMatrix])
+    def test_rejects_a_non_integer_order(self, cls):
+        # a float order passed both bounds, then failed in the triad table
+        with pytest.raises(ValidationError, match=r"integer, got 3\.0$"):
+            cls(3.0, (1.0, 2.0, 3.0))
+        assert cls(True + 2, (1.0, 2.0, 3.0)).n == 3
+
+    @pytest.mark.parametrize("cls", [MultiplicativePCMatrix, AdditivePCMatrix])
     def test_rejects_order_above_max(self, cls):
         n = MAX_ORDER + 1
         before = triad_slots.cache_info().currsize

@@ -90,7 +90,14 @@ class TestConfig:
                                      {"eps": 700.0},
                                      {"eps": math.inf},
                                      {"h": math.inf},
-                                     {"l": math.inf}])
+                                     {"l": math.inf},
+                                     # ints compare below inf but overflow a float
+                                     {"h": 10**400},
+                                     {"h": -(10**400)},
+                                     {"l": 10**400},
+                                     {"l": -(10**400)},
+                                     {"p": 10**400},
+                                     {"p": -(10**400)}])
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(ValidationError):
             cfg(**bad)

@@ -51,7 +51,9 @@ class TestNormalizeExponent:
         assert normalize_exponent(math.inf) == math.inf
 
     @pytest.mark.parametrize("bad", [0, 0.0, -0.0, float("nan"), -math.inf, "2",
-                                     9.9e-7, -9.9e-7, 1e-17, 1e-300, 1e-320])
+                                     9.9e-7, -9.9e-7, 1e-17, 1e-300, 1e-320,
+                                     pytest.param(10**400, id="int_above_float_range"),
+                                     pytest.param(-(10**400), id="int_below_float_range")])
     def test_rejects(self, bad):
         with pytest.raises(InvalidExponent):
             normalize_exponent(bad)
@@ -85,7 +87,9 @@ class TestPAverage:
 
     # the values TestNormalizeExponent.test_rejects rejects
     @pytest.mark.parametrize("bad", [0, 0.0, -0.0, float("nan"), -math.inf, "2",
-                                     9.9e-7, -9.9e-7, 1e-17, 1e-300, 1e-320])
+                                     9.9e-7, -9.9e-7, 1e-17, 1e-300, 1e-320,
+                                     pytest.param(10**400, id="int_above_float_range"),
+                                     pytest.param(-(10**400), id="int_below_float_range")])
     def test_rejects_what_normalize_exponent_rejects(self, bad):
         with pytest.raises(InvalidExponent):
             p_average((1.0, 2.0), bad)
@@ -215,6 +219,10 @@ class TestKii:
     def test_rejects_p_zero(self):
         with pytest.raises(InvalidExponent):
             kii(A4, 0.0)
+
+    def test_rejects_an_exponent_beyond_float_range(self):
+        with pytest.raises(InvalidExponent, match="beyond float range"):
+            kii(A4, 10**400)
 
     def test_negative_p_hole_names_triad(self):
         # triad (1,2,3) consistent, the rest not

@@ -34,7 +34,6 @@ from pcreduce.errors import (
 from pcreduce.matrixio import (
     format_matrix,
     parse_matrix_text,
-    parse_trace_text,
     read_matrix_file,
     read_trace_file,
     write_matrix_file,
@@ -335,6 +334,13 @@ def trace_text(result, directory):
     return path.read_text(encoding="utf-8")
 
 
+def read_text(text, directory):
+    """read_trace_file of a file in directory that holds text as it stands, line ends too."""
+    path = directory / "text.trace"
+    path.write_text(text, encoding="utf-8", newline="")
+    return read_trace_file(path)
+
+
 @pytest.fixture(scope="module")
 def result():
     cfg = DescentConfig(p=1.0, h=0.1, gradient="difference", l=1e-3,
@@ -384,7 +390,7 @@ class TestTraceFiles:
         assert f"best_iter,{result.best_iter}" in text
 
     def test_round_trip_is_exact(self, result, tmp_path):
-        data = parse_trace_text(trace_text(result, tmp_path))
+        data = read_text(trace_text(result, tmp_path), tmp_path)
         assert data.n == 3
         assert data.scheme == MULTIPLICATIVE
         assert data == as_written(result)
@@ -394,8 +400,14 @@ class TestTraceFiles:
         write_trace_file(path, result)
         assert read_trace_file(path) == as_written(result)
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_other_line_ends_read_back(self, result, tmp_path, end):
+        text = trace_text(result, tmp_path).replace("\n", end)
+        assert read_text(text, tmp_path) == as_written(result)
+
     def test_a_long_trace_reads_in_a_small_multiple_of_its_size(self, tmp_path):
-        # row 03's 22,725 iterates: 1.83 MB of text, peaking near 3.3 times that
+        # row 03's 22,725 iterates: 1.83 MB of text, read line by line into
+        # columns that peak near 0.64 times that
         res = run_row(REFERENCE_RUNS[2]).result
         path = tmp_path / "03.trace"
         write_trace_file(path, res)
@@ -406,7 +418,7 @@ class TestTraceFiles:
         finally:
             tracemalloc.stop()
         assert back == as_written(res)
-        assert peak < 4 * path.stat().st_size
+        assert peak < path.stat().st_size
 
     @given(descent_runs())
     @example((MULTIPLICATIVE, -1.0, 4, HOLE4, 0.1))
@@ -416,7 +428,7 @@ class TestTraceFiles:
         scheme, p, n, logs, h = case
         res = run(AdditivePCMatrix(n, logs), DescentConfig(
             p=p, h=h, scheme=scheme, max_iter=30, stall_window=10))
-        assert parse_trace_text(trace_text(res, trace_dir)) == as_written(res)
+        assert read_text(trace_text(res, trace_dir), trace_dir) == as_written(res)
 
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
         path = tmp_path / "run.trace"
@@ -426,13 +438,13 @@ class TestTraceFiles:
             read_trace_file(path)
         assert err.value.line == 3
 
-    def test_rejects_non_trace_text(self):
+    def test_rejects_non_trace_text(self, tmp_path):
         with pytest.raises(MatrixFileError):
-            parse_trace_text("just,some,csv\n1,2,3\n")
+            read_text("just,some,csv\n1,2,3\n", tmp_path)
 
-    def test_rejects_missing_summary(self):
+    def test_rejects_missing_summary(self, tmp_path):
         with pytest.raises(MatrixFileError):
-            parse_trace_text("iteration,indicator,a_1_2,a_1_3,a_2_3\n0,0.9,1,2,3\n")
+            read_text("iteration,indicator,a_1_2,a_1_3,a_2_3\n0,0.9,1,2,3\n", tmp_path)
 
     @pytest.mark.parametrize("text,line", [
         # one entry column is the order-2 triangle
@@ -484,16 +496,16 @@ class TestTraceFiles:
             "negative_indicator", "infinite_best_indicator", "repeated_summary_row",
             "iterate_after_summary", "rank_not_as_written", "rank_above_int64",
             "order_above_max"])
-    def test_malformed_trace_names_line(self, text, line):
+    def test_malformed_trace_names_line(self, tmp_path, text, line):
         with pytest.raises(MatrixFileError) as err:
-            parse_trace_text(text)
+            read_text(text, tmp_path)
         assert err.value.line == line
 
     @given(st.one_of(st.text(), trace_texts(), well_formed_traces()))
     @settings(max_examples=500)
     def test_any_text_gives_trace_or_file_error(self, trace_dir, text):
         try:
-            data = parse_trace_text(text)
+            data = read_text(text, trace_dir)
         except MatrixFileError:
             return
         assert data.n >= 3
@@ -501,6 +513,6 @@ class TestTraceFiles:
         assert data.best_upper is None or len(data.best_upper) == upper_size(data.n)
         assert all(len(rec.upper) == upper_size(data.n) for rec in data.trace.records)
         assert data.trace.clamp_events == ()
-        # format then parse is the identity on what parse returns
+        # write then read is the identity on what a read returns
         written = trace_text(data, trace_dir)
-        assert trace_text(parse_trace_text(written), trace_dir) == written
+        assert trace_text(read_text(written, trace_dir), trace_dir) == written

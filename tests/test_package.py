@@ -1,6 +1,7 @@
 """The package's export list and the boundaries between its modules."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -95,3 +96,33 @@ def test_every_cache_is_bounded():
                 if text.endswith("cache") or "cache(None" in text or "maxsize=None" in text:
                     found.append(f"{path.name}: {node.name} {text}")
     assert found == []
+
+
+def test_every_name_the_benchmark_reaches_exists():
+    # perfbench/ drives the package from outside, through the names below: a
+    # rename or a deletion fails here rather than in a benchmark run
+    bench = Path(pcreduce.__file__).parents[2] / "perfbench"
+    reached, constants = set(), {}
+    for path in sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                    and isinstance(node.value.value, ast.Name) and node.value.value.id == "pc"):
+                reached.add((node.value.attr, node.attr))
+            elif path.stem == "tracer" and isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id in ("LAYERS", "MATRIX_CLASSES"):
+                        constants[target.id] = ast.literal_eval(node.value)
+    assert ("descent", "run") in reached
+    missing = [f"{module}.{name}" for module, name in sorted(reached)
+               if not hasattr(importlib.import_module(f"pcreduce.{module}"), name)]
+    assert missing == []
+    for layer in constants["LAYERS"]:
+        importlib.import_module(f"pcreduce.{layer}")
+    core = importlib.import_module("pcreduce.core")
+    assert [cls for cls in constants["MATRIX_CLASSES"] if not hasattr(core, cls)] == []
+    # what the workloads read of a run's result
+    res = pcreduce.run(pcreduce.MultiplicativePCMatrix(3, (2.0, 4.0, 3.0)),
+                       pcreduce.DescentConfig(p=2.0, h=0.1, max_iter=3))
+    assert res.trace.records[-1].iteration <= 3
+    assert isinstance(res.trace.clamp_events, tuple)
+    assert len(res.best_upper) == 3
