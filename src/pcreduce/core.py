@@ -85,6 +85,13 @@ def check_entries(n: int, upper, mult: bool) -> None:
             raise NonFiniteEntry(i, j, v)
 
 
+def _entry(v) -> float:
+    try:
+        return float(v)
+    except OverflowError:  # an int beyond float range: +-inf, which check_entries names
+        return math.inf if v > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class _PCMatrix:
     """Storage, shape and entry checks shared by both matrix forms."""
@@ -95,7 +102,7 @@ class _PCMatrix:
 
     def __post_init__(self):
         check_order(self.n)
-        object.__setattr__(self, "upper", tuple(float(v) for v in self.upper))
+        object.__setattr__(self, "upper", tuple(map(_entry, self.upper)))
         if len(self.upper) != upper_size(self.n):
             raise ValidationError(
                 f"expected {upper_size(self.n)} upper entries for n={self.n}, "

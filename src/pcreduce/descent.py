@@ -7,13 +7,13 @@ start matrix to log space once and runs B_{n+1} = B_n + h * w_n there, where
 no positivity issue exists.  w_n is the selected priority direction at the
 current iterate: analytic (instant) or forward-difference.
 
-descend runs the iteration and yields each iterate it records; run keeps
-them all, as flat columns rather than one TraceRecord each: an array of the
-upper triangles, row-major, and one column each of iteration numbers,
-indicators and direction norms.  A trace's records is a TraceRecords, a
-read-only sequence that builds a TraceRecord only when one is read and
-otherwise behaves as the tuple of them (len, indices, slices, ==); it is
-not hashable, and so neither is a trace or a result.
+descend runs the iteration and yields each iterate it records; run, one
+plain loop over it, appends each record to a TraceRecords, flat columns
+rather than one TraceRecord each: an array of the upper triangles,
+row-major, and one column each of iteration numbers, indicators and norms.
+A TraceRecords grows only by append, builds a TraceRecord only when one is
+read and otherwise behaves as the tuple of them (len, indices, slices, ==);
+it is not hashable, and so neither is a trace or a result.
 The iteration stops on the first of
   converged            indicator below eps,
   stalled              no improvement of the running minimum by at least
@@ -125,37 +125,39 @@ class TraceRecords(Sequence):
     One array holds every record's upper triangle, width floats each, in
     row-major order; one column each holds the iteration numbers, the
     indicators and the direction norms, and a flag per record tells a norm
-    of None from a float.  It compares equal to the tuple of its records,
-    and, like a list, it is not hashable.
+    of None from a float.  append is the one writer.  It compares equal to
+    the tuple of its records, and, like a list, it is not hashable.
     """
 
     __slots__ = ("_width", "_iterations", "_uppers", "_indicators", "_norms", "_normed")
 
     def __init__(self, records=()):
+        self._width = 0
         self._iterations = array("q")
         self._uppers = array("d")
         self._indicators = array("d")
         self._norms = array("d")  # 0.0 where normed is 0
         self._normed = bytearray()
-        put_iteration, put_upper = self._iterations.append, self._uppers.fromlist
-        put_indicator, put_norm, put_normed = (
-            self._indicators.append, self._norms.append, self._normed.append)
-        width = None
-        for it, upper, indicator, norm in records:
-            if width is None:
-                width = len(upper)
-            elif len(upper) != width:
-                raise ValidationError(f"trace record {it} has {len(upper)} entries, not {width}")
-            put_iteration(it)
-            put_upper(list(upper))  # twice as fast as extending by the tuple
-            put_indicator(indicator)
-            if norm is None:
-                put_norm(0.0)
-                put_normed(0)
-            else:
-                put_norm(norm)
-                put_normed(1)
-        self._width = width or 0
+        for record in records:
+            self.append(record)
+
+    def append(self, record) -> None:
+        """Add record, of the first record's width, at the end; or raise and change nothing."""
+        it, upper, indicator, norm = record
+        k = len(self._iterations)
+        if k and len(upper) != self._width:
+            raise ValidationError(f"trace record {it} has {len(upper)} entries, not {self._width}")
+        self._width = len(upper)
+        try:
+            self._iterations.append(it)
+            self._uppers.fromlist(list(upper))  # twice as fast as extending by the tuple
+            self._indicators.append(indicator)
+            self._norms.append(0.0 if norm is None else norm)
+            self._normed.append(norm is not None)
+        except BaseException:  # a field its column cannot hold: undo the columns written
+            del (self._iterations[k:], self._uppers[k * self._width:], self._indicators[k:],
+                 self._norms[k:], self._normed[k:])
+            raise
 
     def rows(self):
         """Yield each record's (iteration, indicator, entries of its upper triangle).
@@ -171,13 +173,9 @@ class TraceRecords(Sequence):
         return len(self._iterations)
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(map(self.__getitem__, range(*k.indices(len(self)))))
-        k = operator.index(k)
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError("trace record index out of range")
+        k = range(len(self))[k]  # a slice gives a range; an index out of range raises IndexError
+        if isinstance(k, range):
+            return tuple(map(self.__getitem__, k))
         w = self._width
         return TraceRecord(self._iterations[k], tuple(self._uppers[k * w:(k + 1) * w]),
                            self._indicators[k], self._norms[k] if self._normed[k] else None)
@@ -322,26 +320,21 @@ def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> De
     """Descend from m0 under cfg and keep the record; every stop returns a DescentResult.
 
     m0 is converted to cfg.scheme's form once (EntryOverflow for an additive
-    entry whose exp is no positive normal float).  Each record's fields go
-    straight to the trace's columns.  best_matrix, the first record with the
-    least indicator, is the one matrix a run builds.
+    entry whose exp is no positive normal float).  best_matrix, the first
+    record with the least indicator, is the one matrix a run builds.
     """
     convert = to_additive if cfg.scheme == ADDITIVE else to_multiplicative
     mat = m0 if m0.scheme == cfg.scheme else convert(m0)
+    records = TraceRecords()
     clamps: list[ClampEvent] = []
-    best = stop = None
-
-    def recorded():
-        nonlocal best, stop
-        for record, events, stop in descend(mat, cfg):
-            if record is not None:
-                # only a strictly smaller indicator moves it: the first attainment
-                if best is None or record.indicator < best.indicator:
-                    best = record
-                yield record
-            clamps.extend(events)
-
-    records = TraceRecords(recorded())
+    best = None
+    for record, events, stop in descend(mat, cfg):
+        if record is not None:
+            records.append(record)
+            # only a strictly smaller indicator moves it: the first attainment
+            if best is None or record.indicator < best.indicator:
+                best = record
+        clamps.extend(events)
     return DescentResult(
         n=mat.n,
         scheme=cfg.scheme,

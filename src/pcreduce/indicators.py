@@ -70,10 +70,12 @@ P_MIN = 1e-6
 
 def normalize_exponent(p) -> float:
     """Coerce p to float, rejecting 0, |p| < P_MIN, NaN and -inf; inf means max."""
-    if isinstance(p, str):
-        raise InvalidExponent(p, "exponent must be numeric (or math.inf)")
     try:
+        if isinstance(p, str):  # float would parse it
+            raise TypeError
         q = float(p)
+    except TypeError:  # a str, None, a complex
+        raise InvalidExponent(p, "exponent must be numeric (or math.inf)") from None
     except OverflowError:  # an int beyond float range
         raise InvalidExponent(p, "exponent is beyond float range") from None
     if math.isnan(q):

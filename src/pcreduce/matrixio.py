@@ -34,12 +34,7 @@ from .core import (
     upper_pairs,
     upper_size,
 )
-from .descent import (
-    MAX_ITERATION,
-    STOP_REASONS,
-    DescentResult,
-    IterationTrace,
-)
+from .descent import MAX_ITERATION, STOP_REASONS, DescentResult, IterationTrace, TraceRecords
 from .errors import (
     AntisymmetryViolation,
     BadDiagonal,
@@ -233,7 +228,8 @@ def read_trace_file(path) -> DescentResult:
     best_indicator and best come together, and best_iter is -1 without them
     and a rank >= 0 with them.  Any other text raises MatrixFileError naming
     the offending line.  A bad byte reads as U+FFFD, and a line ends at LF,
-    CRLF or CR.
+    CRLF or CR.  Each line is parsed as it is read, each iterate row
+    appended to the trace's TraceRecords.
     """
     with open(path, encoding="utf-8", errors="replace") as f:
         lines = ((k, ln.rstrip("\n")) for k, ln in enumerate(f, start=1) if ln.strip())
@@ -252,8 +248,7 @@ def read_trace_file(path) -> DescentResult:
             raise MatrixFileError(
                 "entry columns must be " + ",".join(upper_entry_names(n, scheme)), header_no
             )
-        summary = {}
-        trace = IterationTrace(_trace_rows(lines, header_no, n, scheme, summary))
+        records, summary = _trace_rows(lines, header_no, n, scheme)
     return DescentResult(
         n=n,
         scheme=scheme,
@@ -261,17 +256,18 @@ def read_trace_file(path) -> DescentResult:
         best_matrix=summary.get("best"),
         best_indicator=summary.get("best_indicator"),
         stop_reason=summary["stop_reason"],
-        trace=trace,
+        trace=IterationTrace(records),
     )
 
 
-def _trace_rows(lines, lineno, n, scheme, summary):
-    """Yield the records of a trace's iterate rows; the summary block fills summary.
+def _trace_rows(lines, lineno, n, scheme):
+    """(records, summary): a trace's iterate rows as a TraceRecords, its summary block as a dict.
 
     lines are the (line number, line) pairs after the header, on line
     lineno.  Once they are read, the summary block is checked as a whole.
     """
     count = upper_size(n)
+    records, summary = TraceRecords(), {}
     last = -1  # the previous iterate row's rank
     where = {}
     for lineno, line in lines:
@@ -299,7 +295,7 @@ def _trace_rows(lines, lineno, n, scheme, summary):
                 if rank > MAX_ITERATION:
                     raise ValidationError(f"iteration {key} exceeds {MAX_ITERATION}")
                 last = rank
-                yield rank, upper, _indicator(fields[0]), None
+                records.append((rank, upper, _indicator(fields[0]), None))
                 continue
         except ValueError as exc:  # a ValidationError among them
             raise MatrixFileError(f"bad trace row {line!r}: {exc}", lineno) from None
@@ -313,5 +309,5 @@ def _trace_rows(lines, lineno, n, scheme, summary):
         raise MatrixFileError("best and best_indicator come only together", lone[0])
     best_iter = summary["best_iter"]
     if not (best_iter >= 0 if "best" in summary else best_iter == -1):
-        raise MatrixFileError(
-            "best_iter is -1 exactly when best is absent", where["best_iter"])
+        raise MatrixFileError("best_iter is -1 exactly when best is absent", where["best_iter"])
+    return records, summary

@@ -127,6 +127,22 @@ class TestMultiplicativeMatrix:
             cls(3.0, (1.0, 2.0, 3.0))
         assert cls(True + 2, (1.0, 2.0, 3.0)).n == 3
 
+    @pytest.mark.parametrize("cls,upper,error,value,where", [
+        pytest.param(MultiplicativePCMatrix, (10**400, 1, 1), NonPositiveEntry, math.inf,
+                     (1, 2), id="mult_above"),
+        pytest.param(MultiplicativePCMatrix, (1, -(10**400), 1), NonPositiveEntry, -math.inf,
+                     (1, 3), id="mult_below"),
+        pytest.param(AdditivePCMatrix, (1, 1, 10**400), NonFiniteEntry, math.inf,
+                     (2, 3), id="add_above"),
+        pytest.param(AdditivePCMatrix, (1, -(10**400), 1), NonFiniteEntry, -math.inf,
+                     (1, 3), id="add_below"),
+    ])
+    def test_an_int_entry_beyond_float_range_is_named(self, cls, upper, error, value, where):
+        # float() of such an int raised a raw OverflowError
+        with pytest.raises(error) as err:
+            cls(3, upper)
+        assert (err.value.i, err.value.j, err.value.value) == (*where, value)
+
     @pytest.mark.parametrize("cls", [MultiplicativePCMatrix, AdditivePCMatrix])
     def test_rejects_order_above_max(self, cls):
         n = MAX_ORDER + 1

@@ -29,6 +29,7 @@ from pcreduce.descent import (
     DescentConfig,
     IterationTrace,
     TraceRecord,
+    TraceRecords,
     run,
     step_additive,
     step_multiplicative,
@@ -432,6 +433,51 @@ class TestTraceRecords:
         with pytest.raises(ValidationError):
             IterationTrace([TraceRecord(0, (1.0, 2.0, 3.0), 0.5, None),
                             TraceRecord(1, (1.0,) * 6, 0.5, None)])
+
+    def test_appending_one_at_a_time_equals_building_from_all(self, res):
+        records = [*res.trace.records[:3], TraceRecord(3, (1.0,) * 6, 0.5, None),
+                   TraceRecord(4, (2.0,) * 6, 0.25, math.nan)]
+        store = TraceRecords()
+        for record in records:
+            store.append(record)
+        built = TraceRecords(records)
+        assert len(store) == len(built) == 5
+        # a nan norm is not equal to itself, so the reprs compare the records
+        assert repr(store) == repr(built) == f"TraceRecords({tuple(records)!r})"
+        assert store[:3] == built[:3] == tuple(records[:3])
+        assert store[3].direction_norm is None and math.isnan(store[4].direction_norm)
+
+    def test_a_wider_record_raises_at_that_record(self):
+        narrow, wide = (1.0, 2.0, 3.0), (1.0,) * 6
+        store = TraceRecords([TraceRecord(0, narrow, 0.5, None)])
+        store.append(TraceRecord(1, narrow, 0.25, 1.0))
+        message = r"^trace record 2 has 6 entries, not 3$"
+        with pytest.raises(ValidationError, match=message):
+            store.append(TraceRecord(2, wide, 0.125, None))
+        assert len(store) == 2 and store[-1] == TraceRecord(1, narrow, 0.25, 1.0)
+        with pytest.raises(ValidationError, match=message):
+            TraceRecords([*store, TraceRecord(2, wide, 0.125, None)])
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param((2**63, (1.0, 2.0, 3.0), 0.5, None), id="iteration"),
+        pytest.param((5, (1.0, "2", 3.0), 0.5, None), id="entry"),
+        pytest.param((5, (1.0, 2.0, 3.0), "0.5", None), id="indicator"),
+        pytest.param((5, (1.0, 2.0, 3.0), 0.5, "1"), id="norm"),
+    ])
+    def test_a_record_its_columns_cannot_hold_changes_nothing(self, bad):
+        first = TraceRecord(0, (1.0, 2.0, 3.0), 0.5, 1.0)
+        good = TraceRecord(1, (4.0, 5.0, 6.0), 0.25, None)
+        store = TraceRecords([first])
+        with pytest.raises((TypeError, OverflowError)):
+            store.append(bad)
+        assert len(store) == 1 and store == (first,)
+        store.append(good)
+        assert len(store) == 2 and store == (first, good)
+
+    def test_an_empty_store_has_no_records(self):
+        store = TraceRecords()
+        assert len(store) == 0 and list(store.rows()) == []
+        assert store == () and () == store and store == TraceRecords([])
 
     def test_a_trace_file_reads_back_as_written(self, res, tmp_path):
         write_trace_file(tmp_path / "run.trace", res)

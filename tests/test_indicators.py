@@ -53,7 +53,8 @@ class TestNormalizeExponent:
     @pytest.mark.parametrize("bad", [0, 0.0, -0.0, float("nan"), -math.inf, "2",
                                      9.9e-7, -9.9e-7, 1e-17, 1e-300, 1e-320,
                                      pytest.param(10**400, id="int_above_float_range"),
-                                     pytest.param(-(10**400), id="int_below_float_range")])
+                                     pytest.param(-(10**400), id="int_below_float_range"),
+                                     None, 1j])
     def test_rejects(self, bad):
         with pytest.raises(InvalidExponent):
             normalize_exponent(bad)
@@ -89,7 +90,8 @@ class TestPAverage:
     @pytest.mark.parametrize("bad", [0, 0.0, -0.0, float("nan"), -math.inf, "2",
                                      9.9e-7, -9.9e-7, 1e-17, 1e-300, 1e-320,
                                      pytest.param(10**400, id="int_above_float_range"),
-                                     pytest.param(-(10**400), id="int_below_float_range")])
+                                     pytest.param(-(10**400), id="int_below_float_range"),
+                                     None, 1j])
     def test_rejects_what_normalize_exponent_rejects(self, bad):
         with pytest.raises(InvalidExponent):
             p_average((1.0, 2.0), bad)
