@@ -11,9 +11,9 @@ descend runs the iteration and yields each iterate it records; run, one
 plain loop over it, appends each record to a TraceRecords, flat columns
 rather than one TraceRecord each: an array of the upper triangles,
 row-major, and one column each of iteration numbers, indicators and norms.
-A TraceRecords grows only by append, builds a TraceRecord only when one is
-read and otherwise behaves as the tuple of them (len, indices, slices, ==);
-it is not hashable, and so neither is a trace or a result.
+A TraceRecords grows only by append and builds a TraceRecord only when one
+is read by its index; it is not hashable, and so neither is a trace or a
+result.
 The iteration stops on the first of
   converged            indicator below eps,
   stalled              no improvement of the running minimum by at least
@@ -125,21 +125,20 @@ class TraceRecords(Sequence):
     One array holds every record's upper triangle, width floats each, in
     row-major order; one column each holds the iteration numbers, the
     indicators and the direction norms, and a flag per record tells a norm
-    of None from a float.  append is the one writer.  It compares equal to
-    the tuple of its records, and, like a list, it is not hashable.
+    of None from a float.  It starts empty, and append is the one writer.
+    It compares equal to the tuple of its records, and, like a list, it is
+    not hashable.
     """
 
     __slots__ = ("_width", "_iterations", "_uppers", "_indicators", "_norms", "_normed")
 
-    def __init__(self, records=()):
+    def __init__(self):
         self._width = 0
         self._iterations = array("q")
         self._uppers = array("d")
         self._indicators = array("d")
         self._norms = array("d")  # 0.0 where normed is 0
         self._normed = bytearray()
-        for record in records:
-            self.append(record)
 
     def append(self, record) -> None:
         """Add record, of the first record's width, at the end; or raise and change nothing."""
@@ -172,17 +171,11 @@ class TraceRecords(Sequence):
     def __len__(self) -> int:
         return len(self._iterations)
 
-    def __getitem__(self, k):
-        k = range(len(self))[k]  # a slice gives a range; an index out of range raises IndexError
-        if isinstance(k, range):
-            return tuple(map(self.__getitem__, k))
+    def __getitem__(self, k: int) -> TraceRecord:
+        k = range(len(self))[operator.index(k)]  # out of range raises IndexError
         w = self._width
         return TraceRecord(self._iterations[k], tuple(self._uppers[k * w:(k + 1) * w]),
                            self._indicators[k], self._norms[k] if self._normed[k] else None)
-
-    def __iter__(self):
-        for (it, indicator, upper), norm, normed in zip(self.rows(), self._norms, self._normed):
-            yield TraceRecord(it, tuple(upper), indicator, norm if normed else None)
 
     def __eq__(self, other):
         if self is other:
@@ -191,20 +184,13 @@ class TraceRecords(Sequence):
             return tuple(self) == tuple(other)
         return NotImplemented
 
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({tuple(self)!r})"
-
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """A run's records (a TraceRecords, built from any iterable of them) and clamps."""
+    """A run's records, filled by TraceRecords.append, and its clamps."""
 
     records: TraceRecords
     clamp_events: tuple[ClampEvent, ...] = ()
-
-    def __post_init__(self):
-        if not isinstance(self.records, TraceRecords):
-            object.__setattr__(self, "records", TraceRecords(self.records))
 
 
 @dataclass(frozen=True)

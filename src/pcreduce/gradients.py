@@ -105,6 +105,7 @@ def select_direction(n: int, p: float, gradient: str, l: float | None = None):
     It checks once what a run needs (0 < l < inf for the difference direction,
     a p where K_p is C^1 for the analytic one above order 3) and maps a Point
     evaluated at p to its direction, a tuple in upper-triangle storage order.
+    p is an exponent as normalize_exponent returns it, so never 0.
     """
     if gradient == DIFFERENCE:
         if l is None or not (0.0 < l <= sys.float_info.max):
@@ -114,6 +115,6 @@ def select_direction(n: int, p: float, gradient: str, l: float | None = None):
     if gradient != ANALYTIC:
         raise ValidationError(f"unknown gradient kind {gradient!r}")
     # at order 3, K_p = 1 - e^(-d) for every p: smooth away from d = 0
-    if n > 3 and p in (0.0, 1.0, INF):
-        raise NonSmoothExponent(float(p))
+    if n > 3 and p in (1.0, INF):
+        raise NonSmoothExponent(p)
     return instant_pv_np

@@ -274,3 +274,44 @@ def gmm_priority_vector(m: MultiplicativePCMatrix) -> tuple[float, ...]:
     raw = [math.exp(x - shift) for x in logs]
     total = math.fsum(raw)
     return tuple(x / total for x in raw)
+
+
+def row_means(n: int, b) -> list[float]:
+    """The row means w of the antisymmetric matrix with upper triangle b."""
+    sums = [0.0] * n
+    for (i, j), x in zip(upper_pairs(n), b):
+        sums[i - 1] += x
+        sums[j - 1] -= x
+    return [s / n for s in sums]
+
+
+def off_consistent(n: int, b) -> list[float]:
+    """b - Pb: b less its projection w_i - w_j onto the consistent matrices.
+
+    P, taking row means of the logs, is the Crawford-Williams geometric-mean
+    projection; it is orthogonal, so Pb is the consistent matrix nearest b.
+    """
+    w = row_means(n, b)
+    return [x - (w[i - 1] - w[j - 1]) for (i, j), x in zip(upper_pairs(n), b)]
+
+
+def p2_additive_path(n: int, b0, h: float, steps: int) -> tuple[float, list[float]]:
+    """D0 and s_0 .. s_steps, the p = 2 additive analytic run from b0 in one dimension.
+
+    With N = C(n,3), sum_t u_t^2 = n ||b - Pb||^2, so D = sqrt(n ||b - Pb||^2 / N)
+    and the gradient of K_2 = 1 - e^(-D) is e^(-D) n (b - Pb) / (N D): parallel
+    to b - Pb, with no part that moves Pb.  Iterate k of b <- b - h grad K_2 is
+    therefore Pb0 + s_k (b0 - Pb0), where s_0 = 1,
+
+        s_{k+1} = s_k - sign(s_k) h n e^(-|s_k| D0) / (N D0),
+
+    D0 is the D of b0, and K_k = 1 - e^(-|s_k| D0).  While s > 0, e^(s D0) falls
+    by about h n / N a step, so s first crosses 0 near step N (e^D0 - 1) / (h n).
+    """
+    r0 = off_consistent(n, b0)
+    big_n = math.comb(n, 3)
+    d0 = math.sqrt(n * math.fsum(x * x for x in r0) / big_n)
+    s = [1.0]
+    for _ in range(steps):
+        s.append(s[-1] - math.copysign(h * n * math.exp(-abs(s[-1]) * d0) / (big_n * d0), s[-1]))
+    return d0, s

@@ -3,10 +3,11 @@ import gc
 import math
 import pickle
 import random
+import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pcreduce import core, descent, gradients, indicators
 from pcreduce.core import (
@@ -15,7 +16,6 @@ from pcreduce.core import (
     all_defects,
     log_upper,
     to_additive,
-    upper_pairs,
     upper_size,
 )
 from pcreduce.descent import (
@@ -50,7 +50,7 @@ from pcreduce.gradients import (
 from pcreduce.indicators import kii, point_at
 from pcreduce.matrixio import read_trace_file, write_trace_file
 
-from oracles import instant_pv3_mult
+from oracles import instant_pv3_mult, off_consistent, p2_additive_path, row_means
 
 A3 = MultiplicativePCMatrix(3, (math.exp(-2.0), math.exp(3.0), math.exp(1.0)))
 B3 = AdditivePCMatrix(3, (-2.0, 3.0, 1.0))
@@ -64,6 +64,14 @@ def cfg(**kw):
                 l=1e-3, eps=1e-3, max_iter=60000, stall_window=50)
     base.update(kw)
     return DescentConfig(**base)
+
+
+def traced(*records):
+    """The TraceRecords of records, filled by append as run fills one."""
+    store = TraceRecords()
+    for record in records:
+        store.append(record)
+    return store
 
 
 class TestConfig:
@@ -281,8 +289,8 @@ class TestDescend:
             best_matrix=None if best is None else m.replace_upper(best.upper),
             best_indicator=None if best is None else best.indicator,
             stop_reason=reason,
-            trace=descent.IterationTrace(
-                tuple(records), tuple(ev for _, evs, _ in items for ev in evs)),
+            trace=IterationTrace(
+                traced(*records), tuple(ev for _, evs, _ in items for ev in evs)),
         )
 
     def test_hole_at_iterate_zero_records_nothing(self):
@@ -307,12 +315,11 @@ class TestRunTrace:
         assert recs[0].upper == A3.upper
         assert [r.iteration for r in recs] == list(range(len(recs)))
         # recorded indicators recompute exactly from recorded iterates
-        for r in recs[::25]:
-            m = MultiplicativePCMatrix(3, r.upper)
-            assert kii(m, 1.0) == r.indicator
+        for k in range(0, len(recs), 25):
+            m = MultiplicativePCMatrix(3, recs[k].upper)
+            assert kii(m, 1.0) == recs[k].indicator
         # all but the stopping record carry the direction norm
-        assert all(r.direction_norm is not None for r in recs[:-1])
-        assert recs[-1].direction_norm is None
+        assert [r.direction_norm is None for r in recs] == [False] * (len(recs) - 1) + [True]
 
     def test_direction_norm_is_length_of_selected_direction(self):
         res = run(A4, cfg(p=2.0, max_iter=5))
@@ -362,13 +369,13 @@ class TestRunTrace:
 
 
 class TestTraceRecords:
-    """A trace's records behave as the tuple of TraceRecords they store."""
+    """A trace's records read, by index, as the TraceRecords appended to them."""
 
     @pytest.fixture(scope="class")
     def res(self):
         return run(A4, cfg(p=2.0, h=0.1, max_iter=40))
 
-    def test_indices_slices_and_iteration_match_the_tuple(self, res):
+    def test_indices_and_iteration_match_the_tuple(self, res):
         recs = res.trace.records
         records = tuple(recs)
         assert len(recs) == len(records) == 41
@@ -378,9 +385,9 @@ class TestTraceRecords:
         for k in (41, -42):
             with pytest.raises(IndexError):
                 recs[k]
-        for cut in (slice(None), slice(3, 9), slice(None, None, -4), slice(-5, None),
-                    slice(50, 60)):
-            assert recs[cut] == records[cut]
+        for cut in (slice(None), slice(1, 3)):
+            with pytest.raises(TypeError):
+                recs[cut]
         assert list(reversed(recs)) == list(reversed(records))
         assert recs.index(records[5]) == 5 and records[5] in recs
 
@@ -394,12 +401,12 @@ class TestTraceRecords:
         for unhashable in (recs, res.trace, res):
             with pytest.raises(TypeError):
                 hash(unhashable)
-        assert IterationTrace(records) == IterationTrace(recs)
+        assert IterationTrace(traced(*records)) == IterationTrace(recs)
 
     def test_a_direction_norm_of_none_is_not_nan(self):
         upper = (1.0, 2.0, 3.0)
-        with_none = IterationTrace([TraceRecord(0, upper, 0.5, None)]).records
-        with_nan = IterationTrace([TraceRecord(0, upper, 0.5, math.nan)]).records
+        with_none = traced(TraceRecord(0, upper, 0.5, None))
+        with_nan = traced(TraceRecord(0, upper, 0.5, math.nan))
         assert with_none[0].direction_norm is None
         assert math.isnan(with_nan[0].direction_norm)
         assert with_none != with_nan and with_nan != with_none
@@ -412,7 +419,7 @@ class TestTraceRecords:
 
     def test_a_result_equals_itself_with_a_nan_field(self, res):
         nan = TraceRecord(0, (math.nan,) * 6, math.nan, math.nan)
-        odd = dataclasses.replace(res, trace=IterationTrace([nan]))
+        odd = dataclasses.replace(res, trace=IterationTrace(traced(nan)))
         assert odd == odd and odd.trace.records == odd.trace.records
         with pytest.raises(TypeError):
             hash(odd)
@@ -430,33 +437,28 @@ class TestTraceRecords:
             recs.extra = 1
 
     def test_records_share_one_width(self):
-        with pytest.raises(ValidationError):
-            IterationTrace([TraceRecord(0, (1.0, 2.0, 3.0), 0.5, None),
-                            TraceRecord(1, (1.0,) * 6, 0.5, None)])
+        store = traced(TraceRecord(0, (1.0,) * 6, 0.5, None))
+        with pytest.raises(ValidationError, match=r"^trace record 1 has 3 entries, not 6$"):
+            store.append(TraceRecord(1, (1.0, 2.0, 3.0), 0.5, None))
+        assert store == (TraceRecord(0, (1.0,) * 6, 0.5, None),)
 
-    def test_appending_one_at_a_time_equals_building_from_all(self, res):
-        records = [*res.trace.records[:3], TraceRecord(3, (1.0,) * 6, 0.5, None),
-                   TraceRecord(4, (2.0,) * 6, 0.25, math.nan)]
-        store = TraceRecords()
-        for record in records:
-            store.append(record)
-        built = TraceRecords(records)
-        assert len(store) == len(built) == 5
+    def test_appended_records_read_back_as_given(self, res):
+        records = [res.trace.records[k] for k in range(3)] + [
+            TraceRecord(3, (1.0,) * 6, 0.5, None), TraceRecord(4, (2.0,) * 6, 0.25, math.nan)]
+        store = traced(*records)
+        assert len(store) == 5
         # a nan norm is not equal to itself, so the reprs compare the records
-        assert repr(store) == repr(built) == f"TraceRecords({tuple(records)!r})"
-        assert store[:3] == built[:3] == tuple(records[:3])
+        assert repr(tuple(store)) == repr(tuple(records))
+        assert all(type(store[k]) is TraceRecord for k in range(5))
         assert store[3].direction_norm is None and math.isnan(store[4].direction_norm)
 
     def test_a_wider_record_raises_at_that_record(self):
         narrow, wide = (1.0, 2.0, 3.0), (1.0,) * 6
-        store = TraceRecords([TraceRecord(0, narrow, 0.5, None)])
-        store.append(TraceRecord(1, narrow, 0.25, 1.0))
+        store = traced(TraceRecord(0, narrow, 0.5, None), TraceRecord(1, narrow, 0.25, 1.0))
         message = r"^trace record 2 has 6 entries, not 3$"
         with pytest.raises(ValidationError, match=message):
             store.append(TraceRecord(2, wide, 0.125, None))
         assert len(store) == 2 and store[-1] == TraceRecord(1, narrow, 0.25, 1.0)
-        with pytest.raises(ValidationError, match=message):
-            TraceRecords([*store, TraceRecord(2, wide, 0.125, None)])
 
     @pytest.mark.parametrize("bad", [
         pytest.param((2**63, (1.0, 2.0, 3.0), 0.5, None), id="iteration"),
@@ -467,7 +469,7 @@ class TestTraceRecords:
     def test_a_record_its_columns_cannot_hold_changes_nothing(self, bad):
         first = TraceRecord(0, (1.0, 2.0, 3.0), 0.5, 1.0)
         good = TraceRecord(1, (4.0, 5.0, 6.0), 0.25, None)
-        store = TraceRecords([first])
+        store = traced(first)
         with pytest.raises((TypeError, OverflowError)):
             store.append(bad)
         assert len(store) == 1 and store == (first,)
@@ -477,7 +479,7 @@ class TestTraceRecords:
     def test_an_empty_store_has_no_records(self):
         store = TraceRecords()
         assert len(store) == 0 and list(store.rows()) == []
-        assert store == () and () == store and store == TraceRecords([])
+        assert store == () and () == store and store == TraceRecords()
 
     def test_a_trace_file_reads_back_as_written(self, res, tmp_path):
         write_trace_file(tmp_path / "run.trace", res)
@@ -629,26 +631,11 @@ class TestSchemeEquivalence:
         assert kii(ra.best_matrix, 2.0) < 0.3 * start
 
 
-def row_means(n, b):
-    """The row means w of the antisymmetric matrix with upper triangle b."""
-    sums = [0.0] * n
-    for (i, j), x in zip(upper_pairs(n), b):
-        sums[i - 1] += x
-        sums[j - 1] -= x
-    return [s / n for s in sums]
-
-
-def off_consistent(n, b):
-    """b - Pb: b less its projection w_i - w_j onto the consistent matrices."""
-    w = row_means(n, b)
-    return [x - (w[i - 1] - w[j - 1]) for (i, j), x in zip(upper_pairs(n), b)]
-
-
-def additive_analytic(n, b0, p, h):
-    """The records of a 50-step additive analytic run from b0 that no stall ends."""
+def additive_analytic(n, b0, p, h, steps=50):
+    """The records of an additive analytic run of steps steps from b0 that no stall ends."""
     res = run(AdditivePCMatrix(n, tuple(b0)), cfg(
         p=p, h=h, scheme=ADDITIVE, gradient=ANALYTIC, l=None, eps=1e-300,
-        max_iter=50, stall_window=10**9))
+        max_iter=steps, stall_window=10**9))
     return res.trace.records
 
 
@@ -692,6 +679,52 @@ class TestAdditiveInvariants:
             off = math.sqrt(math.fsum((x - c * y) ** 2 for x, y in zip(r, r0)))
             assert off <= 1e-12 * math.sqrt(norm2)
         assert c < 0.99  # the last iterate has moved along the line
+
+
+@st.composite
+def near_consistent_starts(draw):
+    """(n, b0): an order in 3..16 and uniform start logs in [-0.5, 0.5], so D0 is small.
+
+    The logs come from a drawn seed rather than from Hypothesis floats:
+    those repeat values, and a triad of repeats is consistent, so most
+    starts above n = 8 would fail the test's assume.
+    """
+    n = draw(st.integers(min_value=3, max_value=16))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    return n, [rng.uniform(-0.5, 0.5) for _ in range(upper_size(n))]
+
+
+class TestP2AdditivePath:
+    """The p = 2 additive analytic run is the scalar recurrence of
+    p2_additive_path until it first crosses the consistent matrix Pb0."""
+
+    @given(near_consistent_starts(), st.sampled_from([0.01, 0.1, 0.5, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_run_follows_the_model_to_its_first_crossing(self, start, h):
+        n, b0 = start
+        # no triad starts (nearly) consistent, so the run does not end at once
+        assume(min(all_defects(n, b0)) >= 1e-6)
+        d0, _ = p2_additive_path(n, b0, h, 0)
+        estimate = math.comb(n, 3) * math.expm1(d0) / (h * n)
+        steps = math.ceil(estimate) + 3
+        _, s = p2_additive_path(n, b0, h, steps)
+        cross = next(k for k, x in enumerate(s) if x < 0.0)
+        assert abs(cross - estimate) <= 2.0
+        records = additive_analytic(n, b0, 2.0, h, steps)
+        if len(records) <= steps:  # DELTA_GRAD's guard: an iterate next to Pb0
+            assert min(all_defects(n, records[-1].upper)) < gradients.DELTA_GRAD
+        # the run's own s_k: its iterate's coordinate along b0 - Pb0
+        r0 = off_consistent(n, b0)
+        norm2 = math.fsum(x * x for x in r0)
+        coords = [math.fsum(x * y for x, y in zip(off_consistent(n, rec.upper), r0)) / norm2
+                  for rec in records]
+        assert next((k for k, c in enumerate(coords) if c < 0.0), len(records)) == cross
+        # near the crossing K is small and s_k has lost k ulps of s_0 = 1, so
+        # the bound is relative to K_0 rather than to K_k; and the run's
+        # 1 - e^(-D) is exact only to an ulp of 1
+        bound = 1e-12 * -math.expm1(-d0) + sys.float_info.epsilon
+        for k in range(min(cross + 1, len(records))):
+            assert abs(records[k].indicator + math.expm1(-abs(s[k]) * d0)) <= bound
 
 
 class TestDescentProgress:

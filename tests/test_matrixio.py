@@ -19,6 +19,7 @@ from pcreduce.descent import (
     STOP_REASONS,
     DescentConfig,
     IterationTrace,
+    TraceRecords,
     run,
 )
 from pcreduce.errors import (
@@ -350,7 +351,9 @@ def result():
 
 def as_written(result):
     """result as its trace file holds it: no direction norms, no clamp events."""
-    records = tuple(rec._replace(direction_norm=None) for rec in result.trace.records)
+    records = TraceRecords()
+    for rec in result.trace.records:
+        records.append(rec._replace(direction_norm=None))
     return dataclasses.replace(result, trace=IterationTrace(records))
 
 
