@@ -50,8 +50,6 @@ from .errors import (
 from .gradients import difference_priority_vector, instant_pv_np, select_direction
 from .indicators import kii, p_average, point_at
 from .matrixio import (
-    format_matrix,
-    parse_matrix_text,
     read_matrix_file,
     read_trace_file,
     write_matrix_file,
@@ -91,12 +89,10 @@ __all__ = [
     "ZeroWithNegativeExponent",
     "all_defects",
     "difference_priority_vector",
-    "format_matrix",
     "instant_pv_np",
     "kii",
     "log_upper",
     "p_average",
-    "parse_matrix_text",
     "point_at",
     "read_matrix_file",
     "read_trace_file",

@@ -117,6 +117,10 @@ def cmd_reduce(args) -> int:
     # the reduce options are named after the DescentConfig fields
     cfg = DescentConfig(**{f.name: getattr(args, f.name) for f in fields(DescentConfig)})
     result = run(m, cfg)
+    if args.trace is not None:
+        write_trace_file(args.trace, result)
+    if args.out is not None and result.best_matrix is not None:
+        write_matrix_file(args.out, result.best_matrix)
     print(f"stop_reason {result.stop_reason}")
     print(f"best_iter {result.best_iter}")
     if result.best_matrix is not None:
@@ -124,10 +128,6 @@ def cmd_reduce(args) -> int:
         names = upper_entry_names(result.n, result.scheme)
         for name, x in zip(names, result.best_matrix.upper):
             print(f"{name} {format_value(x)}")
-    if args.trace is not None:
-        write_trace_file(args.trace, result)
-    if args.out is not None and result.best_matrix is not None:
-        write_matrix_file(args.out, result.best_matrix)
     if result.stop_reason in (STOP_UNDEFINED, STOP_POSITIVITY):
         return 2
     return 0

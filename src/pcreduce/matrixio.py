@@ -8,9 +8,11 @@ optional headers before the data:
 
 With n= given the data is the strict upper triangle in row-major order
 (any line layout); without it the data must be a full n x n grid, one row
-per line.  Full grids exist only here: _grid_matrix checks one for unit
-diagonal and reciprocity (or zero diagonal and antisymmetry) to TAU_REC and
-keeps its upper triangle, the only part a PC matrix stores.
+per line, whose order n is the length of its first row.  Full grids exist
+only here: _grid_matrix checks one for unit diagonal and reciprocity (or
+zero diagonal and antisymmetry) to TAU_REC and keeps its upper triangle,
+the only part a PC matrix stores.  read_matrix_file reads a file one line
+at a time, as read_trace_file does, and stops at its first bad line.
 
 Trace files are the text form of a descent.DescentResult, CSV-ish: a
 header row naming the entries, one row per recorded iterate, and a short
@@ -49,77 +51,70 @@ from .errors import (
 TAU_REC = 1e-9
 
 
-def _strip(line: str) -> str:
-    return line.partition("#")[0].strip()
+def read_matrix_file(path):
+    """Read a matrix file line by line; returns a PC matrix of the mode header's scheme.
 
-
-def parse_matrix_text(text: str):
-    """Parse matrix file contents; returns a PC matrix of the mode header's scheme."""
-    scheme = None
-    order = None
-    data_lines: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip(raw)
-        if not line:
-            continue
-        if "=" in line and not data_lines:
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key == "mode":
-                if scheme is not None:
-                    raise MatrixFileError("duplicate mode header", lineno)
-                if value not in MATRIX_CLASSES:
-                    raise MatrixFileError(f"unknown mode {value!r}", lineno)
-                scheme = value
-            elif key == "n":
-                if order is not None:
-                    raise MatrixFileError("duplicate n header", lineno)
+    A line ends at LF, CRLF or CR, and a bad byte reads as U+FFFD.  Each data
+    line is converted and checked as it is read (a grid's first row by
+    check_order), so reading stops at the first bad line, which the error names.
+    """
+    scheme = order = width = None
+    rows = []  # each data line's numbers
+    last = 0  # the last data line's number
+    with open(path, encoding="utf-8", errors="replace") as f:
+        for lineno, raw in enumerate(f, start=1):
+            line = raw.partition("#")[0]
+            tokens = line.split()
+            if not tokens:
+                continue
+            if "=" in line and not rows:
+                key, _, value = map(str.strip, line.partition("="))
+                if key == "mode":
+                    if scheme is not None:
+                        raise MatrixFileError("duplicate mode header", lineno)
+                    if value not in MATRIX_CLASSES:
+                        raise MatrixFileError(f"unknown mode {value!r}", lineno)
+                    scheme = value
+                elif key == "n":
+                    if order is not None:
+                        raise MatrixFileError("duplicate n header", lineno)
+                    try:
+                        order = int(value)
+                    except ValueError:
+                        raise MatrixFileError(f"bad order {value!r}", lineno) from None
+                    check_order(order)
+                else:
+                    raise MatrixFileError(f"unknown header {key!r}", lineno)
+                continue
+            row = []
+            for tok in tokens:
                 try:
-                    order = int(value)
+                    row.append(float(tok))
                 except ValueError:
-                    raise MatrixFileError(f"bad order {value!r}", lineno) from None
-                check_order(order)
-            else:
-                raise MatrixFileError(f"unknown header {key!r}", lineno)
-            continue
-        data_lines.append((lineno, line))
-    if scheme is None:
-        scheme = MULTIPLICATIVE
-    if not data_lines:
+                    raise MatrixFileError(f"bad number {tok!r}", lineno) from None
+            if order is None:  # a full grid, as wide as its first row and as tall
+                if width is None:
+                    width = len(row)
+                    check_order(width)
+                elif len(row) != width or len(rows) == width:
+                    raise MatrixFileError(f"first row makes the grid {width} x {width}", lineno)
+            rows.append(row)
+            last = lineno
+    if not rows:
         raise MatrixFileError("no matrix data")
-    if order is None and len(data_lines) > MAX_ORDER:
-        # a full grid has one row per line: reject its order before converting it
-        check_order(len(data_lines))
-
-    rows = []
-    for lineno, line in data_lines:
-        row = []
-        for tok in line.split():
-            try:
-                row.append(float(tok))
-            except ValueError:
-                raise MatrixFileError(f"bad number {tok!r}", lineno) from None
-        rows.append((lineno, row))
-
-    if order is not None:
-        values = tuple(x for _, row in rows for x in row)
-        want = upper_size(order)
-        if len(values) != want:
-            raise MatrixFileError(
-                f"expected {want} upper-triangle entries for n={order}, "
-                f"got {len(values)}",
-                data_lines[-1][0],
-            )
-        return MATRIX_CLASSES[scheme](order, values)
-
-    n = len(rows)
-    for lineno, row in rows:
-        if len(row) != n:
-            raise MatrixFileError(
-                f"grid is {n} rows but this row has {len(row)} entries", lineno
-            )
-    return _grid_matrix(n, [row for _, row in rows], scheme)
+    scheme = scheme or MULTIPLICATIVE
+    if order is None:
+        if len(rows) != width:
+            raise MatrixFileError(f"first row makes the grid {width} x {width}", last)
+        return _grid_matrix(width, rows, scheme)
+    values = tuple(x for row in rows for x in row)
+    if len(values) != upper_size(order):
+        raise MatrixFileError(
+            f"expected {upper_size(order)} upper-triangle entries for n={order}, "
+            f"got {len(values)}",
+            last,
+        )
+    return MATRIX_CLASSES[scheme](order, values)
 
 
 def _grid_matrix(n: int, grid: list[list[float]], scheme: str):
@@ -130,7 +125,6 @@ def _grid_matrix(n: int, grid: list[list[float]], scheme: str):
     b_ij + b_ji = 0; both within TAU_REC.  The lower triangle is then
     discarded, never averaged in.
     """
-    check_order(n)
     mult = scheme == MULTIPLICATIVE
     if mult:
         for i, row in enumerate(grid, start=1):
@@ -151,23 +145,13 @@ def _grid_matrix(n: int, grid: list[list[float]], scheme: str):
     return MATRIX_CLASSES[scheme](n, upper)
 
 
-def read_matrix_file(path):
-    with open(path, encoding="utf-8", errors="replace") as f:  # a bad byte reads as U+FFFD
-        return parse_matrix_text(f.read())
-
-
-def format_matrix(m) -> str:
-    """Render a matrix in upper-triangle file form (round-trips via repr)."""
-    lines = [f"mode={m.scheme}", f"n={m.n}"]
-    entries = iter(m.upper)
-    for i in range(1, m.n):
-        lines.append(" ".join(map(repr, islice(entries, m.n - i))))
-    return "\n".join(lines) + "\n"
-
-
 def write_matrix_file(path, m) -> None:
+    """Write m in upper-triangle file form, a row per line; repr round-trips every entry."""
+    entries = iter(m.upper)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(format_matrix(m))
+        f.write(f"mode={m.scheme}\nn={m.n}\n")
+        for i in range(1, m.n):
+            f.write(" ".join(map(repr, islice(entries, m.n - i))) + "\n")
 
 
 def upper_entry_names(n: int, scheme: str) -> tuple[str, ...]:

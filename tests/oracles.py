@@ -2,11 +2,15 @@
 
 None of these is part of pcreduce: the library evaluates every triad
 through core.residuals or core.all_defects, and these closed forms and
-constructions exist only to cross-check it.
+constructions exist only to cross-check it.  parse_matrix_text is the
+one helper that calls the library: it reads a file's text, stated inline
+by a test, through read_matrix_file.
 """
 
 import math
+import os
 import sys
+import tempfile
 from itertools import combinations
 
 from pcreduce.core import (
@@ -32,6 +36,7 @@ from pcreduce.errors import (
 )
 from pcreduce.gradients import DELTA_GRAD
 from pcreduce.indicators import DELTA_ZERO
+from pcreduce.matrixio import read_matrix_file
 
 
 def outcome(f, *args):
@@ -201,6 +206,15 @@ def grid_text(grid, mult: bool) -> str:
     """Matrix-file text of a full grid, one row per line; the library writes only triangles."""
     rows = "\n".join(" ".join(repr(x) for x in row) for row in grid)
     return f"mode={'multiplicative' if mult else 'additive'}\n{rows}\n"
+
+
+def parse_matrix_text(text: str):
+    """read_matrix_file of a temporary file that holds text as it stands, line ends too."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "matrix.txt")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        return read_matrix_file(path)
 
 
 # One full-grid validator per form, written apart from the library: the

@@ -150,6 +150,20 @@ def test_a_nonzero_entry_never_prints_as_zero(workdir):
     assert out.splitlines()[3] == "a_1_2 1.0150000000000006e-07"
 
 
+@pytest.mark.parametrize("option", ["--trace", "--out"])
+def test_reduce_prints_nothing_when_an_output_file_fails(workdir, option):
+    # the files are written before the result is printed, so a file that
+    # cannot be written leaves stdout empty rather than showing a success
+    path = workdir / "unwritable.txt"
+    path.write_text(matrix_text(*STARTS["start4"]))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["reduce", str(path), "--h", "1", "--p", "2", option, str(workdir)])
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue().startswith("pcreduce: error: ")
+    assert err.getvalue().count("\n") == 1
+
+
 @pytest.mark.parametrize("x, text", [(0.25, "0.250000"), (0.0, "0.000000"),
                                      (-0.0, "-0.000000"), (4e-7, "4e-07"),
                                      (-1e-300, "-1e-300"), (6e-7, "0.000001"),

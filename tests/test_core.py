@@ -36,7 +36,6 @@ from pcreduce.errors import (
     ValidationError,
 )
 from pcreduce.indicators import _pair_triads
-from pcreduce.matrixio import parse_matrix_text
 
 from oracles import (
     consistent_from_weights,
@@ -44,6 +43,7 @@ from oracles import (
     gmm_priority_vector,
     grid_text,
     is_consistent,
+    parse_matrix_text,
     to_grid,
     upper_index,
 )

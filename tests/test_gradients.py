@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import sys
@@ -274,17 +275,22 @@ class TestInstantPvNp:
 
     def test_python_calls_do_not_grow_with_the_order(self):
         # the weights come from one comprehension and the scatter loop calls
-        # nothing: one call costs the same Python frames at n = 8 and 16
+        # nothing: one call costs the same Python frames at n = 8 and 16.
+        # The collector stays off while profiling: finalizing a suspended
+        # generator that earlier tests left in a cycle counts as a call
         def calls(n):
             rng = random.Random(n)
             pt = point_at(mult_from_logs(n, [rng.uniform(-2.0, 2.0)
                                              for _ in range(upper_size(n))]), 2.0)
             events = []
+            gc.collect()
+            gc.disable()
             sys.setprofile(lambda frame, event, arg: events.append(event))
             try:
                 instant_pv_np(pt)
             finally:
                 sys.setprofile(None)
+                gc.enable()
             return events.count("call")
 
         assert calls(8) == calls(16)

@@ -33,8 +33,6 @@ from pcreduce.errors import (
     ValidationError,
 )
 from pcreduce.matrixio import (
-    format_matrix,
-    parse_matrix_text,
     read_matrix_file,
     read_trace_file,
     write_matrix_file,
@@ -42,7 +40,7 @@ from pcreduce.matrixio import (
 )
 from pcreduce.repro import REFERENCE_RUNS, run_row
 
-from oracles import grid_text, validate_additive, validate_multiplicative
+from oracles import grid_text, parse_matrix_text, validate_additive, validate_multiplicative
 
 A3 = MultiplicativePCMatrix(3, (math.exp(-2.0), math.exp(3.0), math.exp(1.0)))
 
@@ -235,8 +233,8 @@ class TestParseMatrix:
         assert triad_slots.cache_info().currsize == before
 
     def test_tall_grid_rejected_before_converting(self):
-        # a grid taller than MAX_ORDER ends at its row count, before any of
-        # its 90,000 tokens becomes a float (converting them peaks at 3.1 MB)
+        # a grid wider than MAX_ORDER ends at its first row, before the other
+        # rows' tokens become floats (converting all 90,000 peaks at 3.1 MB)
         text = "\n".join(" ".join(["1"] * 300) for _ in range(300))
         tracemalloc.start()
         try:
@@ -247,6 +245,43 @@ class TestParseMatrix:
             tracemalloc.stop()
         assert (err.value.n, err.value.limit) == (300, MAX_ORDER)
         assert peak < 0.6e6
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("1 1 1\n" * 300, 4, "first row makes the grid 3 x 3"),
+        ("1 2 4\n0.5 1 2\n", 2, "first row makes the grid 3 x 3"),
+        ("1 2 4\n0.5 1\n" + "1 1 1\n" * 300, 2, "first row makes the grid 3 x 3"),
+        ("1 x 1\n" * 300, 1, "bad number 'x'"),
+        ("1 2 4\v0.5 1 2\v0.25 0.5 1\n", 1, "first row makes the grid 9 x 9"),
+    ], ids=["tall", "short", "ragged", "bad_number", "vertical_tab"])
+    def test_malformed_grid_stops_at_its_first_bad_line(self, text, line, message):
+        with pytest.raises(MatrixFileError) as err:
+            parse_matrix_text(text)
+        assert (err.value.line, str(err.value)) == (line, f"line {line}: {message}")
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_other_line_ends_read_the_same(self, end):
+        for text in ("1 2 4\n0.5 1 2\n0.25 0.5 1\n", "n=4\n2 4\f1\n2 1\x1c1\n"):
+            assert parse_matrix_text(text.replace("\n", end)) == parse_matrix_text(text)
+
+    def test_a_trace_file_stops_at_its_header(self, tmp_path):
+        # 20,000 rows after a header that is no matrix line: reading ends at
+        # line 1, where reading the whole text first peaked above 6 MB
+        path = tmp_path / "long.trace"
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("iteration,indicator,a_1_2,a_1_3,a_2_3\n")
+            for k in range(20000):
+                f.write(f"{k},{1.0 / (k + 3)!r},{math.pi * k!r},{math.e * k!r},{k / 7!r}\n")
+        assert path.stat().st_size >= 1e6
+        tracemalloc.start()
+        try:
+            with pytest.raises(MatrixFileError) as err:
+                read_matrix_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.line == 1
+        assert str(err.value) == "line 1: bad number 'iteration,indicator,a_1_2,a_1_3,a_2_3'"
+        assert peak < 64 * 1024
 
     def test_bad_order_value(self):
         with pytest.raises(MatrixFileError):
@@ -298,14 +333,18 @@ class TestParseMatrix:
 
 
 class TestMatrixRoundTrip:
-    def test_exact_round_trip_multiplicative(self):
-        text = format_matrix(A3)
-        back = parse_matrix_text(text)
-        assert back.upper == A3.upper  # repr round-trips bit for bit
+    def test_exact_round_trip_multiplicative(self, tmp_path):
+        path = tmp_path / "m.txt"
+        write_matrix_file(path, A3)
+        assert path.read_bytes() == (b"mode=multiplicative\nn=3\n"
+                                     b"0.1353352832366127 20.085536923187668\n2.718281828459045\n")
+        assert read_matrix_file(path).upper == A3.upper  # repr round-trips bit for bit
 
-    def test_exact_round_trip_additive(self):
+    def test_exact_round_trip_additive(self, tmp_path):
+        path = tmp_path / "b.txt"
         b = AdditivePCMatrix(4, (-2.0, 3.0, 0.1, 1.0, -0.25, 1e-9))
-        back = parse_matrix_text(format_matrix(b))
+        write_matrix_file(path, b)
+        back = read_matrix_file(path)
         assert isinstance(back, AdditivePCMatrix)
         assert back.upper == b.upper
 

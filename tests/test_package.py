@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -96,6 +97,18 @@ def test_every_cache_is_bounded():
                 if text.endswith("cache") or "cache(None" in text or "maxsize=None" in text:
                     found.append(f"{path.name}: {node.name} {text}")
     assert found == []
+
+
+def test_readme_examples_run(capsys):
+    # README's python blocks run in order in one namespace (the second uses
+    # the first's a), so a renamed or deleted public name fails here
+    readme = (Path(pcreduce.__file__).parents[2] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out
 
 
 def test_every_name_the_benchmark_reaches_exists():
