@@ -12,20 +12,20 @@ their triad products.
 
 kernels(n, q) evaluates K_p afresh, one kernel per (n, p) chosen once;
 moved_kii evaluates it with one log of a Point moved, for the forward
-quotients.  Both, and p_average, take power_form's plain mean, and p_average
-takes over wherever that does not apply.  A move touches only the n - 2
-triads that contain the entry, so from order INCREMENTAL_MIN_ORDER on
-moved_kii updates the Point's defects in O(n) instead of sweeping all C(n,3)
-triads (O(n^3) per difference direction, not O(n^5)), bit for bit as the
-fresh evaluation.  A moved defect uses the triad kernel's own expression on
-the moved logs.  For finite p the base terms d^p are kept as an exact
+quotients.  power_mean(q) is the one mean of defects: kernels and p_average
+take it, and moved_kii takes power_form's plain form.  A move touches only
+the n - 2 triads that contain the entry, so from order INCREMENTAL_MIN_ORDER
+on moved_kii updates the Point's defects in O(n) instead of sweeping all
+C(n,3) triads (O(n^3) per difference direction, not O(n^5)), bit for bit as
+the fresh evaluation.  A moved defect uses the triad kernel's own expression
+on the moved logs.  For finite p the base terms d^p are kept as an exact
 expansion (the role of Shewchuk's partials, "Adaptive Precision
 Floating-Point Arithmetic", 1997, the algorithm inside math.fsum), and fsum
 over it, the negated old terms and the new ones is the correctly rounded
 exact sum, which is what fsum over the moved point's terms returns.  For
 p = inf the largest untouched base defect comes from the n - 1 largest.  The
 moved value is the fresh one where the plain mean does not apply: d^p
-overflows, the mean lands on p_average's scaled form, or at p < 0 a moved
+overflows, the mean lands on power_mean's scaled form, or at p < 0 a moved
 defect falls into the hole (the fresh kernel raises).
 """
 
@@ -111,43 +111,63 @@ def power_form(q: float):
     return (lambda xs: [x ** q for x in xs]), 1.0 / q
 
 
-def p_average(xs, p) -> float:
-    """((1/N) sum x_i^p)^(1/p) at an exponent p (checked here); max of the x_i when p = inf.
+@lru_cache(maxsize=64)
+def power_mean(q: float):
+    """The q-mean of a non-empty sequence of defects at a normalized q: max at q = inf.
 
-    For p < 0 any x_i below DELTA_ZERO raises ZeroWithNegativeExponent:
-    x^p blows up and the mean is no longer meaningful.  Where power_form's
-    plain form does not apply, the mean is s * M_p(x / s), s the largest x_i
-    for p > 0 and the smallest for p < 0.  An infinite s (some x_i inf for
-    p > 0, all of them for p < 0) or an overflowing scaled root gives an
-    infinite mean.
+    At finite q, for q < 0 any value below DELTA_ZERO raises
+    ZeroWithNegativeExponent: x^q blows up and the mean is no longer
+    meaningful.  The mean is power_form's plain form where that applies,
+    else s * M_q(x / s), s the largest value for q > 0 and the smallest for
+    q < 0.  An infinite s (some value inf for q > 0, all of them for q < 0)
+    or an overflowing scaled root gives an infinite mean.  Nothing else is
+    checked: kernels' defects are abs values.
+    """
+    if q == INF:
+        return max
+    terms, e = power_form(q)
+
+    def mean(xs):
+        # a nan first hides a zero from min: the loop finds it
+        if q < 0.0 and not min(xs) >= DELTA_ZERO:
+            for x in xs:
+                if x < DELTA_ZERO:
+                    raise ZeroWithNegativeExponent(x)
+        try:
+            avg = math.fsum(terms(xs)) / len(xs)
+            avg = 0.0 if avg < _MEAN_FLOOR else avg ** e
+        except OverflowError:
+            avg = 0.0
+        if avg == 0.0 and not max(xs) <= 0.0:
+            s = max(xs) if q > 0.0 else min(xs)
+            if s == INF:
+                return INF
+            # the term of s is 1, so this mean is at least 1/N: only its root
+            # can overflow, at q < 0 where the plain root did too
+            avg = math.fsum(terms([x / s for x in xs])) / len(xs)
+            try:
+                avg = s * avg ** e
+            except OverflowError:
+                avg = INF
+        return avg
+
+    return mean
+
+
+def p_average(xs, p) -> float:
+    """((1/N) sum x_i^p)^(1/p), max of the x_i when p = inf: power_mean's, checked.
+
+    This is where an outside sequence enters the mean: p must pass
+    normalize_exponent, and xs must be non-empty with no negative value (a
+    NaN passes, and the mean is NaN).
     """
     if not xs:
         raise ValidationError("p_average of an empty sequence")
     q = normalize_exponent(p)
-    if q == INF:
-        return max(xs)
-    if q < 0.0:
-        for x in xs:
-            if x < DELTA_ZERO:
-                raise ZeroWithNegativeExponent(x)
-    terms, e = power_form(q)
-    try:
-        avg = math.fsum(terms(xs)) / len(xs)
-        avg = 0.0 if avg < _MEAN_FLOOR else avg ** e
-    except OverflowError:
-        avg = 0.0
-    if avg == 0.0 and not max(xs) <= 0.0:
-        s = max(xs) if q > 0.0 else min(xs)
-        if s == INF:
-            return INF
-        # the term of s is 1, so this mean is at least 1/N: only its root
-        # can overflow, at q < 0 where the plain root did too
-        avg = math.fsum(terms([x / s for x in xs])) / len(xs)
-        try:
-            avg = s * avg ** e
-        except OverflowError:
-            avg = INF
-    return avg
+    for x in xs:
+        if x < 0.0:
+            raise ValidationError(f"p_average of a negative value: got {x!r}")
+    return power_mean(q)(xs)
 
 
 def kii(m: MultiplicativePCMatrix | AdditivePCMatrix, p) -> float:
@@ -168,60 +188,30 @@ def kernels(n: int, q: float):
     q-mean); value_at(k, logs) is K_q alone, with moved_kii's signature (k
     unused).  Neither validates anything, as the descent's inner loop needs.
     fresh sweeps core.residuals once and takes the defects as their abs;
-    value_at sweeps core.all_defects.  Each takes max at q = inf, else
-    power_form's plain form, the hole check first at q < 0.  Where that does
-    not apply (or at the hole, IndicatorUndefined naming its triad), the
-    defects go to p_average itself, so every result is bit-identical to it.
+    value_at sweeps core.all_defects.  Both take power_mean(q); in its hole
+    they raise IndicatorUndefined naming the triad.
     """
-    if q == INF:
-        def fresh(logs):
-            us = residuals(n, logs)
-            ds = tuple(map(abs, us))
-            avg = max(ds)
-            return 1.0 - math.exp(-avg), us, ds, avg
+    mean = power_mean(q)
 
-        def value_at(k, logs):
-            return 1.0 - math.exp(-max(all_defects(n, logs)))
-
-        return fresh, value_at
-    terms, e = power_form(q)
-    count = len(triad_slots(n))
-
-    # fresh and value_at each take the plain form in their own body: one
-    # more Python frame per value is measurable on small orders
     def fresh(logs):
         us = residuals(n, logs)
         ds = tuple(map(abs, us))
-        # a nan first would hide a zero behind it from min: it falls back too
-        if q > 0.0 or min(ds) >= DELTA_ZERO:
-            try:
-                avg = math.fsum(terms(ds)) / count
-                avg = 0.0 if avg < _MEAN_FLOOR else avg ** e
-            except OverflowError:
-                avg = 0.0
-            if avg != 0.0:
-                return 1.0 - math.exp(-avg), us, ds, avg
-        avg = by_p_average(ds)
+        try:
+            avg = mean(ds)
+        except ZeroWithNegativeExponent:
+            raise undefined(ds) from None
         return 1.0 - math.exp(-avg), us, ds, avg
 
     def value_at(k, logs):
         ds = all_defects(n, logs)
-        if q > 0.0 or min(ds) >= DELTA_ZERO:
-            try:
-                avg = math.fsum(terms(ds)) / count
-                avg = 0.0 if avg < _MEAN_FLOOR else avg ** e
-            except OverflowError:
-                avg = 0.0
-            if avg != 0.0:
-                return 1.0 - math.exp(-avg)
-        return 1.0 - math.exp(-by_p_average(ds))
-
-    def by_p_average(ds):
         try:
-            return p_average(ds, q)
+            return 1.0 - math.exp(-mean(ds))
         except ZeroWithNegativeExponent:
-            k = next(k for k, d in enumerate(ds) if d < DELTA_ZERO)
-            raise IndicatorUndefined(q, triad(n, k), ds[k]) from None
+            raise undefined(ds) from None
+
+    def undefined(ds):
+        k = next(k for k, d in enumerate(ds) if d < DELTA_ZERO)
+        return IndicatorUndefined(q, triad(n, k), ds[k])
 
     return fresh, value_at
 

@@ -563,8 +563,8 @@ class TestRunCost:
     @pytest.mark.parametrize("p", [1.0, math.inf])
     def test_small_difference_run_skips_the_power_mean(self, monkeypatch, p):
         # below the incremental order each iterate and each of its 6 moved
-        # entries sweeps the triads once, and at p = 1 and inf the kernel's
-        # mean is fixed in advance: the general power mean never runs
+        # entries sweeps the triads once, and the kernel's mean is fixed in
+        # advance: the checked power mean's exponent validation never runs
         k = 20
         config = cfg(p=p, max_iter=k, eps=1e-9, stall_window=k + 1)
         calls = []
@@ -575,13 +575,13 @@ class TestRunCost:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for mod in (core, indicators):
-            for name in SWEEPS + ("p_average",):
+        for mod in (core, indicators, gradients, descent):
+            for name in SWEEPS + ("normalize_exponent",):
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
         res = run(A4, config)
         assert res.stop_reason == STOP_MAX_ITER
-        assert calls.count("p_average") == 0
+        assert calls.count("normalize_exponent") == 0
         assert sum(map(calls.count, SWEEPS)) == (k + 1) + 6 * k
 
     def test_difference_direction_sweeps_no_triads_above_crossover(self, monkeypatch):

@@ -315,7 +315,7 @@ class TestParseMatrix:
 
     @given(grids())
     @example((False, 3, [[0.0, 1.0, 2.0], [math.nan, 0.0, 3.0], [-2.0, -3.0, 0.0]]))
-    @settings(max_examples=500)
+    @settings(max_examples=500, deadline=None)
     def test_grid_check_matches_the_reference_validators(self, case):
         mult, n, grid = case
         reference = validate_multiplicative if mult else validate_additive
@@ -323,7 +323,7 @@ class TestParseMatrix:
             reference, n, grid)
 
     @given(st.one_of(st.text(), matrix_texts()))
-    @settings(max_examples=500)
+    @settings(max_examples=500, deadline=None)
     def test_any_text_gives_matrix_or_validation_error(self, text):
         try:
             m = parse_matrix_text(text)
@@ -544,7 +544,7 @@ class TestTraceFiles:
         assert err.value.line == line
 
     @given(st.one_of(st.text(), trace_texts(), well_formed_traces()))
-    @settings(max_examples=500)
+    @settings(max_examples=500, deadline=None)
     def test_any_text_gives_trace_or_file_error(self, trace_dir, text):
         try:
             data = read_text(text, trace_dir)
