@@ -7,10 +7,11 @@ Subcommands:
     repro     rerun the bundled reference table and report deviations
 
 Exit codes: 0 success, 1 argument/file/validation problems, 2 indicator or
-descent domain errors (including runs stopping on indicator_undefined or
-positivity_failure).  Values are printed with six decimals, decimal point
-always a dot, except where six decimals would show a nonzero value as zero
-or the value's magnitude is 1e15 or more: those print as repr(x).
+descent domain errors (a start in the indicator's hole, which prints
+nothing, or a run stopping on indicator_undefined or positivity_failure).
+Values are printed with six decimals, decimal point always a dot, except
+where six decimals would show a nonzero value as zero or the value's
+magnitude is 1e15 or more: those print as repr(x).
 """
 
 from __future__ import annotations
@@ -119,15 +120,13 @@ def cmd_reduce(args) -> int:
     result = run(m, cfg)
     if args.trace is not None:
         write_trace_file(args.trace, result)
-    if args.out is not None and result.best_matrix is not None:
+    if args.out is not None:
         write_matrix_file(args.out, result.best_matrix)
     print(f"stop_reason {result.stop_reason}")
     print(f"best_iter {result.best_iter}")
-    if result.best_matrix is not None:
-        print(f"best_indicator {format_value(result.best_indicator)}")
-        names = upper_entry_names(result.n, result.scheme)
-        for name, x in zip(names, result.best_matrix.upper):
-            print(f"{name} {format_value(x)}")
+    print(f"best_indicator {format_value(result.best_indicator)}")
+    for name, x in zip(upper_entry_names(result.n, result.scheme), result.best_upper):
+        print(f"{name} {format_value(x)}")
     if result.stop_reason in (STOP_UNDEFINED, STOP_POSITIVITY):
         return 2
     return 0

@@ -23,9 +23,10 @@ The iteration stops on the first of
                        (typically p < 0 falling into the consistent hole),
   positivity_failure   the step could not keep the iterate in the scheme's
                        domain (positive, finite).
-The best iterate (first attainment of the minimum recorded indicator, the
-"best rank n") is returned regardless of the stop reason.  The result knows
-its order and scheme; a trace file (matrixio) is its text form.
+A start in the hole raises IndicatorUndefined before iterate 0, so every
+run has a best iterate (first attainment of the minimum recorded indicator,
+the "best rank n"), whatever its stop reason.  The result knows its order
+and scheme; a trace file (matrixio) is its text form.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -68,6 +68,18 @@ STOP_UNDEFINED = "indicator_undefined"
 STOP_REASONS = (STOP_CONVERGED, STOP_STALLED, STOP_MAX_ITER, STOP_POSITIVITY, STOP_UNDEFINED)
 
 
+def _real(name: str, x) -> float:
+    """x as a float, coerced as normalize_exponent coerces p; else a ValidationError naming name."""
+    try:
+        if isinstance(x, str):  # float would parse it
+            raise TypeError
+        return float(x)
+    except TypeError:  # a str, None, a complex
+        raise ValidationError(f"{name} must be a real number, got {x!r}") from None
+    except OverflowError:  # an int beyond float range
+        raise ValidationError(f"{name} is beyond float range, got {x!r}") from None
+
+
 @dataclass(frozen=True)
 class DescentConfig:
     p: float
@@ -81,11 +93,16 @@ class DescentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "p", normalize_exponent(self.p))
+        # h, eps and l are stored as floats, as p is; l may stay None
+        object.__setattr__(self, "h", _real("h", self.h))
+        object.__setattr__(self, "eps", _real("eps", self.eps))
+        if self.l is not None:
+            object.__setattr__(self, "l", _real("l", self.l))
         if self.scheme not in MATRIX_CLASSES:
             raise ValidationError(f"unknown scheme {self.scheme!r}")
         # the kind and l; the smoothness of p needs the order, which descend has
         select_direction(3, self.p, self.gradient, self.l)
-        if not (0.0 < self.h <= sys.float_info.max):  # an int may compare below inf
+        if not (0.0 < self.h < math.inf):
             raise ValidationError(f"step h must be in (0, inf), got {self.h!r}")
         # K_p < 1, so an eps of 1 or more would stop every run at iterate 0
         if not (0.0 < self.eps < 1.0):
@@ -195,19 +212,19 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class DescentResult:
-    """One run: its order and scheme, trace, stop reason and best iterate."""
+    """One run: its order and scheme, trace, stop reason and best iterate, which every run has."""
 
     n: int
     scheme: str
     best_iter: int
-    best_matrix: MultiplicativePCMatrix | AdditivePCMatrix | None
-    best_indicator: float | None
+    best_matrix: MultiplicativePCMatrix | AdditivePCMatrix
+    best_indicator: float
     stop_reason: str
     trace: IterationTrace
 
     @property
-    def best_upper(self) -> tuple[float, ...] | None:
-        return None if self.best_matrix is None else self.best_matrix.upper
+    def best_upper(self) -> tuple[float, ...]:
+        return self.best_matrix.upper
 
 
 def step_multiplicative(
@@ -255,22 +272,20 @@ def step_additive(
 def descend(mat: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig):
     """Iterate from mat (in cfg.scheme's form), yielding (record, clamps, stop).
 
-    select_direction runs before iterate 0.  Each recorded iterate is
-    evaluated once, for the stop rule and the direction, and yields its
-    TraceRecord, the ClampEvents of the step taken from it and None; the last
-    item has () and the stop reason.  An iterate whose evaluation fails is not
-    recorded: the last item is then (None, (), STOP_UNDEFINED).  A step that
-    its guard (halving, then check_entries) rejects ends with positivity_failure.
+    select_direction runs, and iterate 0 is evaluated, before the first
+    item, so a start in p < 0's hole raises IndicatorUndefined.  Each later
+    iterate is evaluated once, right after the step that made it, for the
+    stop rule and the direction.  Every item is an iterate's TraceRecord,
+    the ClampEvents of the step taken from it and None, the last the stop
+    reason.  A step that its guard (halving, then check_entries) rejects, or
+    whose iterate fails to evaluate, ends on the iterate it left, with
+    positivity_failure or indicator_undefined.
     """
     direction = select_direction(mat.n, cfg.p, cfg.gradient, cfg.l)
     n, upper, mult = mat.n, mat.upper, mat.scheme == MULTIPLICATIVE
+    pt = evaluate(n, upper, mult, cfg.p)
     ref, stall = math.inf, 0
     for it in itertools.count():
-        try:
-            pt = evaluate(n, upper, mult, cfg.p)
-        except EvaluationError:
-            yield None, (), STOP_UNDEFINED
-            return
         ii = pt.value
         if ref - ii >= STALL_IMPROVEMENT:
             ref, stall = ii, 0
@@ -299,34 +314,39 @@ def descend(mat: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig):
         except (PositivityFailure, ValidationError):
             yield record, (), STOP_POSITIVITY
             return
-        yield record, tuple(ClampEvent(it, i, j, hv) for i, j, hv in raw) if raw else (), None
+        clamps = tuple(ClampEvent(it, i, j, hv) for i, j, hv in raw) if raw else ()
+        try:
+            pt = evaluate(n, upper, mult, cfg.p)
+        except EvaluationError:
+            yield record, clamps, STOP_UNDEFINED
+            return
+        yield record, clamps, None
 
 
 def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> DescentResult:
-    """Descend from m0 under cfg and keep the record; every stop returns a DescentResult.
+    """Descend from m0 under cfg and keep the record; every started run returns a DescentResult.
 
     m0 is converted to cfg.scheme's form once (EntryOverflow for an additive
-    entry whose exp is no positive normal float).  best_matrix, the first
-    record with the least indicator, is the one matrix a run builds.
+    entry whose exp is no positive normal float); a start descend cannot
+    evaluate raises.  best_matrix, the first record with the least indicator,
+    is the one matrix a run builds.
     """
     convert = to_additive if cfg.scheme == ADDITIVE else to_multiplicative
     mat = m0 if m0.scheme == cfg.scheme else convert(m0)
     records = TraceRecords()
     clamps: list[ClampEvent] = []
-    best = None
     for record, events, stop in descend(mat, cfg):
-        if record is not None:
-            records.append(record)
-            # only a strictly smaller indicator moves it: the first attainment
-            if best is None or record.indicator < best.indicator:
-                best = record
+        # the first record, then only a strictly smaller indicator: the first attainment
+        if not records or record.indicator < best.indicator:
+            best = record
+        records.append(record)
         clamps.extend(events)
     return DescentResult(
         n=mat.n,
         scheme=cfg.scheme,
-        best_iter=-1 if best is None else best.iteration,
-        best_matrix=None if best is None else mat.replace_upper(best.upper),
-        best_indicator=None if best is None else best.indicator,
+        best_iter=best.iteration,
+        best_matrix=mat.replace_upper(best.upper),
+        best_indicator=best.indicator,
         stop_reason=stop,
         trace=IterationTrace(records, tuple(clamps)),
     )

@@ -170,9 +170,8 @@ def _trace_lines(result: DescentResult):
         yield f"{it},{indicator!r},{','.join(map(repr, upper))}\n"
     yield f"stop_reason,{result.stop_reason}\n"
     yield f"best_iter,{result.best_iter}\n"
-    if result.best_matrix is not None:
-        yield f"best_indicator,{result.best_indicator!r}\n"
-        yield "best," + ",".join(map(repr, result.best_matrix.upper)) + "\n"
+    yield f"best_indicator,{result.best_indicator!r}\n"
+    yield "best," + ",".join(map(repr, result.best_upper)) + "\n"
 
 
 def write_trace_file(path, result: DescentResult) -> None:
@@ -209,11 +208,11 @@ def read_trace_file(path) -> DescentResult:
     >= 0 in increasing order, written as str(rank), every indicator must lie
     in [0, 1], every iterate row and best must be a valid triangle of the
     header's scheme, the stop reason must be one descent.run reports,
-    best_indicator and best come together, and best_iter is -1 without them
-    and a rank >= 0 with them.  Any other text raises MatrixFileError naming
-    the offending line.  A bad byte reads as U+FFFD, and a line ends at LF,
-    CRLF or CR.  Each line is parsed as it is read, each iterate row
-    appended to the trace's TraceRecords.
+    best_iter must be a rank >= 0, and all four summary rows must be there.
+    Any other text raises MatrixFileError naming the offending line.  A bad
+    byte reads as U+FFFD, and a line ends at LF, CRLF or CR.  Each line is
+    parsed as it is read, each iterate row appended to the trace's
+    TraceRecords.
     """
     with open(path, encoding="utf-8", errors="replace") as f:
         lines = ((k, ln.rstrip("\n")) for k, ln in enumerate(f, start=1) if ln.strip())
@@ -237,8 +236,8 @@ def read_trace_file(path) -> DescentResult:
         n=n,
         scheme=scheme,
         best_iter=summary["best_iter"],
-        best_matrix=summary.get("best"),
-        best_indicator=summary.get("best_indicator"),
+        best_matrix=summary["best"],
+        best_indicator=summary["best_indicator"],
         stop_reason=summary["stop_reason"],
         trace=IterationTrace(records),
     )
@@ -248,12 +247,11 @@ def _trace_rows(lines, lineno, n, scheme):
     """(records, summary): a trace's iterate rows as a TraceRecords, its summary block as a dict.
 
     lines are the (line number, line) pairs after the header, on line
-    lineno.  Once they are read, the summary block is checked as a whole.
+    lineno.  A missing summary row is reported at the last line read.
     """
     count = upper_size(n)
     records, summary = TraceRecords(), {}
     last = -1  # the previous iterate row's rank
-    where = {}
     for lineno, line in lines:
         key, *fields = line.split(",")
         if key in summary:
@@ -283,15 +281,11 @@ def _trace_rows(lines, lineno, n, scheme):
                 continue
         except ValueError as exc:  # a ValidationError among them
             raise MatrixFileError(f"bad trace row {line!r}: {exc}", lineno) from None
-        where[key] = lineno
         if key == "stop_reason" and summary[key] not in STOP_REASONS:
             raise MatrixFileError(f"unknown stop reason {summary[key]!r}", lineno)
-    if "stop_reason" not in summary or "best_iter" not in summary:
-        raise MatrixFileError("trace file is missing its summary block", lineno)
-    lone = [where[key] for key in ("best", "best_indicator") if key in summary]
-    if len(lone) == 1:
-        raise MatrixFileError("best and best_indicator come only together", lone[0])
-    best_iter = summary["best_iter"]
-    if not (best_iter >= 0 if "best" in summary else best_iter == -1):
-        raise MatrixFileError("best_iter is -1 exactly when best is absent", where["best_iter"])
+        if key == "best_iter" and summary[key] < 0:
+            raise MatrixFileError(f"best_iter must be >= 0, got {summary[key]}", lineno)
+    for key in (*SUMMARY_FIELDS, "best"):
+        if key not in summary:
+            raise MatrixFileError(f"trace file has no {key!r} row", lineno)
     return records, summary

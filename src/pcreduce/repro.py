@@ -6,9 +6,8 @@ multiplicative and additive forms) and a 4x4 exercised at p = inf, 1, 2,
 stall_window = 50 and max_iter = 60000.  Each run's best iterate is
 compared against the bundled reference values (best rank and matrix
 entries); the harness reports absolute deviations and never aborts on an
-error stop, it just records the stop reason.  Every row has a best
-iterate, even after an error stop: only a start with a zero triad defect
-at p < 0 fails to evaluate, and the starts' least defects are 4, 4 and 1.
+error stop, it just records the stop reason; every run has a best
+iterate, whatever its stop.
 
 Four reference rows are not reproduced, and the report shows their
 deviations rather than hiding them:

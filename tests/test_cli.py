@@ -179,11 +179,16 @@ class TestReduce:
         assert "b_1_2 1.000000" in r.stdout
         assert r.stderr == ""
 
-    def test_indicator_hole_exits_two(self, files):
-        r = pcreduce("reduce", files["hole"], "--p", "-1",
-                     "--h", "0.002", "--l", "0.1")
+    def test_indicator_hole_exits_two(self, files, tmp_path):
+        # a start in the hole is known before iterate 0: nothing is printed
+        # and no file is written
+        trace, out = tmp_path / "run.trace", tmp_path / "best.txt"
+        r = pcreduce("reduce", files["hole"], "--p", "-1", "--h", "0.002", "--l", "0.1",
+                     "--trace", str(trace), "--out", str(out))
         assert r.returncode == 2
-        assert "stop_reason indicator_undefined" in r.stdout
+        assert r.stdout == ""
+        assert "triad (1, 2, 3)" in r.stderr
+        assert not trace.exists() and not out.exists()
 
     @pytest.mark.parametrize("p", ["1", "inf"])
     def test_analytic_nonsmooth_p_rejected_at_order_four(self, files, p):

@@ -5,6 +5,7 @@ import pickle
 import random
 import sys
 import tracemalloc
+from decimal import Decimal
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -35,6 +36,7 @@ from pcreduce.descent import (
     step_multiplicative,
 )
 from pcreduce.errors import (
+    IndicatorUndefined,
     InvalidExponent,
     NonFiniteEntry,
     NonPositiveEntry,
@@ -57,6 +59,8 @@ B3 = AdditivePCMatrix(3, (-2.0, 3.0, 1.0))
 A4 = MultiplicativePCMatrix(
     4, (math.exp(-2.0), math.exp(3.0), 1.0, math.exp(1.0), 1.0, 1.0)
 )
+# triad (1,2,3) is exactly consistent: p < 0 is undefined here
+HOLE4 = MultiplicativePCMatrix(4, (2.0, 4.0, 1.0, 2.0, 1.0, 1.0))
 
 
 def cfg(**kw):
@@ -106,10 +110,25 @@ class TestConfig:
                                      {"l": 10**400},
                                      {"l": -(10**400)},
                                      {"p": 10**400},
-                                     {"p": -(10**400)}])
+                                     {"p": -(10**400)},
+                                     # h, eps and l are coerced to float as p is
+                                     {"h": "1"},
+                                     {"h": None},
+                                     {"h": 1j},
+                                     {"eps": "x"},
+                                     {"eps": None},
+                                     {"l": "x"},
+                                     {"l": 1j}])
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(ValidationError):
             cfg(**bad)
+
+    def test_real_fields_are_stored_as_floats(self):
+        # a Decimal step or increment runs as the float it rounds to
+        c = cfg(h=Decimal("0.1"), l=Decimal("0.001"), eps=Decimal("0.001"), max_iter=20)
+        assert (type(c.h), type(c.l), type(c.eps)) == (float, float, float)
+        assert run(A4, c) == run(A4, cfg(h=0.1, l=0.001, eps=0.001, max_iter=20))
+        assert cfg(gradient=ANALYTIC, l=None).l is None
 
     def test_difference_requires_increment(self):
         with pytest.raises(ValidationError):
@@ -219,16 +238,13 @@ class TestRunStops:
         assert res.best_iter == 0
         assert res.best_matrix == m
 
-    def test_undefined_at_start_returns_empty_result(self):
-        # one exactly consistent triad puts p = -1 in its hole immediately
-        m = MultiplicativePCMatrix(4, (2.0, 4.0, 1.0, 2.0, 1.0, 1.0))
-        res = run(m, cfg(p=-1.0))
-        assert res.stop_reason == STOP_UNDEFINED
-        assert res.best_matrix is None
-        assert res.best_upper is None
-        assert res.best_indicator is None
-        assert res.best_iter == -1
-        assert res.trace.records == ()
+    def test_undefined_at_start_raises(self):
+        # one exactly consistent triad puts p = -1 in its hole at iterate 0:
+        # that start is no run, in either scheme
+        for scheme in (MULTIPLICATIVE, ADDITIVE):
+            with pytest.raises(IndicatorUndefined) as err:
+                run(HOLE4, cfg(p=-1.0, scheme=scheme))
+            assert err.value.triad == (1, 2, 3)
 
     def test_undefined_from_gradient_keeps_best(self):
         # triad (1,2,3) is exactly consistent: K_2 is defined there but its
@@ -257,52 +273,72 @@ class TestRunStops:
         assert res.stop_reason == STOP_CONVERGED
 
 
-#: one start and config per stop reason whose items TestDescend checks
+#: id: (stop reason, start, config) of the runs whose items TestDescend
+#: checks, one for each stop reason and both ways to indicator_undefined
 DESCEND_RUNS = {
-    STOP_CONVERGED: (A3, dict(h=0.1)),
+    "converged": (STOP_CONVERGED, A3, dict(h=0.1)),
+    # h too coarse to converge to eps=1e-9
+    "stalled": (STOP_STALLED, A3, dict(h=0.1, eps=1e-9)),
     # the step from iterate 0 clamps a12, and iterate 0 stays the best
-    STOP_MAX_ITER: (MultiplicativePCMatrix(3, (0.01, 0.0001, 1.0)),
-                    dict(gradient=ANALYTIC, p=2.0, h=1.0, l=None, max_iter=3)),
-    # triad (1,2,3) is exactly consistent: iterate 0 is in p = -1's hole
-    STOP_UNDEFINED: (MultiplicativePCMatrix(4, (2.0, 4.0, 1.0, 2.0, 1.0, 1.0)),
-                     dict(p=-1.0)),
-    STOP_POSITIVITY: (A4, dict(h=1e30)),
+    "max_iter": (STOP_MAX_ITER, MultiplicativePCMatrix(3, (0.01, 0.0001, 1.0)),
+                 dict(gradient=ANALYTIC, p=2.0, h=1.0, l=None, max_iter=3)),
+    # K_2 is defined at iterate 0, but its analytic direction is not
+    "indicator_undefined": (STOP_UNDEFINED, HOLE4, dict(gradient=ANALYTIC, p=2.0, l=None)),
+    # the step from iterate 0 lands on u = 0, in p = -1's hole
+    "step_into_hole": (STOP_UNDEFINED, AdditivePCMatrix(3, (1.0, 0.0, 0.0)),
+                       dict(scheme=ADDITIVE, gradient=ANALYTIC, p=-1.0, h=math.e / 3, l=None)),
+    "positivity_failure": (STOP_POSITIVITY, A4, dict(h=1e30)),
 }
 
 
 class TestDescend:
-    @pytest.mark.parametrize("reason", list(DESCEND_RUNS))
-    def test_run_is_the_record_of_descend(self, reason):
-        m, kw = DESCEND_RUNS[reason]
+    def test_every_stop_reason_has_a_run(self):
+        assert {reason for reason, _, _ in DESCEND_RUNS.values()} == set(descent.STOP_REASONS)
+
+    @pytest.mark.parametrize("name", list(DESCEND_RUNS))
+    def test_run_is_the_record_of_descend(self, name):
+        reason, m, kw = DESCEND_RUNS[name]
         config = cfg(**kw)
         items = list(descent.descend(m, config))
         assert [stop for _, _, stop in items] == [None] * (len(items) - 1) + [reason]
         assert items[-1][1] == ()
-        records = [r for r, _, _ in items if r is not None]
+        records = [r for r, _, _ in items]
         assert [r.iteration for r in records] == list(range(len(records)))
         assert all(ev.iteration == r.iteration for r, evs, _ in items for ev in evs)
-        best = min(records, key=lambda r: r.indicator, default=None)
+        best = min(records, key=lambda r: r.indicator)
         assert run(m, config) == descent.DescentResult(
             n=m.n,
             scheme=config.scheme,
-            best_iter=-1 if best is None else best.iteration,
-            best_matrix=None if best is None else m.replace_upper(best.upper),
-            best_indicator=None if best is None else best.indicator,
+            best_iter=best.iteration,
+            best_matrix=m.replace_upper(best.upper),
+            best_indicator=best.indicator,
             stop_reason=reason,
             trace=IterationTrace(
                 traced(*records), tuple(ev for _, evs, _ in items for ev in evs)),
         )
 
     def test_hole_at_iterate_zero_records_nothing(self):
-        m, kw = DESCEND_RUNS[STOP_UNDEFINED]
-        assert list(descent.descend(m, cfg(**kw))) == [(None, (), STOP_UNDEFINED)]
+        # iterate 0 is evaluated before the first item: that next() raises
+        items = descent.descend(HOLE4, cfg(p=-1.0))
+        with pytest.raises(IndicatorUndefined) as err:
+            next(items)
+        assert err.value.triad == (1, 2, 3)
 
     def test_rejected_step_yields_its_iterate(self):
         # the step from iterate 0 fails its guard: iterate 0 is the last item,
         # with the norm of the direction it took and no clamps
-        m, kw = DESCEND_RUNS[STOP_POSITIVITY]
+        _, m, kw = DESCEND_RUNS["positivity_failure"]
         [(record, clamps, stop)] = descent.descend(m, cfg(**kw))
         assert (record.iteration, record.upper, stop) == (0, m.upper, STOP_POSITIVITY)
+        assert record.direction_norm > 0.0
+        assert clamps == ()
+
+    def test_step_into_the_hole_yields_the_iterate_it_left(self):
+        # iterate 1 has no K_p: iterate 0 is the one item, with the norm of
+        # the direction it took, the step's clamps (none, additive) and the stop
+        _, m, kw = DESCEND_RUNS["step_into_hole"]
+        [(record, clamps, stop)] = descent.descend(m, cfg(**kw))
+        assert (record.iteration, record.upper, stop) == (0, m.upper, STOP_UNDEFINED)
         assert record.direction_norm > 0.0
         assert clamps == ()
 
@@ -411,12 +447,6 @@ class TestTraceRecords:
         assert math.isnan(with_nan[0].direction_norm)
         assert with_none != with_nan and with_nan != with_none
 
-    def test_an_empty_run_has_no_records(self):
-        hole = MultiplicativePCMatrix(3, (2.0, 4.0, 2.0))
-        res = run(hole, cfg(p=-1.0))
-        assert res.trace.records == () and () == res.trace.records
-        assert len(res.trace.records) == 0 and list(res.trace.records) == []
-
     def test_a_result_equals_itself_with_a_nan_field(self, res):
         nan = TraceRecord(0, (math.nan,) * 6, math.nan, math.nan)
         odd = dataclasses.replace(res, trace=IterationTrace(traced(nan)))
@@ -478,7 +508,7 @@ class TestTraceRecords:
 
     def test_an_empty_store_has_no_records(self):
         store = TraceRecords()
-        assert len(store) == 0 and list(store.rows()) == []
+        assert len(store) == 0 and list(store) == [] and list(store.rows()) == []
         assert store == () and () == store and store == TraceRecords()
 
     def test_a_trace_file_reads_back_as_written(self, res, tmp_path):

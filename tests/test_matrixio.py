@@ -9,6 +9,7 @@ from pcreduce.core import (
     MAX_ORDER,
     AdditivePCMatrix,
     MultiplicativePCMatrix,
+    to_multiplicative,
     triad_slots,
     upper_pairs,
     upper_size,
@@ -25,6 +26,7 @@ from pcreduce.descent import (
 from pcreduce.errors import (
     AntisymmetryViolation,
     BadDiagonal,
+    IndicatorUndefined,
     MatrixFileError,
     NonFiniteEntry,
     OrderTooLarge,
@@ -32,6 +34,7 @@ from pcreduce.errors import (
     ReciprocityViolation,
     ValidationError,
 )
+from pcreduce.indicators import kii
 from pcreduce.matrixio import (
     read_matrix_file,
     read_trace_file,
@@ -94,8 +97,7 @@ def well_formed_traces(draw):
     """Trace text laid out as write_trace_file writes it, with any rows and summary.
 
     Entries are valid for the header's scheme (positive for a_, finite for
-    b_), indicators lie in [0, 1], and best_iter is -1 exactly when there is
-    no best row.
+    b_), indicators lie in [0, 1], and the summary block has all four rows.
     """
     prefix = draw(st.sampled_from(["a", "b"]))
     n = draw(st.integers(min_value=3, max_value=5))
@@ -108,12 +110,9 @@ def well_formed_traces(draw):
     for it in range(draw(st.integers(min_value=0, max_value=4))):
         lines.append(",".join([str(it), draw(indicators)] + draw(floats)))
     lines.append(f"stop_reason,{draw(st.sampled_from(STOP_REASONS))}")
-    if draw(st.booleans()):
-        lines.append(f"best_iter,{draw(st.integers(min_value=0, max_value=10))}")
-        lines.append(f"best_indicator,{draw(indicators)}")
-        lines.append(",".join(["best"] + draw(floats)))
-    else:
-        lines.append("best_iter,-1")
+    lines.append(f"best_iter,{draw(st.integers(min_value=0, max_value=10))}")
+    lines.append(f"best_indicator,{draw(indicators)}")
+    lines.append(",".join(["best"] + draw(floats)))
     return "\n".join(lines) + "\n"
 
 
@@ -396,7 +395,8 @@ def as_written(result):
     return dataclasses.replace(result, trace=IterationTrace(records))
 
 
-# triad (1,2,3) exactly consistent: p = -1 is undefined at iterate 0
+# triad (1,2,3) exactly consistent: p = -1 is undefined at iterate 0, so
+# run raises before it
 HOLE4 = (math.log(2.0), math.log(4.0), 0.0, math.log(2.0), 0.0, 0.0)
 
 
@@ -468,8 +468,19 @@ class TestTraceFiles:
     @settings(max_examples=120, deadline=None)
     def test_real_runs_read_back_as_written(self, trace_dir, case):
         scheme, p, n, logs, h = case
-        res = run(AdditivePCMatrix(n, logs), DescentConfig(
-            p=p, h=h, scheme=scheme, max_iter=30, stall_window=10))
+        start = AdditivePCMatrix(n, logs)
+        if scheme == MULTIPLICATIVE:
+            start = to_multiplicative(start)
+        config = DescentConfig(p=p, h=h, scheme=scheme, max_iter=30, stall_window=10)
+        try:
+            kii(start, p)
+        except IndicatorUndefined:
+            # a start in p < 0's hole is no run: nothing to write
+            assert p < 0
+            with pytest.raises(IndicatorUndefined):
+                run(start, config)
+            return
+        res = run(start, config)
         assert read_text(trace_text(res, trace_dir), trace_dir) == as_written(res)
 
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
@@ -502,7 +513,7 @@ class TestTraceFiles:
         (TRACE_HEAD + "stop_reason,stalled\nbest_iter,0\nbest_indicator,0.9\n"
          "best,0,-1,2\n", 6),
         (TRACE_HEAD + "stop_reason,stalled\nbest_iter,0\nbest,1,2,3\n", 5),
-        (TRACE_HEAD + "stop_reason,stalled\nbest_indicator,0.9\nbest_iter,0\n", 4),
+        (TRACE_HEAD + "stop_reason,stalled\nbest_indicator,0.9\nbest_iter,0\n", 5),
         (TRACE_HEAD + "1,0.5,-1.0,2.0,3.0\nstop_reason,stalled\nbest_iter,-1\n", 3),
         (TRACE_HEAD + "1,0.5,inf,2.0,3.0\nstop_reason,stalled\nbest_iter,-1\n", 3),
         ("iteration,indicator,b_1_2,b_1_3,b_2_3\n0,0.9,1,-inf,3\n"
@@ -528,6 +539,10 @@ class TestTraceFiles:
         # the order-(MAX_ORDER + 1) triangle, in a trace without a best row
         ("iteration,indicator," + ",".join(f"a_{i}_{j}" for i, j in upper_pairs(MAX_ORDER + 1))
          + "\nstop_reason,stalled\nbest_iter,-1\n", 1),
+        # a missing summary row is reported at the last line read
+        (TRACE_HEAD + "stop_reason,stalled\nbest_iter,0\nbest_indicator,0.9\n", 5),
+        # best_iter is a rank, checked on its own line
+        (TRACE_HEAD + "stop_reason,stalled\nbest_iter,-1\n", 4),
     ], ids=["order_two", "bad_best_iter", "bad_best_indicator", "empty_stop_reason",
             "short_best_row", "bare_iteration", "wrong_entry_names", "unknown_stop_reason",
             "nonpositive_best", "best_without_indicator", "indicator_without_best",
@@ -537,7 +552,7 @@ class TestTraceFiles:
             "decreasing_iteration", "nan_indicator", "indicator_above_one",
             "negative_indicator", "infinite_best_indicator", "repeated_summary_row",
             "iterate_after_summary", "rank_not_as_written", "rank_above_int64",
-            "order_above_max"])
+            "order_above_max", "no_best", "negative_best_iter"])
     def test_malformed_trace_names_line(self, tmp_path, text, line):
         with pytest.raises(MatrixFileError) as err:
             read_text(text, tmp_path)
@@ -552,7 +567,7 @@ class TestTraceFiles:
             return
         assert data.n >= 3
         assert data.stop_reason in STOP_REASONS
-        assert data.best_upper is None or len(data.best_upper) == upper_size(data.n)
+        assert len(data.best_upper) == upper_size(data.n)
         assert all(len(rec.upper) == upper_size(data.n) for rec in data.trace.records)
         assert data.trace.clamp_events == ()
         # write then read is the identity on what a read returns
