@@ -85,11 +85,22 @@ def check_entries(n: int, upper, mult: bool) -> None:
             raise NonFiniteEntry(i, j, v)
 
 
-def _entry(v) -> float:
+def real(x, name: str = "value") -> float:
+    """x as a float: the one coercion of a number from outside.
+
+    x must have __float__, since float() would parse a str, bytes or other
+    buffer as text; that, None, a complex or a signaling NaN raises a
+    ValidationError naming name.  A number beyond float range becomes +-inf,
+    which the caller's range check names.
+    """
     try:
-        return float(v)
-    except OverflowError:  # an int beyond float range: +-inf, which check_entries names
-        return math.inf if v > 0 else -math.inf
+        if not hasattr(x, "__float__"):
+            raise TypeError
+        return float(x)
+    except OverflowError:  # an int or a Fraction; a Decimal gives +-inf itself
+        return math.inf if x > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name} must be a real number, got {x!r}") from None
 
 
 @dataclass(frozen=True)
@@ -102,7 +113,12 @@ class _PCMatrix:
 
     def __post_init__(self):
         check_order(self.n)
-        object.__setattr__(self, "upper", tuple(map(_entry, self.upper)))
+        try:
+            upper = tuple(real(v, "entry") for v in self.upper)
+        except TypeError:  # not iterable
+            raise ValidationError(
+                f"upper triangle must be a sequence of numbers, got {self.upper!r}") from None
+        object.__setattr__(self, "upper", upper)
         if len(self.upper) != upper_size(self.n):
             raise ValidationError(
                 f"expected {upper_size(self.n)} upper entries for n={self.n}, "

@@ -46,6 +46,7 @@ from .core import (
     AdditivePCMatrix,
     MultiplicativePCMatrix,
     check_entries,
+    real,
     to_additive,
     to_multiplicative,
     upper_pairs,
@@ -68,18 +69,6 @@ STOP_UNDEFINED = "indicator_undefined"
 STOP_REASONS = (STOP_CONVERGED, STOP_STALLED, STOP_MAX_ITER, STOP_POSITIVITY, STOP_UNDEFINED)
 
 
-def _real(name: str, x) -> float:
-    """x as a float, coerced as normalize_exponent coerces p; else a ValidationError naming name."""
-    try:
-        if isinstance(x, str):  # float would parse it
-            raise TypeError
-        return float(x)
-    except TypeError:  # a str, None, a complex
-        raise ValidationError(f"{name} must be a real number, got {x!r}") from None
-    except OverflowError:  # an int beyond float range
-        raise ValidationError(f"{name} is beyond float range, got {x!r}") from None
-
-
 @dataclass(frozen=True)
 class DescentConfig:
     p: float
@@ -94,11 +83,12 @@ class DescentConfig:
     def __post_init__(self):
         object.__setattr__(self, "p", normalize_exponent(self.p))
         # h, eps and l are stored as floats, as p is; l may stay None
-        object.__setattr__(self, "h", _real("h", self.h))
-        object.__setattr__(self, "eps", _real("eps", self.eps))
+        object.__setattr__(self, "h", real(self.h, "h"))
+        object.__setattr__(self, "eps", real(self.eps, "eps"))
         if self.l is not None:
-            object.__setattr__(self, "l", _real("l", self.l))
-        if self.scheme not in MATRIX_CLASSES:
+            object.__setattr__(self, "l", real(self.l, "l"))
+        # a list or a dict would make the lookup raise TypeError: unhashable
+        if not isinstance(self.scheme, str) or self.scheme not in MATRIX_CLASSES:
             raise ValidationError(f"unknown scheme {self.scheme!r}")
         # the kind and l; the smoothness of p needs the order, which descend has
         select_direction(3, self.p, self.gradient, self.l)

@@ -45,6 +45,7 @@ from .core import (
     MultiplicativePCMatrix,
     all_defects,
     log_upper,
+    real,
     residuals,
     triad,
     triad_slots,
@@ -71,13 +72,11 @@ P_MIN = 1e-6
 def normalize_exponent(p) -> float:
     """Coerce p to float, rejecting 0, |p| < P_MIN, NaN and -inf; inf means max."""
     try:
-        if isinstance(p, str):  # float would parse it
-            raise TypeError
-        q = float(p)
-    except TypeError:  # a str, None, a complex
+        q = real(p)
+    except ValidationError:
         raise InvalidExponent(p, "exponent must be numeric (or math.inf)") from None
-    except OverflowError:  # an int beyond float range
-        raise InvalidExponent(p, "exponent is beyond float range") from None
+    if math.isinf(q) and p != q:  # an int, Fraction or Decimal beyond float range
+        raise InvalidExponent(p, "exponent is beyond float range")
     if math.isnan(q):
         raise InvalidExponent(p, "NaN is not an exponent")
     if q == 0.0:
@@ -158,9 +157,13 @@ def p_average(xs, p) -> float:
     """((1/N) sum x_i^p)^(1/p), max of the x_i when p = inf: power_mean's, checked.
 
     This is where an outside sequence enters the mean: p must pass
-    normalize_exponent, and xs must be non-empty with no negative value (a
-    NaN passes, and the mean is NaN).
+    normalize_exponent, and xs must be non-empty, each value a real number
+    (core.real) and none negative (a NaN passes, and the mean is NaN).
     """
+    try:
+        xs = [real(x, "p_average value") for x in xs]
+    except TypeError:  # not iterable
+        raise ValidationError(f"p_average of a non-sequence: got {xs!r}") from None
     if not xs:
         raise ValidationError("p_average of an empty sequence")
     q = normalize_exponent(p)

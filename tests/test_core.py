@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import re
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -142,6 +145,32 @@ class TestMultiplicativeMatrix:
         with pytest.raises(error) as err:
             cls(3, upper)
         assert (err.value.i, err.value.j, err.value.value) == (*where, value)
+
+    @pytest.mark.parametrize("cls", [MultiplicativePCMatrix, AdditivePCMatrix])
+    @pytest.mark.parametrize("upper", [None, 5], ids=["none", "int"])
+    def test_rejects_a_triangle_that_is_not_iterable(self, cls, upper):
+        with pytest.raises(ValidationError, match=f"sequence of numbers, got {upper}$"):
+            cls(3, upper)
+
+    @pytest.mark.parametrize("cls", [MultiplicativePCMatrix, AdditivePCMatrix])
+    @pytest.mark.parametrize("upper,bad", [
+        ((Decimal("sNaN"), 4, 1), "Decimal('sNaN')"),
+        ((None, 4, 1), "None"),
+        ((2, 1j, 1), "1j"),
+        # float would parse text: "241" read as (2.0, 4.0, 1.0)
+        ("241", "'2'"),
+        ((2, b"4", 1), "b'4'"),
+    ], ids=["signaling_nan", "none", "complex", "str", "bytes"])
+    def test_rejects_an_entry_that_is_not_a_real_number(self, cls, upper, bad):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"entry must be a real number, got {bad}")):
+            cls(3, upper)
+
+    @pytest.mark.parametrize("cls", [MultiplicativePCMatrix, AdditivePCMatrix])
+    def test_real_entries_are_stored_as_floats(self, cls):
+        m = cls(3, (2, Decimal("0.5"), Fraction(3, 4)))
+        assert m.upper == (2.0, 0.5, 0.75)
+        assert set(map(type, m.upper)) == {float}
 
     @pytest.mark.parametrize("cls", [MultiplicativePCMatrix, AdditivePCMatrix])
     def test_rejects_order_above_max(self, cls):

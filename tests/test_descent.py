@@ -118,7 +118,16 @@ class TestConfig:
                                      {"eps": "x"},
                                      {"eps": None},
                                      {"l": "x"},
-                                     {"l": 1j}])
+                                     {"l": 1j},
+                                     # float would parse bytes as text
+                                     {"p": b"2"},
+                                     {"h": b"1"},
+                                     {"eps": bytearray(b"0.1")},
+                                     {"p": Decimal("sNaN")},
+                                     {"h": Decimal("sNaN")},
+                                     # an unhashable scheme reached a dict lookup
+                                     {"scheme": []},
+                                     {"scheme": {}}])
     def test_rejects_bad_fields(self, bad):
         with pytest.raises(ValidationError):
             cfg(**bad)

@@ -1,12 +1,19 @@
-"""The library's exceptions: their branches, attributes and messages."""
+"""The library's exceptions: their branches, attributes and messages.
+
+An outside number, wherever it enters, is taken or raises one of them.
+"""
 
 import copy
 import math
 import pickle
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pcreduce
+from pcreduce.core import AdditivePCMatrix, MultiplicativePCMatrix
+from pcreduce.descent import DescentConfig
 from pcreduce.errors import (
     AntisymmetryViolation,
     BadDiagonal,
@@ -28,6 +35,7 @@ from pcreduce.errors import (
     ValidationError,
     ZeroWithNegativeExponent,
 )
+from pcreduce.indicators import normalize_exponent, p_average
 
 #: every library error class the package exports
 EXPORTED_ERRORS = [cls for cls in map(vars(pcreduce).get, pcreduce.__all__)
@@ -147,3 +155,41 @@ def test_a_declared_error_survives_pickle_and_copy(build):
 def test_an_error_with_a_free_message_pickles_as_an_exception_does():
     back = pickle.loads(pickle.dumps(MatrixFileError("no data", 7)))
     assert (type(back), str(back), back.line) == (MatrixFileError, "line 7: no data", 7)
+
+
+#: numbers of every type a caller may pass, and things that are not numbers
+OUTSIDE_VALUES = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400), Decimal("sNaN")]),
+    st.decimals(allow_nan=True, allow_infinity=True),
+    st.fractions(),
+    st.text(),
+    st.binary(),
+    st.none(),
+    st.complex_numbers(),
+    st.booleans(),
+)
+
+#: each way an outside number enters the library
+ENTRANCES = {
+    "multiplicative entry": lambda v: MultiplicativePCMatrix(3, (2.0, v, 2.0)),
+    "additive entry": lambda v: AdditivePCMatrix(3, (2.0, v, 2.0)),
+    "normalize_exponent": normalize_exponent,
+    "DescentConfig.p": lambda v: DescentConfig(p=v, h=0.1),
+    "DescentConfig.h": lambda v: DescentConfig(p=2.0, h=v),
+    "DescentConfig.eps": lambda v: DescentConfig(p=2.0, h=0.1, eps=v),
+    "DescentConfig.l": lambda v: DescentConfig(p=2.0, h=0.1, l=v),
+    "p_average value": lambda v: p_average([1.0, v], 2.0),
+    "p_average p": lambda v: p_average([1.0, 2.0], v),
+}
+
+
+@given(st.sampled_from(sorted(ENTRANCES)), OUTSIDE_VALUES)
+@settings(max_examples=1000)
+def test_an_outside_value_is_taken_or_raises_a_library_error(entrance, value):
+    # a raw TypeError, ValueError or OverflowError fails here
+    try:
+        ENTRANCES[entrance](value)
+    except PCReduceError:
+        pass

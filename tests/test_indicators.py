@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -43,6 +45,16 @@ logs = st.floats(min_value=-3.0, max_value=3.0,
                  allow_nan=False, allow_infinity=False)
 
 
+#: exponents that float() parses as text, cannot convert or makes infinite
+NOT_REAL_OR_BEYOND_RANGE = [
+    pytest.param(b"2", id="bytes"),
+    pytest.param(bytearray(b"2"), id="bytearray"),
+    pytest.param(Decimal("sNaN"), id="signaling_nan"),
+    pytest.param(Decimal("1e400"), id="decimal_above_float_range"),
+    pytest.param(Fraction(10**400), id="fraction_above_float_range"),
+]
+
+
 class TestNormalizeExponent:
     def test_accepts_common_values(self):
         assert normalize_exponent(2) == 2.0
@@ -53,10 +65,15 @@ class TestNormalizeExponent:
                                      9.9e-7, -9.9e-7, 1e-17, 1e-300, 1e-320,
                                      pytest.param(10**400, id="int_above_float_range"),
                                      pytest.param(-(10**400), id="int_below_float_range"),
-                                     None, 1j])
+                                     None, 1j] + NOT_REAL_OR_BEYOND_RANGE)
     def test_rejects(self, bad):
         with pytest.raises(InvalidExponent):
             normalize_exponent(bad)
+
+    def test_accepts_decimal_and_fraction_exponents(self):
+        # Decimal("Infinity") equals math.inf, so it is no exponent beyond float range
+        assert normalize_exponent(Decimal("Infinity")) == math.inf
+        assert normalize_exponent(Fraction(5, 2)) == 2.5
 
     @given(st.floats(min_value=1e-6, max_value=1e3),
            st.integers(min_value=1, max_value=50),
@@ -90,7 +107,7 @@ class TestPAverage:
                                      9.9e-7, -9.9e-7, 1e-17, 1e-300, 1e-320,
                                      pytest.param(10**400, id="int_above_float_range"),
                                      pytest.param(-(10**400), id="int_below_float_range"),
-                                     None, 1j])
+                                     None, 1j] + NOT_REAL_OR_BEYOND_RANGE)
     def test_rejects_what_normalize_exponent_rejects(self, bad):
         with pytest.raises(InvalidExponent):
             p_average((1.0, 2.0), bad)
@@ -158,6 +175,20 @@ class TestPAverage:
     def test_negative_p_rejects_zero(self):
         with pytest.raises(ZeroWithNegativeExponent):
             p_average((1.0, 0.0), -1.0)
+
+    @pytest.mark.parametrize("bad", [None, "2", b"2", 1j, Decimal("sNaN")])
+    def test_rejects_a_value_that_is_not_a_real_number(self, bad):
+        with pytest.raises(ValidationError, match="p_average value must be a real number"):
+            p_average([1.0, bad], 2.0)
+
+    @pytest.mark.parametrize("xs", [None, 5], ids=["none", "int"])
+    def test_rejects_values_that_are_not_iterable(self, xs):
+        with pytest.raises(ValidationError, match=f"non-sequence: got {xs}$"):
+            p_average(xs, 2.0)
+
+    def test_real_values_are_coerced(self):
+        assert p_average([Decimal("2.5")], 2.0) == 2.5
+        assert p_average([Fraction(1, 2), 10**400], math.inf) == math.inf
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

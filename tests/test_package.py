@@ -86,6 +86,34 @@ def test_only_core_enumerates_triads():
     assert found == []
 
 
+def test_only_real_coerces_numbers_with_float():
+    # core.real is the one coercion of an outside number.  float() would
+    # also parse text, so besides real only the code that reads text calls
+    # it or passes it on: matrixio (matrix and trace files), the option
+    # parser and format_value (its own output).  Annotations do not count.
+    allowed = {"core.real", "cli.build_parser", "cli.format_value"}
+    found = []
+    for path in sorted(Path(pcreduce.__file__).parent.glob("*.py")):
+        if path.stem == "matrixio":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        annotations = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AnnAssign):
+                annotations.append(node.annotation)
+            elif isinstance(node, ast.arg):
+                annotations.append(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                annotations.append(node.returns)
+        skip = {id(sub) for ann in annotations if ann is not None for sub in ast.walk(ann)}
+        for top in tree.body:
+            where = f"{path.stem}.{getattr(top, 'name', '')}"
+            found += [f"{where}: line {node.lineno}" for node in ast.walk(top)
+                      if isinstance(node, ast.Name) and node.id == "float"
+                      and id(node) not in skip and where not in allowed]
+    assert found == []
+
+
 def test_every_cache_is_bounded():
     # a cache keyed by the order, unbounded, keeps every order's tables for
     # the life of the process: each cache names a finite maxsize
