@@ -114,6 +114,8 @@ class _PCMatrix:
     def __post_init__(self):
         check_order(self.n)
         try:
+            if isinstance(self.upper, (bytes, bytearray)):  # iterates as its byte values
+                raise TypeError
             upper = tuple(real(v, "entry") for v in self.upper)
         except TypeError:  # not iterable
             raise ValidationError(

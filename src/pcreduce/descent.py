@@ -10,10 +10,10 @@ current iterate: analytic (instant) or forward-difference.
 descend runs the iteration and yields each iterate it records; run, one
 plain loop over it, appends each record to a TraceRecords, flat columns
 rather than one TraceRecord each: an array of the upper triangles,
-row-major, and one column each of iteration numbers, indicators and norms.
-A TraceRecords grows only by append and builds a TraceRecord only when one
-is read by its index; it is not hashable, and so neither is a trace or a
-result.
+row-major, and one column each of indicators and norms.  Record k is
+iterate k, so no column holds its number.  A TraceRecords grows only by
+append and builds a TraceRecord only when one is read by its index; it is
+not hashable, and so neither is a trace or a result.
 The iteration stops on the first of
   converged            indicator below eps,
   stalled              no improvement of the running minimum by at least
@@ -25,8 +25,9 @@ The iteration stops on the first of
                        domain (positive, finite).
 A start in the hole raises IndicatorUndefined before iterate 0, so every
 run has a best iterate (first attainment of the minimum recorded indicator,
-the "best rank n"), whatever its stop reason.  The result knows its order
-and scheme; a trace file (matrixio) is its text form.
+the "best rank n"), whatever its stop reason.  conclude picks it from the
+records, for run and for the trace reader alike.  The result knows its
+order and scheme; a trace file (matrixio) is its text form.
 """
 
 from __future__ import annotations
@@ -122,47 +123,43 @@ class ClampEvent(NamedTuple):
     halvings: int
 
 
-#: the largest iteration number a trace holds, its column being array("q")
-MAX_ITERATION = 2**63 - 1
-
-
 class TraceRecords(Sequence):
     """A trace's records, stored as columns; reading one builds its TraceRecord.
 
-    One array holds every record's upper triangle, width floats each, in
-    row-major order; one column each holds the iteration numbers, the
+    Record k is iterate k.  One array holds every record's upper triangle,
+    width floats each, in row-major order; one column each holds the
     indicators and the direction norms, and a flag per record tells a norm
     of None from a float.  It starts empty, and append is the one writer.
     It compares equal to the tuple of its records, and, like a list, it is
     not hashable.
     """
 
-    __slots__ = ("_width", "_iterations", "_uppers", "_indicators", "_norms", "_normed")
+    __slots__ = ("_width", "_uppers", "_indicators", "_norms", "_normed")
 
     def __init__(self):
         self._width = 0
-        self._iterations = array("q")
         self._uppers = array("d")
         self._indicators = array("d")
         self._norms = array("d")  # 0.0 where normed is 0
         self._normed = bytearray()
 
     def append(self, record) -> None:
-        """Add record, of the first record's width, at the end; or raise and change nothing."""
+        """Add record, iterate len(self) and as wide as the first; or raise, changing nothing."""
         it, upper, indicator, norm = record
-        k = len(self._iterations)
+        k = len(self._indicators)
+        if it != k:
+            raise ValidationError(f"trace record {it} is not the next iterate, {k}")
         if k and len(upper) != self._width:
             raise ValidationError(f"trace record {it} has {len(upper)} entries, not {self._width}")
         self._width = len(upper)
         try:
-            self._iterations.append(it)
             self._uppers.fromlist(list(upper))  # twice as fast as extending by the tuple
             self._indicators.append(indicator)
             self._norms.append(0.0 if norm is None else norm)
             self._normed.append(norm is not None)
         except BaseException:  # a field its column cannot hold: undo the columns written
-            del (self._iterations[k:], self._uppers[k * self._width:], self._indicators[k:],
-                 self._norms[k:], self._normed[k:])
+            del (self._uppers[k * self._width:], self._indicators[k:], self._norms[k:],
+                 self._normed[k:])
             raise
 
     def rows(self):
@@ -172,16 +169,16 @@ class TraceRecords(Sequence):
         before taking the next row.
         """
         w, entries = self._width, iter(self._uppers)
-        for it, indicator in zip(self._iterations, self._indicators):
+        for it, indicator in enumerate(self._indicators):
             yield it, indicator, itertools.islice(entries, w)
 
     def __len__(self) -> int:
-        return len(self._iterations)
+        return len(self._indicators)
 
     def __getitem__(self, k: int) -> TraceRecord:
         k = range(len(self))[operator.index(k)]  # out of range raises IndexError
         w = self._width
-        return TraceRecord(self._iterations[k], tuple(self._uppers[k * w:(k + 1) * w]),
+        return TraceRecord(k, tuple(self._uppers[k * w:(k + 1) * w]),
                            self._indicators[k], self._norms[k] if self._normed[k] else None)
 
     def __eq__(self, other):
@@ -313,30 +310,30 @@ def descend(mat: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig):
         yield record, clamps, None
 
 
+def conclude(n: int, scheme: str, records: TraceRecords, stop: str,
+             clamps: tuple[ClampEvent, ...] = ()) -> DescentResult:
+    """The result of a run that recorded records (one or more) and stopped for stop.
+
+    The one place a DescentResult is made, by run and by the trace reader:
+    the best iterate is the first record with the least indicator, never NaN.
+    """
+    best = records[records._indicators.index(min(records._indicators))]
+    return DescentResult(n, scheme, best.iteration, MATRIX_CLASSES[scheme](n, best.upper),
+                         best.indicator, stop, IterationTrace(records, clamps))
+
+
 def run(m0: MultiplicativePCMatrix | AdditivePCMatrix, cfg: DescentConfig) -> DescentResult:
     """Descend from m0 under cfg and keep the record; every started run returns a DescentResult.
 
     m0 is converted to cfg.scheme's form once (EntryOverflow for an additive
     entry whose exp is no positive normal float); a start descend cannot
-    evaluate raises.  best_matrix, the first record with the least indicator,
-    is the one matrix a run builds.
+    evaluate raises.  conclude picks the best iterate once the run stops.
     """
     convert = to_additive if cfg.scheme == ADDITIVE else to_multiplicative
     mat = m0 if m0.scheme == cfg.scheme else convert(m0)
     records = TraceRecords()
     clamps: list[ClampEvent] = []
     for record, events, stop in descend(mat, cfg):
-        # the first record, then only a strictly smaller indicator: the first attainment
-        if not records or record.indicator < best.indicator:
-            best = record
         records.append(record)
         clamps.extend(events)
-    return DescentResult(
-        n=mat.n,
-        scheme=cfg.scheme,
-        best_iter=best.iteration,
-        best_matrix=mat.replace_upper(best.upper),
-        best_indicator=best.indicator,
-        stop_reason=stop,
-        trace=IterationTrace(records, tuple(clamps)),
-    )
+    return conclude(mat.n, cfg.scheme, records, stop, tuple(clamps))

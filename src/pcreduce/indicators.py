@@ -161,6 +161,8 @@ def p_average(xs, p) -> float:
     (core.real) and none negative (a NaN passes, and the mean is NaN).
     """
     try:
+        if isinstance(xs, (bytes, bytearray)):  # iterates as its byte values
+            raise TypeError
         xs = [real(x, "p_average value") for x in xs]
     except TypeError:  # not iterable
         raise ValidationError(f"p_average of a non-sequence: got {xs!r}") from None

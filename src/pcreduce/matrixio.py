@@ -15,10 +15,12 @@ the only part a PC matrix stores.  read_matrix_file reads a file one line
 at a time, as read_trace_file does, and stops at its first bad line.
 
 Trace files are the text form of a descent.DescentResult, CSV-ish: a
-header row naming the entries, one row per recorded iterate, and a short
-summary block.  Floats are written with repr, so reading a file back gives
-the DescentResult it was written from, bit for bit, less the direction
-norms and clamp events that the file does not hold.
+header row naming the entries, one row per recorded iterate, numbered from
+0 by its position, and a short summary block.  Floats are written with
+repr, so reading a file back gives the DescentResult it was written from,
+bit for bit, less the direction norms and clamp events that the file does
+not hold.  The reader takes the result from the rows, by descent.conclude
+as a run does, and the summary block must be the one those rows give.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .core import (
     upper_pairs,
     upper_size,
 )
-from .descent import MAX_ITERATION, STOP_REASONS, DescentResult, IterationTrace, TraceRecords
+from .descent import STOP_REASONS, DescentResult, TraceRecords, conclude
 from .errors import (
     AntisymmetryViolation,
     BadDiagonal,
@@ -168,10 +170,20 @@ def _trace_lines(result: DescentResult):
     yield "iteration,indicator," + ",".join(upper_entry_names(result.n, result.scheme)) + "\n"
     for it, indicator, upper in result.trace.records.rows():
         yield f"{it},{indicator!r},{','.join(map(repr, upper))}\n"
-    yield f"stop_reason,{result.stop_reason}\n"
-    yield f"best_iter,{result.best_iter}\n"
-    yield f"best_indicator,{result.best_indicator!r}\n"
-    yield "best," + ",".join(map(repr, result.best_upper)) + "\n"
+    for line in _summary_lines(result):
+        yield line + "\n"
+
+
+#: the keys of a trace's summary rows, in the order _summary_lines writes them
+SUMMARY_KEYS = ("stop_reason", "best_iter", "best_indicator", "best")
+
+
+def _summary_lines(result: DescentResult):
+    """The summary block of result's trace file, a line per SUMMARY_KEYS key, without line ends."""
+    yield f"stop_reason,{result.stop_reason}"
+    yield f"best_iter,{result.best_iter}"
+    yield f"best_indicator,{result.best_indicator!r}"
+    yield "best," + ",".join(map(repr, result.best_upper))
 
 
 def write_trace_file(path, result: DescentResult) -> None:
@@ -194,25 +206,21 @@ def _indicator(text: str) -> float:
     return x
 
 
-#: summary keys of a trace file with one value each, and their types
-SUMMARY_FIELDS = {"stop_reason": str, "best_iter": int, "best_indicator": _indicator}
-
-
 def read_trace_file(path) -> DescentResult:
     """Read a trace file back as the DescentResult it was written from, line by line.
 
     The inverse of write_trace_file up to what a file does not hold: every
     record's direction_norm is None and there are no clamp events.  The
-    header must name the entries as write_trace_file does, iterate rows must
-    precede the summary block, whose rows come once each, and have ranks
-    >= 0 in increasing order, written as str(rank), every indicator must lie
-    in [0, 1], every iterate row and best must be a valid triangle of the
-    header's scheme, the stop reason must be one descent.run reports,
-    best_iter must be a rank >= 0, and all four summary rows must be there.
-    Any other text raises MatrixFileError naming the offending line.  A bad
-    byte reads as U+FFFD, and a line ends at LF, CRLF or CR.  Each line is
-    parsed as it is read, each iterate row appended to the trace's
-    TraceRecords.
+    header must name the entries as write_trace_file does; then come one or
+    more iterate rows, row k numbered str(k), each indicator in [0, 1] and
+    each triangle valid for the header's scheme; then the summary block,
+    its rows once each, whose stop reason must be one descent.run reports.
+    descent.conclude makes the result of the rows and the stop reason, and
+    every summary row must read as _summary_lines writes it for that
+    result.  Any other text raises MatrixFileError naming the offending
+    line, a missing row the last line read.  A bad byte reads as U+FFFD,
+    and a line ends at LF, CRLF or CR.  Each line is parsed as it is read,
+    each iterate row appended to the trace's TraceRecords.
     """
     with open(path, encoding="utf-8", errors="replace") as f:
         lines = ((k, ln.rstrip("\n")) for k, ln in enumerate(f, start=1) if ln.strip())
@@ -231,61 +239,50 @@ def read_trace_file(path) -> DescentResult:
             raise MatrixFileError(
                 "entry columns must be " + ",".join(upper_entry_names(n, scheme)), header_no
             )
-        records, summary = _trace_rows(lines, header_no, n, scheme)
-    return DescentResult(
-        n=n,
-        scheme=scheme,
-        best_iter=summary["best_iter"],
-        best_matrix=summary["best"],
-        best_indicator=summary["best_indicator"],
-        stop_reason=summary["stop_reason"],
-        trace=IterationTrace(records),
-    )
+        records, summary, last = _trace_rows(lines, header_no, n, scheme)
+    if not records:
+        raise MatrixFileError("trace file has no iterate rows", last)
+    stop = summary.get("stop_reason", (last, ""))[1].partition(",")[2]
+    result = conclude(n, scheme, records, stop)
+    for key, expected in zip(SUMMARY_KEYS, _summary_lines(result)):
+        if key not in summary:
+            raise MatrixFileError(f"trace file has no {key!r} row", last)
+        lineno, line = summary[key]
+        if key == "stop_reason" and stop not in STOP_REASONS:
+            raise MatrixFileError(f"unknown stop reason {stop!r}", lineno)
+        if line != expected:
+            raise MatrixFileError(f"{key!r} row is not the summary of the iterate rows", lineno)
+    return result
 
 
 def _trace_rows(lines, lineno, n, scheme):
-    """(records, summary): a trace's iterate rows as a TraceRecords, its summary block as a dict.
+    """A trace's iterate rows as a TraceRecords, its summary rows by key, and the last line read.
 
     lines are the (line number, line) pairs after the header, on line
-    lineno.  A missing summary row is reported at the last line read.
+    lineno; summary maps each key read to its (line number, line).
     """
     count = upper_size(n)
     records, summary = TraceRecords(), {}
-    last = -1  # the previous iterate row's rank
     for lineno, line in lines:
         key, *fields = line.split(",")
-        if key in summary:
-            raise MatrixFileError(f"repeated {key!r} row", lineno)
-        width = 1 if key in SUMMARY_FIELDS else count if key == "best" else count + 1
-        if len(fields) != width:
-            raise MatrixFileError(
-                f"{key!r} row has {len(fields)} values, expected {width}", lineno
-            )
+        if key in SUMMARY_KEYS:
+            if key in summary:
+                raise MatrixFileError(f"repeated {key!r} row", lineno)
+            summary[key] = lineno, line
+            continue
+        if summary:
+            raise MatrixFileError("an iterate row follows the summary block", lineno)
+        if len(fields) != count + 1:
+            raise MatrixFileError(f"{key!r} row has {len(fields)} values, expected {count + 1}",
+                                  lineno)
+        k = len(records)
+        if key != str(k):
+            raise MatrixFileError(f"iterate row {k} is numbered {key!r}", lineno)
         try:
-            if key in SUMMARY_FIELDS:
-                summary[key] = SUMMARY_FIELDS[key](fields[0])
-            elif key == "best":
-                summary[key] = MATRIX_CLASSES[scheme](n, tuple(map(float, fields)))
-            else:
-                upper = tuple(map(float, fields[1:]))
-                check_entries(n, upper, scheme == MULTIPLICATIVE)
-                rank = int(key)
-                if summary:
-                    raise ValidationError("an iterate row follows the summary block")
-                if key != str(rank) or rank <= last:
-                    raise ValidationError(f"iterations must be >= 0 and increasing, got {key}")
-                if rank > MAX_ITERATION:
-                    raise ValidationError(f"iteration {key} exceeds {MAX_ITERATION}")
-                last = rank
-                records.append((rank, upper, _indicator(fields[0]), None))
-                continue
+            upper = tuple(map(float, fields[1:]))
+            check_entries(n, upper, scheme == MULTIPLICATIVE)
+            indicator = _indicator(fields[0])
         except ValueError as exc:  # a ValidationError among them
             raise MatrixFileError(f"bad trace row {line!r}: {exc}", lineno) from None
-        if key == "stop_reason" and summary[key] not in STOP_REASONS:
-            raise MatrixFileError(f"unknown stop reason {summary[key]!r}", lineno)
-        if key == "best_iter" and summary[key] < 0:
-            raise MatrixFileError(f"best_iter must be >= 0, got {summary[key]}", lineno)
-    for key in (*SUMMARY_FIELDS, "best"):
-        if key not in summary:
-            raise MatrixFileError(f"trace file has no {key!r} row", lineno)
-    return records, summary
+        records.append((k, upper, indicator, None))
+    return records, summary, lineno

@@ -147,9 +147,12 @@ class TestMultiplicativeMatrix:
         assert (err.value.i, err.value.j, err.value.value) == (*where, value)
 
     @pytest.mark.parametrize("cls", [MultiplicativePCMatrix, AdditivePCMatrix])
-    @pytest.mark.parametrize("upper", [None, 5], ids=["none", "int"])
+    # a bytes triangle would iterate as its byte values, b"\x02\x04\x01" as (2.0, 4.0, 1.0)
+    @pytest.mark.parametrize("upper", [None, 5, b"\x02\x04\x01", bytearray(b"\x02\x04\x01")],
+                             ids=["none", "int", "bytes", "bytearray"])
     def test_rejects_a_triangle_that_is_not_iterable(self, cls, upper):
-        with pytest.raises(ValidationError, match=f"sequence of numbers, got {upper}$"):
+        with pytest.raises(ValidationError,
+                           match=f"sequence of numbers, got {re.escape(repr(upper))}$"):
             cls(3, upper)
 
     @pytest.mark.parametrize("cls", [MultiplicativePCMatrix, AdditivePCMatrix])

@@ -499,17 +499,18 @@ class TestTraceRecords:
             store.append(TraceRecord(2, wide, 0.125, None))
         assert len(store) == 2 and store[-1] == TraceRecord(1, narrow, 0.25, 1.0)
 
-    @pytest.mark.parametrize("bad", [
-        pytest.param((2**63, (1.0, 2.0, 3.0), 0.5, None), id="iteration"),
-        pytest.param((5, (1.0, "2", 3.0), 0.5, None), id="entry"),
-        pytest.param((5, (1.0, 2.0, 3.0), "0.5", None), id="indicator"),
-        pytest.param((5, (1.0, 2.0, 3.0), 0.5, "1"), id="norm"),
+    @pytest.mark.parametrize("bad,error", [
+        # record k is iterate k: a record that is not the next iterate
+        pytest.param((2**63, (1.0, 2.0, 3.0), 0.5, None), ValidationError, id="iteration"),
+        pytest.param((1, (1.0, "2", 3.0), 0.5, None), TypeError, id="entry"),
+        pytest.param((1, (1.0, 2.0, 3.0), "0.5", None), TypeError, id="indicator"),
+        pytest.param((1, (1.0, 2.0, 3.0), 0.5, "1"), TypeError, id="norm"),
     ])
-    def test_a_record_its_columns_cannot_hold_changes_nothing(self, bad):
+    def test_a_record_its_columns_cannot_hold_changes_nothing(self, bad, error):
         first = TraceRecord(0, (1.0, 2.0, 3.0), 0.5, 1.0)
         good = TraceRecord(1, (4.0, 5.0, 6.0), 0.25, None)
         store = traced(first)
-        with pytest.raises((TypeError, OverflowError)):
+        with pytest.raises(error):
             store.append(bad)
         assert len(store) == 1 and store == (first,)
         store.append(good)

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -181,9 +182,11 @@ class TestPAverage:
         with pytest.raises(ValidationError, match="p_average value must be a real number"):
             p_average([1.0, bad], 2.0)
 
-    @pytest.mark.parametrize("xs", [None, 5], ids=["none", "int"])
+    # bytes would iterate as their byte values, b"\x02\x04\x01" as (2.0, 4.0, 1.0)
+    @pytest.mark.parametrize("xs", [None, 5, b"\x02\x04\x01", bytearray(b"\x02\x04\x01")],
+                             ids=["none", "int", "bytes", "bytearray"])
     def test_rejects_values_that_are_not_iterable(self, xs):
-        with pytest.raises(ValidationError, match=f"non-sequence: got {xs}$"):
+        with pytest.raises(ValidationError, match=f"non-sequence: got {re.escape(repr(xs))}$"):
             p_average(xs, 2.0)
 
     def test_real_values_are_coerced(self):

@@ -94,26 +94,32 @@ def trace_texts(draw):
 
 @st.composite
 def well_formed_traces(draw):
-    """Trace text laid out as write_trace_file writes it, with any rows and summary.
+    """Trace text laid out as write_trace_file writes it: 1 to 4 iterate rows and their summary.
 
     Entries are valid for the header's scheme (positive for a_, finite for
-    b_), indicators lie in [0, 1], and the summary block has all four rows.
+    b_) and indicators lie in [0, 1].  The summary block is the one of the
+    first row with the least indicator, unless a drawn flag perturbs one of
+    its four rows.
     """
     prefix = draw(st.sampled_from(["a", "b"]))
     n = draw(st.integers(min_value=3, max_value=5))
     entries = TRACE_FLOATS if prefix == "b" else st.floats(
         min_value=0.0, exclude_min=True, allow_infinity=False).map(repr)
     floats = st.lists(entries, min_size=upper_size(n), max_size=upper_size(n))
-    indicators = st.floats(min_value=0.0, max_value=1.0).map(repr)
+    indicators = st.floats(min_value=0.0, max_value=1.0)
     names = [f"{prefix}_{i}_{j}" for i, j in upper_pairs(n)]
+    rows = draw(st.lists(st.tuples(indicators, floats), min_size=1, max_size=4))
     lines = ["iteration,indicator," + ",".join(names)]
-    for it in range(draw(st.integers(min_value=0, max_value=4))):
-        lines.append(",".join([str(it), draw(indicators)] + draw(floats)))
-    lines.append(f"stop_reason,{draw(st.sampled_from(STOP_REASONS))}")
-    lines.append(f"best_iter,{draw(st.integers(min_value=0, max_value=10))}")
-    lines.append(f"best_indicator,{draw(indicators)}")
-    lines.append(",".join(["best"] + draw(floats)))
-    return "\n".join(lines) + "\n"
+    lines += [",".join([str(it), repr(indicator)] + upper)
+              for it, (indicator, upper) in enumerate(rows)]
+    best = min(range(len(rows)), key=lambda k: rows[k][0])
+    summary = [f"stop_reason,{draw(st.sampled_from(STOP_REASONS))}", f"best_iter,{best}",
+               f"best_indicator,{rows[best][0]!r}", ",".join(["best"] + rows[best][1])]
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=3))
+        fields = draw(st.lists(TRACE_FIELDS, min_size=0, max_size=upper_size(n) + 1))
+        summary[k] = ",".join([summary[k].partition(",")[0]] + fields)
+    return "\n".join(lines + summary) + "\n"
 
 
 @st.composite
@@ -526,7 +532,8 @@ class TestTraceFiles:
         ("iteration,indicator,a_1_2,a_1_3,a_2_3\n-3,0.5,1,2,3\n"
          "stop_reason,stalled\nbest_iter,-1\n", 2),
         (TRACE_HEAD + "0,0.5,1,2,3\nstop_reason,stalled\nbest_iter,-1\n", 3),
-        (TRACE_HEAD + "5,0.5,1,2,3\n4,0.5,1,2,3\nstop_reason,stalled\nbest_iter,-1\n", 4),
+        # rejected at its first row, 5, which leaves a gap after row 0
+        (TRACE_HEAD + "5,0.5,1,2,3\n4,0.5,1,2,3\nstop_reason,stalled\nbest_iter,-1\n", 3),
         (TRACE_HEAD + "1,nan,1,2,3\nstop_reason,stalled\nbest_iter,-1\n", 3),
         (TRACE_HEAD + "1,7.5,1,2,3\nstop_reason,stalled\nbest_iter,-1\n", 3),
         (TRACE_HEAD + "1,-0.5,1,2,3\nstop_reason,stalled\nbest_iter,-1\n", 3),
@@ -543,6 +550,21 @@ class TestTraceFiles:
         (TRACE_HEAD + "stop_reason,stalled\nbest_iter,0\nbest_indicator,0.9\n", 5),
         # best_iter is a rank, checked on its own line
         (TRACE_HEAD + "stop_reason,stalled\nbest_iter,-1\n", 4),
+        # a run records iterate 0 at least; a missing row is reported at the last line read
+        ("iteration,indicator,a_1_2,a_1_3,a_2_3\nstop_reason,stalled\nbest_iter,7\n"
+         "best_indicator,0.5\nbest,1,1,1\n", 5),
+        # the summary block must be the one the rows give: row 1 has the least indicator
+        (TRACE_HEAD + "1,0.1,1,2,3\nstop_reason,stalled\nbest_iter,0\nbest_indicator,0.9\n"
+         "best,1.0,2.0,3.0\n", 5),
+        (TRACE_HEAD + "stop_reason,stalled\nbest_iter,0\nbest_indicator,0.5\n"
+         "best,1.0,2.0,3.0\n", 5),
+        (TRACE_HEAD + "stop_reason,stalled\nbest_iter,0\nbest_indicator,0.9\n"
+         "best,5.0,6.0,7.0\n", 6),
+        # row k is numbered k
+        (TRACE_HEAD + "2,0.5,1,2,3\nstop_reason,stalled\nbest_iter,2\nbest_indicator,0.5\n"
+         "best,1.0,2.0,3.0\n", 3),
+        ("iteration,indicator,a_1_2,a_1_3,a_2_3\n1,0.5,1,2,3\nstop_reason,stalled\n"
+         "best_iter,1\nbest_indicator,0.5\nbest,1.0,2.0,3.0\n", 2),
     ], ids=["order_two", "bad_best_iter", "bad_best_indicator", "empty_stop_reason",
             "short_best_row", "bare_iteration", "wrong_entry_names", "unknown_stop_reason",
             "nonpositive_best", "best_without_indicator", "indicator_without_best",
@@ -552,7 +574,9 @@ class TestTraceFiles:
             "decreasing_iteration", "nan_indicator", "indicator_above_one",
             "negative_indicator", "infinite_best_indicator", "repeated_summary_row",
             "iterate_after_summary", "rank_not_as_written", "rank_above_int64",
-            "order_above_max", "no_best", "negative_best_iter"])
+            "order_above_max", "no_best", "negative_best_iter", "no_iterate_rows",
+            "best_iter_not_the_least_row", "best_indicator_not_the_best_rows",
+            "best_row_not_the_best_iterate", "gap_in_numbering", "first_row_not_zero"])
     def test_malformed_trace_names_line(self, tmp_path, text, line):
         with pytest.raises(MatrixFileError) as err:
             read_text(text, tmp_path)
@@ -570,6 +594,9 @@ class TestTraceFiles:
         assert len(data.best_upper) == upper_size(data.n)
         assert all(len(rec.upper) == upper_size(data.n) for rec in data.trace.records)
         assert data.trace.clamp_events == ()
+        best = data.trace.records[data.best_iter]
+        assert (data.best_iter, data.best_indicator, data.best_upper) == (
+            best.iteration, best.indicator, best.upper)
         # write then read is the identity on what a read returns
         written = trace_text(data, trace_dir)
         assert trace_text(read_text(written, trace_dir), trace_dir) == written

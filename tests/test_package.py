@@ -114,6 +114,21 @@ def test_only_real_coerces_numbers_with_float():
     assert found == []
 
 
+def test_only_conclude_makes_a_result():
+    # descent.conclude is the one place a run's best iterate is picked:
+    # descent.run and matrixio.read_trace_file both call it, and no other
+    # code of the package calls DescentResult, by name or as an attribute
+    found = []
+    for path in sorted(Path(pcreduce.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(top, 'name', '')}"
+            found += [f"{where}: line {node.lineno}" for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and where != "descent.conclude"
+                      and getattr(node.func, "id", getattr(node.func, "attr", None))
+                      == "DescentResult"]
+    assert found == []
+
+
 def test_every_cache_is_bounded():
     # a cache keyed by the order, unbounded, keeps every order's tables for
     # the life of the process: each cache names a finite maxsize
