@@ -10,10 +10,11 @@ triangle by matrixio.
 
 The additive form is the entrywise natural log, an antisymmetric matrix.  A
 triad (i,j,k), i < j < k, has defect |b_ij + b_jk - b_ik|, zero exactly when
-it is consistent; residuals(n, logs) keeps the signed u = b_ij + b_jk - b_ik
-and all_defects(n, logs) its abs.  triad_slots(n) holds only the positions
-of each triad's entries, and triad(n, t) names row t; check_order caps n at
-MAX_ORDER first.
+it is consistent; residuals(n, logs) keeps the signed u = b_ij + b_jk - b_ik,
+all_defects(n, logs) its abs and defects(rows, logs) that of given rows: no
+other module computes one.  triad_slots(n) holds the positions of each
+triad's entries, triad(n, t) names row t and pair_triads(n) lists the rows
+holding each position; check_order caps n at MAX_ORDER first.
 """
 
 from __future__ import annotations
@@ -40,16 +41,16 @@ ADDITIVE = "additive"
 
 
 #: the largest accepted order.  Both triad tables (triad_slots and
-#: indicators._pair_triads) hold about 157 B per triad, 25 MB for the
-#: C(100, 3) triads here, and one descent iteration sweeps every triad at
-#: least once; README gives the sizes and times behind the bound
+#: pair_triads) hold about 157 B per triad, 25 MB for the C(100, 3) triads
+#: here, and one descent iteration sweeps every triad at least once; README
+#: gives the sizes and times behind the bound
 MAX_ORDER = 100
 
 #: how many orders' tables each per-order cache (upper_pairs, triad_slots,
-#: indicators._pair_triads) keeps, dropping the least recently used: all of
-#: 3..MAX_ORDER would take about 640 MB.  repro uses orders 3 and 4, and no
-#: benchmark workload more than 4 orders in a process (16-24, 24-32), so
-#: none drops a table it still uses
+#: pair_triads) keeps, dropping the least recently used: all of 3..MAX_ORDER
+#: would take about 640 MB.  repro uses orders 3 and 4, and no benchmark
+#: workload more than 4 orders in a process (16-24, 24-32), so none drops a
+#: table it still uses
 CACHED_ORDERS = 8
 
 
@@ -128,10 +129,6 @@ class _PCMatrix:
             )
         check_entries(self.n, self.upper, self.scheme == MULTIPLICATIVE)
 
-    def replace_upper(self, upper) -> _PCMatrix:
-        """A matrix of the same form with another upper triangle."""
-        return type(self)(self.n, tuple(upper))
-
 
 @dataclass(frozen=True)
 class MultiplicativePCMatrix(_PCMatrix):
@@ -192,6 +189,16 @@ def triad_slots(n: int) -> tuple[tuple[int, int, int], ...]:
                  for i, j, k in combinations(range(1, n + 1), 3))
 
 
+@lru_cache(maxsize=CACHED_ORDERS)
+def pair_triads(n: int):
+    """Per upper position k, (ts, rows): the triads t that contain k and their own table rows."""
+    slots, ts = triad_slots(n), [[] for _ in range(upper_size(n))]
+    for t, row in enumerate(slots):
+        for k in row:
+            ts[k].append(t)
+    return tuple((tuple(tk), tuple(map(slots.__getitem__, tk))) for tk in ts)
+
+
 def triad(n: int, t: int) -> tuple[int, int, int]:
     """The triad (i,j,k) of triad_slots(n)'s row t, for the errors that name it."""
     return next(islice(combinations(range(1, n + 1), 3), t, None))
@@ -213,3 +220,8 @@ def all_defects(n: int, logs) -> tuple[float, ...]:
     need no sign: the K_p values of indicators.kernels' value_at.
     """
     return tuple([abs(logs[a] + logs[b] - logs[c]) for a, b, c in triad_slots(n)])
+
+
+def defects(rows, logs) -> list[float]:
+    """all_defects' sweep over the given triad_slots rows only, in their order."""
+    return [abs(logs[a] + logs[b] - logs[c]) for a, b, c in rows]

@@ -21,7 +21,7 @@ import math
 import sys
 from math import copysign
 
-from .core import triad, triad_slots, upper_size
+from .core import real, triad, triad_slots, upper_size
 from .errors import DegenerateDefect, NonSmoothExponent, OnConsistentLocus, ValidationError
 from .indicators import INF, Point, moved_kii
 
@@ -102,12 +102,13 @@ def difference_priority_vector(pt: Point, l: float) -> tuple[float, ...]:
 def select_direction(n: int, p: float, gradient: str, l: float | None = None):
     """The direction function of gradient at order n: the one way into the direction code.
 
-    It checks once what a run needs (0 < l < inf for the difference direction,
-    a p where K_p is C^1 for the analytic one above order 3) and maps a Point
-    evaluated at p to its direction, a tuple in upper-triangle storage order.
-    p is an exponent as normalize_exponent returns it, so never 0.
+    It checks once what a run needs (a real 0 < l < inf for the difference
+    direction, a p where K_p is C^1 for the analytic one above order 3) and
+    maps a Point evaluated at p to its direction, a tuple in upper-triangle
+    storage order.  p is normalize_exponent's, so never 0.
     """
     if gradient == DIFFERENCE:
+        l = None if l is None else real(l, "l")
         if l is None or not (0.0 < l <= sys.float_info.max):
             raise ValidationError(
                 f"difference gradient needs an increment l in (0, inf), got {l!r}")

@@ -17,16 +17,17 @@ take it, and moved_kii takes power_form's plain form.  A move touches only
 the n - 2 triads that contain the entry, so from order INCREMENTAL_MIN_ORDER
 on moved_kii updates the Point's defects in O(n) instead of sweeping all
 C(n,3) triads (O(n^3) per difference direction, not O(n^5)), bit for bit as
-the fresh evaluation.  A moved defect uses the triad kernel's own expression
-on the moved logs.  For finite p the base terms d^p are kept as an exact
-expansion (the role of Shewchuk's partials, "Adaptive Precision
-Floating-Point Arithmetic", 1997, the algorithm inside math.fsum), and fsum
-over it, the negated old terms and the new ones is the correctly rounded
-exact sum, which is what fsum over the moved point's terms returns.  For
-p = inf the largest untouched base defect comes from the n - 1 largest.  The
-moved value is the fresh one where the plain mean does not apply: d^p
-overflows, the mean lands on power_mean's scaled form, or at p < 0 a moved
-defect falls into the hole (the fresh kernel raises).
+the fresh evaluation.  core.pair_triads names the touched triads and
+core.defects sweeps them on the moved logs: this module sees defects only.
+For finite p the base terms d^p are kept as an exact expansion (the role of
+Shewchuk's partials, "Adaptive Precision Floating-Point Arithmetic", 1997,
+the algorithm inside math.fsum), and fsum over it, the negated old terms and
+the new ones is the correctly rounded exact sum, which is what fsum over the
+moved point's terms returns.  For p = inf the largest untouched base defect
+comes from the n - 1 largest.  The moved value is the fresh one where the
+plain mean does not apply: d^p overflows, the mean lands on power_mean's
+scaled form, or at p < 0 a moved defect falls into the hole (the fresh
+kernel raises).
 """
 
 from __future__ import annotations
@@ -39,17 +40,17 @@ from itertools import chain
 from typing import NamedTuple
 
 from .core import (
-    CACHED_ORDERS,
     MULTIPLICATIVE,
     AdditivePCMatrix,
     MultiplicativePCMatrix,
     all_defects,
+    defects,
     log_upper,
+    pair_triads,
     real,
     residuals,
     triad,
     triad_slots,
-    upper_size,
 )
 from .errors import (
     IndicatorUndefined,
@@ -270,7 +271,7 @@ def moved_kii(pt: Point):
     # neither cancels exactly in a sum nor orders in a max
     if n < INCREMENTAL_MIN_ORDER or not all(map(math.isfinite, ds)):
         return fresh
-    pairs = _pair_triads(n)
+    pairs = pair_triads(n)
     if q == INF:
         slots = triad_slots(n)
         # the n - 2 triads one move touches cannot cover the n - 1 largest
@@ -278,7 +279,7 @@ def moved_kii(pt: Point):
         tops = nlargest(n - 1, range(len(ds)), key=ds.__getitem__)
 
         def moved_max(k, logs):
-            new = max(abs(logs[a] + logs[b] - logs[c]) for a, b, c in pairs[k][1])
+            new = max(defects(pairs[k][1], logs))
             rest = next((ds[t] for t in tops if k not in slots[t]), 0.0)
             return 1.0 - math.exp(-max(new, rest))
 
@@ -294,7 +295,7 @@ def moved_kii(pt: Point):
 
     def moved_mean(k, logs):
         ts, rows = pairs[k]
-        new = [abs(logs[a] + logs[b] - logs[c]) for a, b, c in rows]
+        new = defects(rows, logs)
         if q < 0.0 and min(new) < DELTA_ZERO:
             return fresh(k, logs)
         try:
@@ -305,16 +306,6 @@ def moved_kii(pt: Point):
         return 1.0 - math.exp(-avg) if avg != 0.0 else fresh(k, logs)
 
     return moved_mean
-
-
-@lru_cache(maxsize=CACHED_ORDERS)
-def _pair_triads(n: int):
-    """Per upper position k, (ts, rows): the triads t that contain k and their own table rows."""
-    slots, ts = triad_slots(n), [[] for _ in range(upper_size(n))]
-    for t, row in enumerate(slots):
-        for k in row:
-            ts[k].append(t)
-    return tuple((tuple(tk), tuple(map(slots.__getitem__, tk))) for tk in ts)
 
 
 def _exact_parts(terms: list[float]) -> list[float]:

@@ -19,6 +19,7 @@ from pcreduce.core import (
     MultiplicativePCMatrix,
     all_defects,
     log_upper,
+    pair_triads,
     residuals,
     to_additive,
     to_multiplicative,
@@ -38,7 +39,6 @@ from pcreduce.errors import (
     ReciprocityViolation,
     ValidationError,
 )
-from pcreduce.indicators import _pair_triads
 
 from oracles import (
     consistent_from_weights,
@@ -184,13 +184,6 @@ class TestMultiplicativeMatrix:
         assert triad_slots.cache_info().currsize == before
         assert cls(MAX_ORDER, (1.0,) * upper_size(MAX_ORDER)).n == MAX_ORDER
 
-    def test_replace_upper_returns_same_kind(self):
-        m = MultiplicativePCMatrix(3, A3)
-        m2 = m.replace_upper((1.0, 2.0, 3.0))
-        assert isinstance(m2, MultiplicativePCMatrix)
-        assert m2.upper == (1.0, 2.0, 3.0)
-        assert m.upper == A3  # untouched
-
 
 class TestAdditiveMatrix:
     def test_antisymmetric_entries(self):
@@ -303,7 +296,7 @@ class TestTriads:
         # every triad appears under exactly its three positions
         slots = triad_slots(n)
         seen = [set() for _ in slots]
-        for k, (ts, rows) in enumerate(_pair_triads(n)):
+        for k, (ts, rows) in enumerate(pair_triads(n)):
             assert len(ts) == len(rows) == n - 2
             for t, row in zip(ts, rows):
                 assert row is slots[t]
@@ -315,13 +308,13 @@ class TestTriads:
         # the rows of both tables at n = 80 are position tuples shared by
         # reference: 12.9 MB, where label-carrying rows and per-position
         # copies took 22.4 MB
-        caches = (upper_pairs, triad_slots, _pair_triads)
+        caches = (upper_pairs, triad_slots, pair_triads)
         for cache in caches:
             cache.cache_clear()
         tracemalloc.start()
         try:
             triad_slots(80)
-            _pair_triads(80)
+            pair_triads(80)
             size = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -332,7 +325,7 @@ class TestTriads:
     def test_table_caches_keep_only_the_latest_orders(self):
         # all of 3..MAX_ORDER would take about 640 MB: each per-order cache
         # keeps the tables of the CACHED_ORDERS orders used last
-        caches = (upper_pairs, triad_slots, _pair_triads)
+        caches = (upper_pairs, triad_slots, pair_triads)
         for n in range(3, 31):
             for cache in caches:
                 cache(n)

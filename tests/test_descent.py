@@ -319,7 +319,7 @@ class TestDescend:
             n=m.n,
             scheme=config.scheme,
             best_iter=best.iteration,
-            best_matrix=m.replace_upper(best.upper),
+            best_matrix=type(m)(m.n, best.upper),
             best_indicator=best.indicator,
             stop_reason=reason,
             trace=IterationTrace(
@@ -550,14 +550,15 @@ def retained_bytes(m, count):
 def test_a_record_retains_only_its_floats(m):
     # the slope between two run lengths cancels what every run holds
     # whatever its length, such as the interpreter's free lists
-    floats = core.upper_size(m.n) + 3  # the triangle, indicator, iteration, norm
+    # the triangle, indicator and norm as floats, and the norm's flag byte
+    size = 8 * (core.upper_size(m.n) + 2) + 1
     tracemalloc.start()
     try:
         retained_bytes(m, 10)  # builds the order's tables
         per_record = (retained_bytes(m, 20000) - retained_bytes(m, 2000)) / 18000
     finally:
         tracemalloc.stop()
-    assert per_record <= 8 * floats * 1.25
+    assert per_record <= size * 1.25
 
 
 #: the two triad sweeps: residuals for each fresh evaluation, all_defects

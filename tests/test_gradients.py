@@ -2,6 +2,8 @@ import gc
 import math
 import random
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -136,9 +138,9 @@ def signed(v):
 def central_difference(m, p, k, l=1e-6):
     up = list(m.upper)
     up[k] += l
-    hi = kii(m.replace_upper(up), p)
+    hi = kii(type(m)(m.n, up), p)
     up[k] -= 2 * l
-    lo = kii(m.replace_upper(up), p)
+    lo = kii(type(m)(m.n, up), p)
     return (hi - lo) / (2 * l)
 
 
@@ -187,8 +189,8 @@ class TestInstantPv3:
         b = AdditivePCMatrix(3, (bx, by, bz))
         assume(abs(bx + bz - by) > 1e-3)
         v = analytic3(b, 1.0)
-        stepped = b.replace_upper(
-            tuple(x + 1e-6 * c for x, c in zip(b.upper, v))
+        stepped = type(b)(
+            b.n, tuple(x + 1e-6 * c for x, c in zip(b.upper, v))
         )
         assert kii(stepped, 1.0) < kii(b, 1.0)
 
@@ -302,8 +304,8 @@ class TestInstantPvNp:
         v = instant_pv_np(point_at(m, 2.0))
         assert len(v) == 10
         # descent check with a small step
-        stepped = m.replace_upper(
-            tuple(a + 1e-7 * c for a, c in zip(m.upper, v))
+        stepped = type(m)(
+            m.n, tuple(a + 1e-7 * c for a, c in zip(m.upper, v))
         )
         assert kii(stepped, 2.0) < kii(m, 2.0)
 
@@ -377,7 +379,7 @@ class TestDifferenceGradient:
         base = kii(m, 1.0)
         up = list(m.upper)
         up[2] += l
-        want = -(kii(m.replace_upper(up), 1.0) - base) / l
+        want = -(kii(type(m)(m.n, up), 1.0) - base) / l
         assert v[2] == want
 
     def test_priority_vector_is_negation(self):
@@ -388,15 +390,21 @@ class TestDifferenceGradient:
         for k in range(len(m.upper)):
             up = list(m.upper)
             up[k] += l
-            quotients.append((kii(m.replace_upper(up), 2.0) - base) / l)
+            quotients.append((kii(type(m)(m.n, up), 2.0) - base) / l)
         v = difference_priority_vector(point_at(m, 2.0), l)
         assert signed(v) == signed(-q for q in quotients)
 
     def test_rejects_bad_increment(self):
         m = mult_from_logs(3, (-2.0, 3.0, 1.0))
-        for l in (0.0, -1e-3, None):
+        for l in (0.0, -1e-3, None, "0.001", b"1", 1j):
             with pytest.raises(ValidationError):
                 select_direction(m.n, 1.0, DIFFERENCE, l)
+
+    @pytest.mark.parametrize("l", [Decimal("0.001"), Fraction(1, 1000)])
+    def test_a_real_increment_is_taken_as_its_float(self, l):
+        pt = point_at(mult_from_logs(4, (-2.0, 3.0, 0.0, 1.0, 0.0, 0.5)), 2.0)
+        want = select_direction(4, 2.0, DIFFERENCE, 0.001)(pt)
+        assert select_direction(4, 2.0, DIFFERENCE, l)(pt) == want
 
     def test_works_for_nonsmooth_p(self):
         # p = 1 and p = inf have no analytic gradient but difference

@@ -86,6 +86,48 @@ def test_only_core_enumerates_triads():
     assert found == []
 
 
+def test_only_core_computes_a_triad_residual():
+    # core's residuals, all_defects and defects are the only sweeps of a
+    # triad residual b_ij + b_jk - b_ik, so a moved defect is bit for bit a
+    # fresh one: no other module writes X[a] + X[b] - X[c] over subscripts
+    found = []
+    for path in sorted(Path(pcreduce.__file__).parent.glob("*.py")):
+        if path.stem == "core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                    and isinstance(node.right, ast.Subscript)
+                    and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Add)
+                    and isinstance(node.left.left, ast.Subscript)
+                    and isinstance(node.left.right, ast.Subscript)):
+                found.append(f"{path.name}: line {node.lineno}")
+    assert found == []
+
+
+def test_every_public_method_is_used():
+    # a public, undecorated method of a package class that no code of the
+    # package names and that overrides no base-class method (as
+    # cli.Parser.error does) has no caller but the tests: dead code
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(Path(pcreduce.__file__).parent.glob("*.py"))
+             if path.stem != "__main__"}  # importing it runs the CLI
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            bases = getattr(importlib.import_module(f"pcreduce.{module}"), cls.name).__mro__[1:]
+            unused += [f"{module}.{cls.name}.{node.name}" for node in cls.body
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and not node.name.startswith("_") and not node.decorator_list
+                       and node.name not in named
+                       and not any(hasattr(base, node.name) for base in bases)]
+    assert unused == []
+
+
 def test_only_real_coerces_numbers_with_float():
     # core.real is the one coercion of an outside number.  float() would
     # also parse text, so besides real only the code that reads text calls
