@@ -14,9 +14,8 @@ where six decimals would show a nonzero value as zero or the value's
 magnitude is 1e15 or more: those print as repr(x).
 """
 
-from __future__ import annotations
-
 import argparse
+import os
 import sys
 from dataclasses import fields
 
@@ -117,7 +116,21 @@ def cmd_reduce(args) -> int:
     m = read_matrix_file(args.matrix)
     # the reduce options are named after the DescentConfig fields
     cfg = DescentConfig(**{f.name: getattr(args, f.name) for f in fields(DescentConfig)})
-    result = run(m, cfg)
+    # open the output files before the run, so one that cannot be written
+    # fails before the first iterate; a file made here goes if the run raises
+    made = []
+    try:
+        for path in (args.trace, args.out):
+            if path is not None:
+                new = not os.path.lexists(path)
+                open(path, "a").close()
+                if new:
+                    made.append(path)
+        result = run(m, cfg)
+    except BaseException:
+        for path in made:
+            os.remove(path)
+        raise
     if args.trace is not None:
         write_trace_file(args.trace, result)
     if args.out is not None:

@@ -17,8 +17,6 @@ triad's entries, triad(n, t) names row t and pair_triads(n) lists the rows
 holding each position; check_order caps n at MAX_ORDER first.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import sys

@@ -30,8 +30,6 @@ records, for run and for the trace reader alike.  The result knows its
 order and scheme; a trace file (matrixio) is its text form.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import operator
@@ -189,16 +187,14 @@ class TraceRecords(Sequence):
         return NotImplemented
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(NamedTuple):
     """A run's records, filled by TraceRecords.append, and its clamps."""
 
     records: TraceRecords
     clamp_events: tuple[ClampEvent, ...] = ()
 
 
-@dataclass(frozen=True)
-class DescentResult:
+class DescentResult(NamedTuple):
     """One run: its order and scheme, trace, stop reason and best iterate, which every run has."""
 
     n: int

@@ -15,8 +15,6 @@ reproduction experiments use.  Its moved indicator values come from
 indicators.moved_kii, which owns the arithmetic of K_p.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from math import copysign

@@ -30,8 +30,6 @@ scaled form, or at p < 0 a moved defect falls into the hole (the fresh
 kernel raises).
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from functools import lru_cache, partial

@@ -23,8 +23,6 @@ not hold.  The reader takes the result from the rows, by descent.conclude
 as a run does, and the summary block must be the one those rows give.
 """
 
-from __future__ import annotations
-
 from itertools import islice
 from math import isqrt
 

@@ -31,12 +31,10 @@ deviations rather than hiding them:
   are (0.056, 1.000, -1.056), off that invariant.
 """
 
-from __future__ import annotations
-
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .core import ADDITIVE, MATRIX_CLASSES, MULTIPLICATIVE, upper_pairs
 from .descent import DescentConfig, DescentResult, run
@@ -57,8 +55,7 @@ STARTS = {(3, MULTIPLICATIVE): START3_MULT, (3, ADDITIVE): START3_ADD,
           (4, MULTIPLICATIVE): START4_MULT}
 
 
-@dataclass(frozen=True)
-class ReproRow:
+class ReproRow(NamedTuple):
     label: str
     n: int
     scheme: str
@@ -121,8 +118,7 @@ def entry_names(n: int, scheme: str) -> tuple[str, ...]:
     return tuple(names[k] for k in label_order(n))
 
 
-@dataclass(frozen=True)
-class RowOutcome:
+class RowOutcome(NamedTuple):
     row: ReproRow
     result: DescentResult
     best_entries: tuple[float, ...]  # in table label order

@@ -164,6 +164,24 @@ def test_reduce_prints_nothing_when_an_output_file_fails(workdir, option):
     assert err.getvalue().count("\n") == 1
 
 
+@pytest.mark.parametrize("option", ["--trace", "--out"])
+def test_reduce_checks_its_output_files_before_the_run(workdir, option, monkeypatch):
+    # an output file that cannot be written fails before any iterate is computed
+    path = workdir / "never_run.txt"
+    path.write_text(matrix_text(*STARTS["start4"]))
+
+    def unreached(m, cfg):
+        raise AssertionError("the descent ran")
+
+    monkeypatch.setattr(cli, "run", unreached)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["reduce", str(path), "--h", "1", "--p", "2", option, str(workdir)])
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue().startswith("pcreduce: error: ")
+    assert err.getvalue().count("\n") == 1
+
+
 @pytest.mark.parametrize("x, text", [(0.25, "0.250000"), (0.0, "0.000000"),
                                      (-0.0, "-0.000000"), (4e-7, "4e-07"),
                                      (-1e-300, "-1e-300"), (6e-7, "0.000001"),

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import pickle
@@ -458,7 +457,7 @@ class TestTraceRecords:
 
     def test_a_result_equals_itself_with_a_nan_field(self, res):
         nan = TraceRecord(0, (math.nan,) * 6, math.nan, math.nan)
-        odd = dataclasses.replace(res, trace=IterationTrace(traced(nan)))
+        odd = res._replace(trace=IterationTrace(traced(nan)))
         assert odd == odd and odd.trace.records == odd.trace.records
         with pytest.raises(TypeError):
             hash(odd)
@@ -526,7 +525,7 @@ class TestTraceRecords:
         back = read_trace_file(tmp_path / "run.trace")
         assert back.trace.records == tuple(
             r._replace(direction_norm=None) for r in res.trace.records)
-        assert back == dataclasses.replace(res, trace=IterationTrace(back.trace.records))
+        assert back == res._replace(trace=IterationTrace(back.trace.records))
 
     def test_a_result_survives_pickle(self, res):
         back = pickle.loads(pickle.dumps(res))

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -398,7 +397,7 @@ def as_written(result):
     records = TraceRecords()
     for rec in result.trace.records:
         records.append(rec._replace(direction_norm=None))
-    return dataclasses.replace(result, trace=IterationTrace(records))
+    return result._replace(trace=IterationTrace(records))
 
 
 # triad (1,2,3) exactly consistent: p = -1 is undefined at iterate 0, so

@@ -1,6 +1,7 @@
 """The package's export list and the boundaries between its modules."""
 
 import ast
+import dataclasses
 import importlib
 import re
 import sys
@@ -184,6 +185,20 @@ def test_every_cache_is_bounded():
     assert found == []
 
 
+def test_only_a_validating_class_is_a_dataclass():
+    # a dataclass costs its generated methods at every import; a plain
+    # record is a NamedTuple, and a dataclass must validate in __post_init__
+    found = []
+    for path in sorted(Path(pcreduce.__file__).parent.glob("*.py")):
+        if path.stem == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"pcreduce.{path.stem}")
+        found += [f"{path.stem}.{name}" for name, obj in vars(module).items()
+                  if isinstance(obj, type) and obj.__module__ == module.__name__
+                  and dataclasses.is_dataclass(obj) and not hasattr(obj, "__post_init__")]
+    assert found == []
+
+
 def test_readme_examples_run(capsys):
     # README's python blocks run in order in one namespace (the second uses
     # the first's a), so a renamed or deleted public name fails here
@@ -196,7 +211,7 @@ def test_readme_examples_run(capsys):
     assert capsys.readouterr().out
 
 
-def test_every_name_the_benchmark_reaches_exists():
+def test_every_name_the_benchmark_reaches_exists(monkeypatch):
     # perfbench/ drives the package from outside, through the names below: a
     # rename or a deletion fails here rather than in a benchmark run
     bench = Path(pcreduce.__file__).parents[2] / "perfbench"
@@ -224,3 +239,11 @@ def test_every_name_the_benchmark_reaches_exists():
     assert res.trace.records[-1].iteration <= 3
     assert isinstance(res.trace.clamp_events, tuple)
     assert len(res.best_upper) == 3
+    # and what repro16 reads of run_all's outcomes, here of its first row
+    repro = importlib.import_module("pcreduce.repro")
+    monkeypatch.setattr(repro, "REFERENCE_RUNS", repro.REFERENCE_RUNS[:1])
+    [oc] = repro.run_all()
+    assert oc.row.label == "01_mult3_h0.1_l0.001"
+    assert oc.result.stop_reason in pcreduce.descent.STOP_REASONS
+    assert 0 <= oc.result.best_iter <= oc.result.trace.records[-1].iteration
+    assert len(oc.result.best_upper) == 3

@@ -1,6 +1,10 @@
+import copy
 import csv
 import hashlib
 import math
+import pickle
+
+import pytest
 
 from pcreduce.core import AdditivePCMatrix, MultiplicativePCMatrix, upper_pairs
 from pcreduce.indicators import point_at
@@ -79,6 +83,23 @@ class TestRunRow:
         oc = run_row(REFERENCE_RUNS[0])
         assert oc.best_entries == tuple(
             oc.result.best_matrix.upper[k] for k in label_order(3))
+
+    def test_an_outcome_and_its_row_survive_pickle_and_copy(self):
+        oc = run_row(REFERENCE_RUNS[0])
+        for record in (oc, oc.row):
+            for back in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                         copy.deepcopy(record)):
+                # an outcome's == compares its result's every record too
+                assert type(back) is type(record) and back == record
+
+    def test_a_result_is_unhashable_and_no_field_can_be_set(self):
+        oc = run_row(REFERENCE_RUNS[0])
+        with pytest.raises(TypeError):
+            hash(oc.result)
+        for record, name in ((oc, "iter_dev"), (oc.row, "label"), (oc.result, "best_iter"),
+                             (oc.result.trace, "clamp_events")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
 
 
 class TestIdentity:
